@@ -273,8 +273,13 @@ def check_kappa_inverse_form(sys, kappa):
     )
 
 
-def check_bmw_relations(sys, kappa):
-    """The quotient relations tying R and K, embedded on three factors."""
+def check_bmw_relations(sys, kappa, yang_baxter=None):
+    """The quotient relations tying R and K, embedded on three factors.
+
+    The braid relation is the Yang-Baxter equation again; pass the outcome
+    of check_yang_baxter as `yang_baxter` to reuse it instead of recomputing
+    both triple products.
+    """
     f = sys.field
     nu = sys.nu
     nu_inv = f.one / nu
@@ -293,8 +298,16 @@ def check_bmw_relations(sys, kappa):
             out = compose(out, op)
         return out
 
+    if yang_baxter is None:
+        braid = _op_outcome(
+            "bmw-braid", "R1 R2 R1 = R2 R1 R2", [(mul(r1, r2, r1), mul(r2, r1, r2))]
+        )
+    else:
+        braid = Outcome(
+            "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
+        )
     return [
-        _op_outcome("bmw-braid", "R1 R2 R1 = R2 R1 R2", [(mul(r1, r2, r1), mul(r2, r1, r2))]),
+        braid,
         _op_outcome(
             "bmw-cubic",
             "R^2 = I + lambda (R - nu K)",
@@ -738,7 +751,8 @@ def full_verification(sys_or_r, nu=None):
         "rank_K": None,
         "X_diag": None,
     }
-    outcomes = [check_yang_baxter(sys)]
+    yang_baxter = check_yang_baxter(sys)
+    outcomes = [yang_baxter]
 
     def result(reason=None):
         return VerificationResult(outcomes, derived, reason)
@@ -768,7 +782,7 @@ def full_verification(sys_or_r, nu=None):
     outcomes.append(check_kappa_inverse_form(sys, kappa))
     derived["mu"] = kappa.mu
 
-    outcomes.extend(check_bmw_relations(sys, kappa))
+    outcomes.extend(check_bmw_relations(sys, kappa, yang_baxter))
     outcomes.append(check_minimal_cubic(sys, kappa))
 
     try:

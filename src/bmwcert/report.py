@@ -121,7 +121,7 @@ def import_rmatrix(path):
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError(f"bad dim {dim!r}")
     entries = doc.get("entries")
     if not isinstance(entries, list):
@@ -130,6 +130,8 @@ def import_rmatrix(path):
     seen = set()
     triples = []
     for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ParseError(f"entry {k}: must be an object with out, in and coeff")
         out = entry.get("out")
         inp = entry.get("in")
         coeff = entry.get("coeff")
@@ -137,7 +139,7 @@ def import_rmatrix(path):
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
+                or not all(_is_int(x) for x in pair)
             ):
                 raise ParseError(f"entry {k}: indices must be pairs of integers")
             if not all(1 <= x <= dim for x in pair):
@@ -159,6 +161,11 @@ def import_rmatrix(path):
     nu_text = doc.get("nu")
     nu = parse_scalar(nu_text) if isinstance(nu_text, str) else None
     return op, nu
+
+
+def _is_int(x):
+    """A JSON integer; bool is an int subclass in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def export_rmatrix(op, nu, path, comment=None, provenance=None):

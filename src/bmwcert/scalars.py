@@ -7,7 +7,13 @@ held in a canonical form:
   * the denominator is an ordinary primitive integer polynomial in s with a
     nonzero constant term and a positive leading coefficient;
   * all powers of s and all rational content live in the numerator;
-  * numerator and denominator are coprime as polynomials.
+  * numerator and denominator are coprime as polynomials;
+  * every coefficient that is an integer is stored as a Python int, and only
+    a coefficient that is not an integer is a Fraction.
+
+The last rule keeps the arithmetic of the common case, integer
+coefficients, in plain int operations.  Fraction(2) == 2 and the two hash
+alike, so it changes no comparison, hash or printed text.
 
 Equality of scalars is therefore structural equality, and values are safe to
 hash and to share between threads: everything here is immutable and every
@@ -30,8 +36,22 @@ from .errors import (
 # arbitrary-precision denominator, always reduced.
 Rational = Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+def _coeff(c):
+    """A coefficient in canonical form: an integral Fraction as an int."""
+    if c.__class__ is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _ratio(a, b):
+    """Exact a / b of int or Fraction coefficients, b nonzero, canonical."""
+    if b == 1:
+        return a
+    if a.__class__ is int and b.__class__ is int:
+        quo, rem = divmod(a, b)
+        if not rem:
+            return quo
+    return _coeff(Fraction(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +126,11 @@ def _ip_exact_div(u, v):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial in s with Fraction coefficients.
+    """Sparse Laurent polynomial in s with rational coefficients.
 
-    `terms` maps exponent -> nonzero coefficient; the empty map is zero.
-    Instances are treated as immutable once constructed.
+    `terms` maps exponent -> nonzero coefficient, an int when integral and
+    a Fraction otherwise; the empty map is zero.  Instances are treated as
+    immutable once constructed.
     """
 
     __slots__ = ("terms",)
@@ -119,12 +140,13 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
-        c = Fraction(c)
+        if c.__class__ is not int:
+            c = _coeff(Fraction(c))
         return cls({0: c} if c else None)
 
     @classmethod
     def s_power(cls, k):
-        return cls({k: _ONE})
+        return cls({k: 1})
 
     def is_zero(self):
         return not self.terms
@@ -144,9 +166,9 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, _ZERO) + c
+            v = out.get(e, 0) + c
             if v:
-                out[e] = v
+                out[e] = v if v.__class__ is int else _coeff(v)
             else:
                 out.pop(e, None)
         return LaurentPoly(out)
@@ -164,11 +186,14 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                v = out.get(e, _ZERO) + c1 * c2
+                v = out.get(e, 0) + c1 * c2
                 if v:
                     out[e] = v
                 else:
                     out.pop(e, None)
+        for e, v in out.items():
+            if v.__class__ is not int:
+                out[e] = _coeff(v)
         return LaurentPoly(out)
 
     def __eq__(self, other):
@@ -179,7 +204,7 @@ class LaurentPoly:
 
     def evaluate(self, at):
         at = Fraction(at)
-        total = _ZERO
+        total = Fraction(0)
         for e, c in self.terms.items():
             total += c * at**e
         return total
@@ -187,27 +212,36 @@ class LaurentPoly:
     def int_form(self):
         """Split a poly with min_exp 0 as content * primitive-int-list.
 
-        Returns (content, coeffs) with content a Fraction carrying the sign
-        of the leading coefficient and coeffs an ascending, primitive,
-        positive-leading integer list.
+        Returns (content, coeffs) with content a canonical coefficient
+        carrying the sign of the leading coefficient and coeffs an
+        ascending, primitive, positive-leading integer list.
         """
         deg = self.max_exp()
         num_gcd = 0
         den_lcm = 1
         for c in self.terms.values():
-            num_gcd = _int_gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm // _int_gcd(den_lcm, c.denominator) * c.denominator
-        content = Fraction(num_gcd, den_lcm)
+            num_gcd = _int_gcd(num_gcd, c.numerator)
+            d = c.denominator
+            if d != 1:
+                den_lcm = den_lcm // _int_gcd(den_lcm, d) * d
         if self.terms[deg] < 0:
-            content = -content
+            num_gcd = -num_gcd
         coeffs = [0] * (deg + 1)
+        if den_lcm == 1:
+            for e, c in self.terms.items():
+                coeffs[e] = c // num_gcd
+            return num_gcd, coeffs
+        # num_gcd and den_lcm are coprime, so the content is not integral.
         for e, c in self.terms.items():
-            coeffs[e] = int(c / content)
-        return content, coeffs
+            coeffs[e] = c.numerator * (den_lcm // c.denominator) // num_gcd
+        return Fraction(num_gcd, den_lcm), coeffs
 
     @classmethod
-    def from_int_list(cls, coeffs, scale=_ONE):
-        return cls({e: scale * c for e, c in enumerate(coeffs) if c})
+    def from_int_list(cls, coeffs, scale=1):
+        scale = _coeff(scale)
+        if scale.__class__ is int:
+            return cls({e: scale * c for e, c in enumerate(coeffs) if c})
+        return cls({e: _coeff(scale * c) for e, c in enumerate(coeffs) if c})
 
 
 _LP_ONE = LaurentPoly.const(1)
@@ -252,7 +286,7 @@ class Scalar:
             if len(g) > 1:
                 nint = _ip_exact_div(nint, g)
                 dint = _ip_exact_div(dint, g)
-        scale = ncont / dcont
+        scale = _ratio(ncont, dcont)
         return Scalar(
             LaurentPoly.from_int_list(nint, scale).shift(nshift),
             LaurentPoly.from_int_list(dint),
@@ -284,7 +318,7 @@ class Scalar:
         return not self.num.is_zero()
 
     def is_one(self):
-        return self.num.terms == {0: _ONE} and self.den.terms == {0: _ONE}
+        return self.num.terms == {0: 1} and self.den.terms == {0: 1}
 
     # -- arithmetic
 
@@ -292,7 +326,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.den is other.den or self.den == other.den:
-            if self.den.terms == {0: _ONE}:
+            if self.den.terms == {0: 1}:
                 s = self.num + other.num
                 return Scalar(s, _LP_ONE) if s.terms else _SC_ZERO
             return Scalar._make(self.num + other.num, self.den)
@@ -315,7 +349,7 @@ class Scalar:
             return NotImplemented
         if self.num.is_zero() or other.num.is_zero():
             return _SC_ZERO
-        if self.den.terms == {0: _ONE} and other.den.terms == {0: _ONE}:
+        if self.den.terms == {0: 1} and other.den.terms == {0: 1}:
             return Scalar(self.num * other.num, _LP_ONE)
         return Scalar._make(self.num * other.num, self.den * other.den)
 
@@ -377,7 +411,7 @@ class Scalar:
         if self.num.is_zero():
             return "0"
         num_s = _poly_text(self.num)
-        if self.den.terms == {0: _ONE}:
+        if self.den.terms == {0: 1}:
             return num_s
         if len(self.num.terms) > 1:
             num_s = f"({num_s})"
@@ -462,7 +496,11 @@ def is_unit_sign(a):
 #   exponent := ['-'] INT | '(' ['-'] INT '/' '2' ')'
 #
 # Half-integer exponents require an odd numerator and apply to q only;
-# `s` is shorthand for q^(1/2).
+# `s` is shorthand for q^(1/2).  Parentheses and unary signs nest at most
+# _MAX_DEPTH deep, which keeps the recursive descent far from the
+# interpreter's recursion limit.
+
+_MAX_DEPTH = 100
 
 
 class _Tokens:
@@ -492,6 +530,12 @@ class _Tokens:
                 continue
             raise ParseError(f"unexpected character {ch!r}", i)
         self.pos = 0
+        self.depth = 0
+
+    def descend(self, pos):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else ("end", None, len(self.text))
@@ -540,10 +584,12 @@ def _parse_term(toks):
 
 
 def _parse_factor(toks):
-    kind, _, _ = toks.peek()
+    kind, _, pos = toks.peek()
     if kind in ("+", "-"):
         toks.next()
+        toks.descend(pos)
         value = _parse_factor(toks)
+        toks.depth -= 1
         return -value if kind == "-" else value
     value, is_q = _parse_atom(toks)
     if toks.peek()[0] == "^":
@@ -559,7 +605,9 @@ def _parse_atom(toks):
     if kind == "sym":
         return (Scalar.q_power(1), True) if val == "q" else (Scalar.s_power(1), False)
     if kind == "(":
+        toks.descend(pos)
         value = _parse_expr(toks)
+        toks.depth -= 1
         kind, _, pos = toks.next()
         if kind != ")":
             raise ParseError("expected ')'", pos)
@@ -639,7 +687,7 @@ class ScalarField:
         dens = []
         seen = set()
         for v in row.values():
-            if v.den.terms != {0: _ONE}:
+            if v.den.terms != {0: 1}:
                 key = frozenset(v.den.terms.items())
                 if key not in seen:
                     seen.add(key)
@@ -656,7 +704,7 @@ class ScalarField:
         """
         if not row:
             return row
-        if any(v.den.terms != {0: _ONE} for v in row.values()):
+        if any(v.den.terms != {0: 1} for v in row.values()):
             row = self.clear_row_denominators(row)
         vals = list(row.values())
         shift = min(v.num.min_exp() for v in vals)
@@ -685,8 +733,8 @@ class RationalField:
         if at_s in (0, 1, -1):
             raise ExcludedEvaluationPoint(f"s = {at_s} puts q in {{0, 1}}")
         self.at_s = at_s
-        self.zero = _ZERO
-        self.one = _ONE
+        self.zero = Fraction(0)
+        self.one = Fraction(1)
         self.s = at_s
         self.q = at_s * at_s
         self.lam = self.q - 1 / self.q

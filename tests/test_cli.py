@@ -57,6 +57,39 @@ def test_verify_bad_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+DEEP = "(" * 5000 + "q" + ")" * 5000
+ENTRY = {"out": [1, 1], "in": [1, 1], "coeff": "q"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dim": 2, "entries": [1]},
+        {"dim": True, "entries": [ENTRY]},
+        {"dim": 1, "entries": [dict(ENTRY, out=[True, 1])]},
+        {"dim": 1, "entries": [dict(ENTRY, coeff=DEEP)]},
+        {"dim": 1, "nu": DEEP, "entries": [ENTRY]},
+    ],
+    ids=["non-object-entry", "bool-dim", "bool-index", "deep-coeff", "deep-nu"],
+)
+def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bmwcert: error: ") and err.count("\n") == 1
+
+
+def test_deep_nu_option_exits_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bmwcert", "verify", "--family", "so", "--dim", "3", "--nu", DEEP],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("bmwcert: error: ") and "Traceback" not in proc.stderr
+
+
 def test_verify_missing_file_exits_2(capsys):
     assert main(["verify", "--input", str("/no/such/file.json")]) == 2
     capsys.readouterr()

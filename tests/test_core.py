@@ -129,6 +129,25 @@ def test_bmw_relations_wrong_sign_nu():
     assert outs["bmw-rk"].witness is not None
 
 
+def test_bmw_braid_reuses_yang_baxter_outcome():
+    # diag(1, 2, 3, 4) fails the braid relation with a witness
+    m = FieldMatrix.from_entries(
+        4,
+        F,
+        [(0, 0, one), (1, 1, F.from_int(2)), (2, 2, F.from_int(3)), (3, 3, F.from_int(4))],
+    )
+    braids = []
+    for sys in (RMatrixSystem(TensorOperator(2, 2, m), q**5), so3_system()):
+        kappa, _ = _kappa_raw(sys)
+        alone = check_bmw_relations(sys, kappa)
+        assert check_bmw_relations(sys, kappa, check_yang_baxter(sys)) == alone
+        braid = next(o for o in full_verification(sys).outcomes if o.id == "bmw-braid")
+        assert braid == alone[0]
+        braids.append(braid)
+    assert not braids[0].passed and braids[0].witness is not None
+    assert braids[1].passed
+
+
 def test_skew_inverse_of_permutation():
     P = permutation_op(2, 2, 1, 2, F)
     skew = skew_inverse(RMatrixSystem(P, q**5))

@@ -146,8 +146,18 @@ def random_scalar(rng, max_terms=3, span=3):
     return Scalar._make(num, den)
 
 
+def integral_coeffs_are_ints(x):
+    """Every integral coefficient of num and den is a plain int."""
+    for c in list(x.num.terms.values()) + list(x.den.terms.values()):
+        if c.denominator == 1 and type(c) is not int:
+            return False
+    return True
+
+
 def canonical_invariants(x):
     """The canonical-form contract of a scalar."""
+    if not integral_coeffs_are_ints(x):
+        return False
     if x.is_zero():
         return x.den.terms == {0: Fraction(1)}
     den = x.den
@@ -176,6 +186,66 @@ def test_canonical_idempotence_and_invariants():
         again = Scalar._make(x.num, x.den)
         assert again == x
         assert again.num.terms == x.num.terms and again.den.terms == x.den.terms
+
+
+def test_arithmetic_and_parse_keep_canonical_form():
+    rng = random.Random(20240812)
+    for _ in range(200):
+        a = random_scalar(rng)
+        b = random_scalar(rng)
+        results = [a + b, a - b, a * b, parse(str(a)), parse(str(b))]
+        if b:
+            results.append(a / b)
+        for r in results:
+            assert canonical_invariants(r), (str(a), str(b), str(r))
+
+
+def test_integral_coefficients_print_and_hash_as_before():
+    # An integral Fraction coefficient is stored as an int; equality, hash
+    # and text are the same as for the Fraction form.
+    x = Scalar._make(
+        LaurentPoly({2: Fraction(3), 0: Fraction(-1)}), LaurentPoly({0: Fraction(2)})
+    )
+    assert x.num.terms == {2: Fraction(3, 2), 0: Fraction(-1, 2)}
+    y = parse("3*q - 1")
+    assert y.num.terms == {2: 3, 0: -1}
+    assert all(type(c) is int for c in y.num.terms.values())
+    assert str(y) == "3*q - 1"
+    as_fractions = LaurentPoly({2: Fraction(3), 0: Fraction(-1)})
+    assert y.num == as_fractions and hash(y.num) == hash(as_fractions)
+
+
+def test_arithmetic_agrees_with_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+
+    def to_sympy(x):
+        def poly(p):
+            return sum(
+                sympy.Rational(c.numerator, c.denominator) * s**e for e, c in p.terms.items()
+            )
+
+        return poly(x.num) / poly(x.den)
+
+    rng = random.Random(20240813)
+    for _ in range(40):
+        a = random_scalar(rng)
+        b = random_scalar(rng)
+        sa, sb = to_sympy(a), to_sympy(b)
+        cases = [(a + b, sa + sb), (a * b, sa * sb)]
+        if b:
+            cases.append((a / b, sa / sb))
+        for got, want in cases:
+            assert sympy.cancel(to_sympy(got) - want) == 0, (str(a), str(b), str(got))
+
+
+def test_parse_rejects_deep_nesting_with_position():
+    for text in ("(" * 5000 + "q" + ")" * 5000, "-" * 5000 + "q", "(-" * 60 + "q" + ")" * 60):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position is not None
+    assert parse("(" * 50 + "q" + ")" * 50) == q
+    assert parse("-(-(-q))") == F.zero - q
 
 
 def test_print_parse_roundtrip_corpus():
