@@ -84,11 +84,22 @@ def _numeric_op(op, field):
     return op.map_entries(lambda v: v.evaluate(field.at_s), field)
 
 
-def _twist_d(path, field):
-    d = import_twist(path)
-    if field is not SYMBOLIC:
-        d = tuple(tuple(v.evaluate(field.at_s) for v in row) for row in d)
-    return TwistSpec(d)
+def _evaluated_twist(spec, field):
+    """The twist cells at s = s0.  A cell that is nonzero in Q(s) but
+    vanishes at s0 is an unlucky point, reported as such."""
+    rows = []
+    for i, row in enumerate(spec.d, 1):
+        cells = []
+        for j, v in enumerate(row, 1):
+            w = v.evaluate(field.at_s)
+            if v and not w:
+                raise InvalidTwistParameters(
+                    f"d[{i}][{j}] = {SYMBOLIC.to_text(v)} vanishes at s = {field.at_s}, "
+                    "an unlucky point; choose another --at-s"
+                )
+            cells.append(w)
+        rows.append(tuple(cells))
+    return TwistSpec(tuple(rows))
 
 
 def _evaluated_pair(pair, field):
@@ -193,16 +204,12 @@ def run_job(config):
 
     r_op = base
     if config.twist is not None:
-        d_sym = _twist_d(config.twist, SYMBOLIC)
+        d_sym = TwistSpec(import_twist(config.twist))
         if d_sym.N != base.N:
             raise InvalidTwistParameters(
                 f"twist is {d_sym.N} x {d_sym.N}, operator needs {base.N} x {base.N}"
             )
-        d_spec = (
-            d_sym
-            if field is SYMBOLIC
-            else TwistSpec(tuple(tuple(v.evaluate(field.at_s) for v in row) for row in d_sym.d))
-        )
+        d_spec = d_sym if field is SYMBOLIC else _evaluated_twist(d_sym, field)
         validate_twist(d_spec)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
@@ -264,7 +271,7 @@ def run_job(config):
 def export_family(series, dim, twist_path, out_path):
     """Write a family (twisted if requested) in the file format."""
     if twist_path is not None:
-        d = _twist_d(twist_path, SYMBOLIC)
+        d = TwistSpec(import_twist(twist_path))
         if all(v == SYMBOLIC.one for row in d.d for v in row):
             d = None
     else:

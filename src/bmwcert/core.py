@@ -157,10 +157,15 @@ class VerificationResult:
 
 
 def _op_outcome(check_id, equation, pairs):
-    """Pass iff every (lhs, rhs) pair of operators agrees exactly."""
+    """Pass iff every (lhs, rhs) pair of operators agrees exactly.
+
+    Entries are canonical and no zeros are stored, so equal operators are
+    exactly those with a zero residual; the residual is formed only when a
+    pair differs, for its witness.
+    """
     for lhs, rhs in pairs:
-        zero, wit = is_zero(sub(lhs, rhs))
-        if not zero:
+        if lhs != rhs:
+            _, wit = is_zero(sub(lhs, rhs))
             return Outcome(check_id, equation, False, wit)
     return Outcome(check_id, equation, True)
 
@@ -231,8 +236,9 @@ def _kappa_raw(sys):
         coeff, compose(sub(scale(q, ident), sys.R), add(scale(q_inv, ident), sys.R))
     )
     mu = coeff * (q - sys.nu) * (q_inv + sys.nu)
-    zero, wit = is_zero(sub(compose(kappa, kappa), scale(mu, kappa)))
-    outcome = Outcome("kappa-idempotent", "K^2 = mu K", zero, None if zero else wit)
+    outcome = _op_outcome(
+        "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
+    )
     return KappaData(kappa, mu), outcome
 
 
@@ -255,10 +261,11 @@ def kappa_of(sys):
 def check_yang_baxter(sys):
     r1 = embed(sys.R, (1, 2), 3)
     r2 = embed(sys.R, (2, 3), 3)
+    r1r2 = compose(r1, r2)
     return _op_outcome(
         "yang-baxter",
         "R1 R2 R1 = R2 R1 R2",
-        [(compose(compose(r1, r2), r1), compose(compose(r2, r1), r2))],
+        [(compose(r1r2, r1), compose(r2, r1r2))],
     )
 
 
@@ -278,7 +285,8 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
 
     The braid relation is the Yang-Baxter equation again; pass the outcome
     of check_yang_baxter as `yang_baxter` to reuse it instead of recomputing
-    both triple products.
+    both triple products.  The three-site products that several relations
+    share are formed once.
     """
     f = sys.field
     nu = sys.nu
@@ -291,21 +299,18 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
     ri2 = embed(r_inv, (2, 3), 3)
     k1 = embed(k, (1, 2), 3)
     k2 = embed(k, (2, 3), 3)
-
-    def mul(*ops):
-        out = ops[0]
-        for op in ops[1:]:
-            out = compose(out, op)
-        return out
+    k2r1 = compose(k2, r1)
+    k2ri1 = compose(k2, ri1)
+    k2k1 = compose(k2, k1)
+    k1k2 = compose(k1, k2)
+    k1r2 = compose(k1, r2)
+    k1ri2 = compose(k1, ri2)
 
     if yang_baxter is None:
-        braid = _op_outcome(
-            "bmw-braid", "R1 R2 R1 = R2 R1 R2", [(mul(r1, r2, r1), mul(r2, r1, r2))]
-        )
-    else:
-        braid = Outcome(
-            "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
-        )
+        yang_baxter = check_yang_baxter(sys)
+    braid = Outcome(
+        "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
+    )
     return [
         braid,
         _op_outcome(
@@ -321,27 +326,33 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
         _op_outcome(
             "bmw-k2rk2",
             "K2 R1 K2 = nu^-1 K2 and K2 R1^-1 K2 = nu K2",
-            [(mul(k2, r1, k2), scale(nu_inv, k2)), (mul(k2, ri1, k2), scale(nu, k2))],
+            [
+                (compose(k2r1, k2), scale(nu_inv, k2)),
+                (compose(k2ri1, k2), scale(nu, k2)),
+            ],
         ),
         _op_outcome(
             "bmw-kk-rinv",
             "K2 K1 = K2 R1^-1 R2^-1",
-            [(mul(k2, k1), mul(k2, ri1, ri2))],
+            [(k2k1, compose(k2ri1, ri2))],
         ),
         _op_outcome(
             "bmw-kk-rr",
             "K1 K2 = K1 R2 R1 and K2 K1 = K2 R1 R2",
-            [(mul(k1, k2), mul(k1, r2, r1)), (mul(k2, k1), mul(k2, r1, r2))],
+            [(k1k2, compose(k1r2, r1)), (k2k1, compose(k2r1, r2))],
         ),
         _op_outcome(
             "bmw-kkk",
             "K1 K2 K1 = K1 and K2 K1 K2 = K2",
-            [(mul(k1, k2, k1), k1), (mul(k2, k1, k2), k2)],
+            [(compose(k1k2, k1), k1), (compose(k2k1, k2), k2)],
         ),
         _op_outcome(
             "bmw-k1rk1",
             "K1 R2 K1 = nu^-1 K1 and K1 R2^-1 K1 = nu K1",
-            [(mul(k1, r2, k1), scale(nu_inv, k1)), (mul(k1, ri2, k1), scale(nu, k1))],
+            [
+                (compose(k1r2, k1), scale(nu_inv, k1)),
+                (compose(k1ri2, k1), scale(nu, k1)),
+            ],
         ),
     ]
 
@@ -502,6 +513,7 @@ def theorem_suite(sys, skew, kappa):
     nu_inv = f.one / nu
     ident = FieldMatrix.identity(n, f)
     d2 = embed(TensorOperator(n, 1, skew.D), (2,), 2)
+    d2k = compose(d2, kappa.K)
     outcomes = [
         Outcome(
             "kappa-rank-one",
@@ -535,17 +547,12 @@ def theorem_suite(sys, skew, kappa):
         _mat_outcome(
             "d-kappa-trace1",
             "Tr_1(D_2 K_12) = nu rank(K) I",
-            [
-                (
-                    partial_trace(compose(d2, kappa.K), 1).mat,
-                    ident.scaled_by(nu * rk),
-                )
-            ],
+            [(partial_trace(d2k, 1).mat, ident.scaled_by(nu * rk))],
         ),
         _mat_outcome(
             "d-kappa-trace",
             "Tr_2(D_2 K_12) = nu I",
-            [(partial_trace(compose(d2, kappa.K), 2).mat, ident.scaled_by(nu))],
+            [(partial_trace(d2k, 2).mat, ident.scaled_by(nu))],
         ),
         _scalar_outcome(
             "trace-c-d",
@@ -702,22 +709,52 @@ def rtt_lemma(kappa, xy):
 
     X^-1 is taken as Y, which XY = I justifies; linearity extends the check
     to every commuting-entry matrix.
+
+    Both sides are read off KK = K_23 K_12 by relabelling indices instead
+    of embedding T and forming products.  For T = e_ab, T_1 KK is the rows
+    of KK with first index b moved to first index a, and KK (X T Y)_3 has
+    u_a[out, (i, j)] Y[b, l] at (out, (i, j, l)), with
+    u_a[out, (i, j)] = sum_k KK[out, (i, j, k)] X[k, a].
     """
     f = kappa.K.field
     n = kappa.K.N
-    k12 = embed(kappa.K, (1, 2), 3)
-    k23 = embed(kappa.K, (2, 3), 3)
-    kk = compose(k23, k12)
+    n2 = n * n
+    kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3)).mat.rows
     eq_text = "T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3 for all matrix units T"
+
+    def operator(rows):
+        return TensorOperator(n, 3, FieldMatrix(n * n2, f, rows))
+
     for a in range(n):
+        x_col = xy.X.column(a)
+        u = {}
+        for r, row in kk.items():
+            acc = {}
+            for c, v in row.items():
+                xv = x_col.get(c % n)
+                if xv is None:
+                    continue
+                ij = c // n
+                cur = acc.get(ij)
+                cur = v * xv if cur is None else cur + v * xv
+                if cur:
+                    acc[ij] = cur
+                else:
+                    del acc[ij]
+            if acc:
+                u[r] = acc
         for b in range(n):
-            t = FieldMatrix.from_entries(n, f, [(a, b, f.one)])
-            m = xy.X * t * xy.Y
-            t1 = embed(TensorOperator(n, 1, t), (1,), 3)
-            m3 = embed(TensorOperator(n, 1, m), (3,), 3)
-            zero, wit = is_zero(sub(compose(t1, kk), compose(kk, m3)))
-            if not zero:
-                return Outcome("rtt-conjugation", eq_text, False, wit)
+            y_row = xy.Y.rows.get(b, {})
+            lhs = {r + (a - b) * n2: row for r, row in kk.items() if r // n2 == b}
+            rhs = {}
+            if y_row:
+                for r, urow in u.items():
+                    rhs[r] = {
+                        ij * n + l: uv * yv for ij, uv in urow.items() for l, yv in y_row.items()
+                    }
+            outcome = _op_outcome("rtt-conjugation", eq_text, [(operator(lhs), operator(rhs))])
+            if not outcome.passed:
+                return outcome
     return Outcome("rtt-conjugation", eq_text, True)
 
 

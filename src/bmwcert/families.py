@@ -245,19 +245,14 @@ def check_twist_compat(r, f_op):
     r23 = embed(r, (2, 3), 3)
     f12 = embed(f_op, (1, 2), 3)
     f23 = embed(f_op, (2, 3), 3)
-
-    def mul(*ops):
-        out = ops[0]
-        for op in ops[1:]:
-            out = compose(out, op)
-        return out
-
+    f23f12 = compose(f23, f12)
+    f12f23 = compose(f12, f23)
     return _op_outcome(
         "twist-compat",
         "R12 F23 F12 = F23 F12 R23 and F12 F23 R12 = R23 F12 F23",
         [
-            (mul(r12, f23, f12), mul(f23, f12, r23)),
-            (mul(f12, f23, r12), mul(r23, f12, f23)),
+            (compose(r12, f23f12), compose(f23f12, r23)),
+            (compose(f12f23, r12), compose(r23, f12f23)),
         ],
     )
 

@@ -158,9 +158,11 @@ def import_rmatrix(path):
             raise ParseError(f"entry {k}: {exc}") from exc
         triples.append((cell[0], cell[1], value))
     op = TensorOperator.from_entries(dim, 2, f, triples)
-    nu_text = doc.get("nu")
-    nu = parse_scalar(nu_text) if isinstance(nu_text, str) else None
-    return op, nu
+    if "nu" not in doc:
+        return op, None
+    if not isinstance(doc["nu"], str):
+        raise ParseError("nu must be grammar text")
+    return op, parse_scalar(doc["nu"])
 
 
 def _is_int(x):
@@ -202,5 +204,15 @@ def import_twist(path):
     for i, row in enumerate(grid):
         if not isinstance(row, list) or len(row) != len(grid):
             raise ParseError(f"twist row {i} is not a list of {len(grid)} entries")
-        rows.append(tuple(parse_scalar(str(c)) for c in row))
+        rows.append(tuple(_twist_cell(c, i + 1, j + 1) for j, c in enumerate(row)))
     return tuple(rows)
+
+
+def _twist_cell(text, i, j):
+    """Parse cell d[i][j] (1-based) of a twist file, naming it in errors."""
+    if not isinstance(text, str):
+        raise ParseError(f"twist d[{i}][{j}]: must be grammar text, got {json.dumps(text)}")
+    try:
+        return parse_scalar(text)
+    except ParseError as exc:
+        raise ParseError(f"twist d[{i}][{j}]: {exc}") from exc

@@ -5,12 +5,16 @@ zeros; row = output index, column = input index.  Multi-indices over n tensor
 factors with labels 1..N linearize as r = sum((parts_k - 1) * N^(n-k)), the
 first factor being the most significant digit.
 
-Values are immutable by convention and all operations return fresh objects,
-so concurrent use is safe.  Elimination uses a fraction-free scheme: rows are
-cleared of denominators up front, updates cross-multiply against the pivot,
-and every updated row is divided by its common content.  Pivots are chosen
-deterministically (fewest nonzeros, then lowest row index), so results never
-depend on scheduling.
+Values are immutable by convention: an operator must not be mutated after
+construction.  Every operation returns a fresh object except `embed`, which
+keeps each embedding on the operator it came from and returns that shared
+object on a repeated call, so one verdict embeds each operator only once.
+Concurrent callers stay safe: a race at worst computes one embedding twice.
+
+Elimination uses a fraction-free scheme: rows are cleared of denominators up
+front, updates cross-multiply against the pivot, and every updated row is
+divided by its common content.  Pivots are chosen deterministically (fewest
+nonzeros, then lowest row index), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -227,7 +231,7 @@ def _minus_one(field):
 class TensorOperator:
     """An operator on V^(x n), V of dimension N, stored as a FieldMatrix."""
 
-    __slots__ = ("N", "arity", "mat")
+    __slots__ = ("N", "arity", "mat", "_embedded")
 
     def __init__(self, N, arity, mat):
         if mat.dim != N**arity:
@@ -235,6 +239,8 @@ class TensorOperator:
         self.N = N
         self.arity = arity
         self.mat = mat
+        # embed's results, keyed by (positions, n); lives as long as self.
+        self._embedded = {}
 
     @property
     def field(self):
@@ -311,9 +317,13 @@ def embed(op, positions, n):
     """Place an arity-m operator on the named factors of V^(x n).
 
     positions lists m distinct labels in 1..n; factor k of op acts on space
-    positions[k].  The remaining factors carry the identity.
+    positions[k].  The remaining factors carry the identity.  The result is
+    kept on op, and a repeated call returns the same object.
     """
     positions = tuple(positions)
+    cached = op._embedded.get((positions, n))
+    if cached is not None:
+        return cached
     if len(positions) != op.arity:
         raise BadPositions(f"{len(positions)} positions for arity {op.arity}")
     if len(set(positions)) != len(positions):
@@ -335,7 +345,8 @@ def embed(op, positions, n):
                 base_out[p - 1] = lab
                 base_in[p - 1] = lab
             out_m._add_entry(multi_to_linear(base_out, N), multi_to_linear(base_in, N), v)
-    return TensorOperator(N, n, out_m)
+    result = op._embedded[(positions, n)] = TensorOperator(N, n, out_m)
+    return result
 
 
 def partial_trace(op, space):

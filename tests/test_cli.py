@@ -305,3 +305,82 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "status: pass" in proc.stdout
+
+
+# Witnesses of the failing checks of `verify --family so --dim 4 --nu q^-2`,
+# frozen from the output of the embed-and-compose implementation.
+SO4_WRONG_NU_WITNESSES = {
+    "nu-detect": ([], [], "q^-3"),
+    "kappa-idempotent": ([1, 4], [1, 4], "-q^-3 + q^-4 + q^-6"),
+    "kappa-inverse-form": ([1, 4], [1, 4], "-q^-2 + q^-3"),
+    "bmw-rk": ([1, 4], [1, 4], "-q^-5 + q^-6"),
+    "bmw-k2rk2": ([1, 1, 4], [1, 1, 4], "-q^-5 + q^-7"),
+    "bmw-kk-rinv": ([1, 1, 4], [1, 4, 1], "-q^-3 + q^-4"),
+    "bmw-kk-rr": ([1, 4, 1], [1, 1, 4], "-q^-3 + q^-4"),
+    "bmw-kkk": ([1, 4, 1], [1, 4, 1], "-q^-3 + q^-5"),
+    "bmw-k1rk1": ([1, 4, 1], [1, 4, 1], "-q^-5 + q^-7"),
+    "minimal-cubic": ([1, 4], [1, 4], "q^-6 - q^-7 - q^-8 + q^-9"),
+    "d-rinv-trace": ([1], [1], "-q^-4 + q^-6"),
+    "cd-scalar": ([1], [1], "-q^-4 + q^-6"),
+    "d-kappa-trace1": ([1], [1], "-q^-2 + q^-4"),
+    "d-kappa-trace": ([1], [1], "-q^-2 + q^-4"),
+    "trace-c-d": ([], [], "-q^-2 + q^-3 + q^-5"),
+    "pairing-factorization": ([], [], "-1 + q^-1 + q^-3"),
+    "xy-inverse": ([1], [1], "-1 + q^-2"),
+}
+
+
+def test_wrong_nu_witnesses_are_pinned(capsys):
+    code = main(["verify", "--family", "so", "--dim", "4", "--nu", "q^-2", "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["reason"] == "ReciprocityViolation: XY differs from the identity"
+    failing = {
+        chk["id"]: (chk["witness"]["out"], chk["witness"]["in"], chk["witness"]["value"])
+        for chk in doc["checks"]
+        if not chk["pass"]
+    }
+    assert failing == SO4_WRONG_NU_WITNESSES
+
+
+@pytest.mark.parametrize("nu", [5, None], ids=["number", "null"])
+def test_non_text_nu_in_file_exits_2(tmp_path, capsys, nu):
+    path = tmp_path / "so3.json"
+    export_family("so", 3, None, str(path))
+    doc = json.loads(path.read_text())
+    del doc["nu"]
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 0  # an absent nu is detected
+    capsys.readouterr()
+    doc["nu"] = nu
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "bmwcert: error: nu must be grammar text\n"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[1, "q"], ["1", "1"]], "twist d[1][1]: must be grammar text, got 1"),
+        ([["1", None], ["1", "1"]], "twist d[1][2]: must be grammar text, got null"),
+        ([["1", "q"], ["1", "q +"]], "twist d[2][2]: expected a number, q, s or '(' (at position 3)"),
+    ],
+    ids=["number-cell", "null-cell", "grammar-error"],
+)
+def test_malformed_twist_cell_exits_2_naming_the_cell(tmp_path, capsys, rows, message):
+    twist = write_twist(tmp_path / "d.json", rows)
+    assert main(["verify", "--family", "sp", "--dim", "2", "--twist", twist]) == 2
+    assert capsys.readouterr().err == f"bmwcert: error: {message}\n"
+
+
+def test_twist_cell_vanishing_at_s0_is_an_unlucky_point(tmp_path, capsys):
+    # q - 4 is a nonzero twist parameter that vanishes at s = 2, where q = 4.
+    twist = write_twist(tmp_path / "d.json", [["1", "q-4"], ["1", "1"]])
+    argv = ["verify", "--family", "sp", "--dim", "2", "--twist", twist]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--at-s", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "bmwcert: error: d[1][2] = q - 4 vanishes at s = 2, an unlucky point; "
+        "choose another --at-s\n"
+    )

@@ -24,7 +24,8 @@ from bmwcert import (
     theorem_suite,
     xy_matrices,
 )
-from bmwcert.core import check_pairing_factorization, _kappa_raw
+from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw
+from bmwcert.tensors import compose, embed, is_zero, sub
 from bmwcert.errors import (
     KappaNotIdempotentScaled,
     NotBMWSpectralType,
@@ -270,6 +271,43 @@ def test_rtt_lemma_so3_and_twisted():
     xy_t = xy_matrices(factor_pairings(kappa_t), F)
     assert xy_t.X != FieldMatrix.identity(2, F)  # genuinely non-scalar case
     assert rtt_lemma(kappa_t, xy_t).passed
+
+
+def rtt_oracle(kappa, xy):
+    """The conjugation lemma as embedded operator products, matrix unit by
+    matrix unit: the first nonzero residual entry, or None."""
+    n = kappa.K.N
+    kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3))
+    for a in range(n):
+        for b in range(n):
+            t = FieldMatrix.from_entries(n, F, [(a, b, one)])
+            t1 = embed(TensorOperator(n, 1, t), (1,), 3)
+            m3 = embed(TensorOperator(n, 1, xy.X * t * xy.Y), (3,), 3)
+            zero, wit = is_zero(sub(compose(t1, kk), compose(kk, m3)))
+            if not zero:
+                return wit
+    return None
+
+
+def unipotent(n, c):
+    """I + c e_12."""
+    return FieldMatrix.from_entries(n, F, [(i, i, one) for i in range(n)] + [(0, 1, c)])
+
+
+def test_rtt_lemma_negative_controls_match_the_oracle():
+    twisted = kappa_of(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
+    xy = xy_matrices(factor_pairings(twisted), F)
+    swapped = XYPair(xy.Y, xy.X, xy.epsilon)
+    sp4 = kappa_of(build_standard("sp", 4))
+    gauged = XYPair(unipotent(4, q), unipotent(4, F.zero - q), 1)
+    cases = [
+        (twisted, swapped, ((1, 1, 2), (1, 2, 2), q - q**-3)),
+        (sp4, gauged, ((1, 1, 4), (1, 4, 2), F.zero - q**-3)),
+    ]
+    for kappa, pair, witness in cases:
+        outcome = rtt_lemma(kappa, pair)
+        assert not outcome.passed
+        assert outcome.witness == rtt_oracle(kappa, pair) == witness
 
 
 def test_full_verification_so4():

@@ -66,6 +66,18 @@ def test_embed_reversed_positions_transposes():
     assert embed(R, (2, 1), 2) == compose(compose(P, R), P)
 
 
+def test_embed_returns_the_same_object_per_placement():
+    R = operator_from_table(SO3_TABLE, 3)
+    r12 = embed(R, (1, 2), 3)
+    assert embed(R, [1, 2], 3) is r12
+    others = [embed(R, (2, 3), 3), embed(R, (2, 1), 3), embed(R, (1, 2), 4)]
+    assert all(op is not r12 and op != r12 for op in others)
+    # an equal operator built separately carries its own embeddings
+    twin = operator_from_table(SO3_TABLE, 3)
+    assert embed(twin, (1, 2), 3) is not r12
+    assert embed(twin, (1, 2), 3) == r12
+
+
 def test_embed_bad_positions():
     P = permutation_op(2, 2, 1, 2, F)
     with pytest.raises(BadPositions):
