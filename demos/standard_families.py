@@ -33,8 +33,8 @@ print("mu =", kappa.mu)
 
 # The skew inverse Psi gives the C and D matrices; their traces equal nu mu.
 skew = skew_inverse(so3)
-print("Tr C =", skew.C.trace())
-print("Tr D =", skew.D.trace())
+print("Tr C =", skew.C.mat.trace())
+print("Tr D =", skew.D.mat.trace())
 
 print()
 # The closed-form pairings are antidiagonal with q^-rho weights; the induced

@@ -11,19 +11,14 @@ __version__ = "0.1.0"
 
 from .scalars import (
     LaurentPoly,
-    Rational,
     RationalField,
     SYMBOLIC,
     Scalar,
-    ScalarField,
-    arith,
-    evaluate,
     is_unit_sign,
     parse,
 )
 from .tensors import (
     FieldMatrix,
-    MultiIndex,
     TensorOperator,
     add,
     char_poly,
@@ -38,21 +33,13 @@ from .tensors import (
     rank,
     scale,
     solve_multi_rhs,
-    sub,
-    trace,
 )
 from .core import (
     KappaData,
-    Outcome,
     PairingPair,
     RMatrixSystem,
-    SkewData,
-    VerificationResult,
-    XYPair,
     check_bmw_relations,
-    check_pairing_factorization,
     check_prop1,
-    check_skew,
     check_yang_baxter,
     detect_nu,
     factor_pairings,
@@ -64,10 +51,7 @@ from .core import (
     xy_matrices,
 )
 from .families import (
-    FamilySpec,
-    SP_NU_NOTE,
     TwistSpec,
-    TwistValidity,
     build_F,
     build_multiparametric,
     build_standard,
@@ -80,13 +64,5 @@ from .families import (
     twisted_expected,
     validate_twist,
 )
-from .report import (
-    Report,
-    build_report,
-    export_rmatrix,
-    import_rmatrix,
-    import_twist,
-    render_json,
-    render_text,
-)
+from .report import import_rmatrix
 from .cli import JobConfig, export_family, main, run_job

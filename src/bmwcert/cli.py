@@ -32,7 +32,7 @@ from .core import (
     kappa_of,
     _build_xy,
 )
-from .errors import BmwError, InvalidTwistParameters
+from .errors import BmwError, InvalidTwistParameters, PoleAtPoint
 from .families import (
     SP_NU_NOTE,
     TwistSpec,
@@ -41,6 +41,7 @@ from .families import (
     pairings_match_up_to_gauge,
     standard_matrix,
     twisted_expected,
+    twisted_matrix,
     validate_twist,
 )
 from .report import (
@@ -52,7 +53,6 @@ from .report import (
     render_text,
 )
 from .scalars import RationalField, SYMBOLIC, parse as parse_scalar
-from .tensors import TensorOperator, compose, inverse, permutation_op
 
 
 @dataclass
@@ -80,21 +80,22 @@ class JobConfig:
         }
 
 
-def _numeric_op(op, field):
-    return op.map_entries(lambda v: v.evaluate(field.at_s), field)
-
-
 def _evaluated_twist(spec, field):
-    """The twist cells at s = s0.  A cell that is nonzero in Q(s) but
-    vanishes at s0 is an unlucky point, reported as such."""
+    """The twist cells lifted into `field`.  A cell that is nonzero in Q(s)
+    but vanishes at s0, or that has a pole there, is an unlucky point,
+    reported as such."""
     rows = []
     for i, row in enumerate(spec.d, 1):
         cells = []
         for j, v in enumerate(row, 1):
-            w = v.evaluate(field.at_s)
+            try:
+                w = field.lift(v)
+            except PoleAtPoint:
+                w = None
             if v and not w:
+                problem = "has a pole" if w is None else "vanishes"
                 raise InvalidTwistParameters(
-                    f"d[{i}][{j}] = {SYMBOLIC.to_text(v)} vanishes at s = {field.at_s}, "
+                    f"d[{i}][{j}] = {SYMBOLIC.to_text(v)} {problem} at s = {field.at_s}, "
                     "an unlucky point; choose another --at-s"
                 )
             cells.append(w)
@@ -102,74 +103,19 @@ def _evaluated_twist(spec, field):
     return TwistSpec(tuple(rows))
 
 
-def _evaluated_pair(pair, field):
-    from .core import PairingPair
-
-    return PairingPair(
-        N=pair.N,
-        g={k: v.evaluate(field.at_s) for k, v in pair.g.items()},
-        gbar={k: v.evaluate(field.at_s) for k, v in pair.gbar.items()},
-        pivot=pair.pivot,
-    )
-
-
-def _generic_twist_matrix(r_op, f_op, field):
-    n = r_op.N
-    p = permutation_op(n, 2, 1, 2, field)
-    pf = compose(p, f_op)
-    f_inv_p = compose(TensorOperator(n, 2, inverse(f_op.mat)), p)
-    return compose(compose(pf, r_op), f_inv_p)
-
-
-def _multiparametric_matrix(series, n, d, field):
-    """Closed-form twisted entries in the requested field."""
-    from .families import family_spec
-
-    fam = family_spec(series, n)
-    lam = field.lam
-    q = field.q
-
-    def lift(x):
-        return x if field is SYMBOLIC else x.evaluate(field.at_s)
-
-    entries = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            jp = n + 1 - j
-            e = (1 if i == j else 0) - (1 if i == jp else 0)
-            entries.append(((i, j), (j, i), q**e * d[i - 1][j - 1] / d[j - 1][i - 1]))
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            entries.append(((j, i), (j, i), lam))
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            ip = n + 1 - i
-            jp = n + 1 - j
-            coeff = (
-                lam
-                * (lift(fam.rho[i - 1]) / lift(fam.rho[j - 1]))
-                * (d[ip - 1][i - 1] / d[j - 1][jp - 1])
-            )
-            if fam.signs[i - 1] * fam.signs[j - 1] == 1:
-                coeff = field.zero - coeff
-            entries.append(((ip, i), (j, jp), coeff))
-    return TensorOperator.from_entries(n, 2, field, entries)
-
-
 def _resolve_nu(config, r_op, field, file_nu, series):
     """The eigenvalue to verify against, honoring --nu / --detect-nu."""
     if config.nu == "detect":
         return detect_nu(r_op)
     if config.nu is not None:
-        nu = parse_scalar(config.nu)
-        return nu if field is SYMBOLIC else nu.evaluate(field.at_s)
+        return field.lift(parse_scalar(config.nu))
     if series is not None:
         if series == "so":
             n = r_op.N
             return field.q ** (1 - n)
         return detect_nu(r_op)
     if file_nu is not None:
-        return file_nu if field is SYMBOLIC else file_nu.evaluate(field.at_s)
+        return field.lift(file_nu)
     return detect_nu(r_op)
 
 
@@ -183,24 +129,18 @@ def run_job(config):
     notes = []
     pre_outcomes = []
     series = None
+    file_nu = None
     expected_x = None
     expected_pair = None
 
     if config.source[0] == "family":
         series, dim = config.source[1], config.source[2]
-        base = standard_matrix(series, dim)
-        if field is not SYMBOLIC:
-            base = _numeric_op(base, field)
+        base = standard_matrix(series, dim, field)
         if series == "sp":
             notes.append(SP_NU_NOTE)
     else:
-        base, file_nu_sym = import_rmatrix(config.source[1])
-        if field is not SYMBOLIC:
-            base = _numeric_op(base, field)
-
-    file_nu = None
-    if config.source[0] == "file":
-        file_nu = file_nu_sym
+        base, file_nu = import_rmatrix(config.source[1])
+        base = base.map_entries(field.lift, field)
 
     r_op = base
     if config.twist is not None:
@@ -209,7 +149,7 @@ def run_job(config):
             raise InvalidTwistParameters(
                 f"twist is {d_sym.N} x {d_sym.N}, operator needs {base.N} x {base.N}"
             )
-        d_spec = d_sym if field is SYMBOLIC else _evaluated_twist(d_sym, field)
+        d_spec = _evaluated_twist(d_sym, field)
         validate_twist(d_spec)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
@@ -217,9 +157,9 @@ def run_job(config):
         f_op = build_F(d_spec, field)
         compat = check_twist_compat(base, f_op)
         pre_outcomes.append(compat)
-        generic = _generic_twist_matrix(base, f_op, field)
+        generic = twisted_matrix(base, f_op)
         if series is not None:
-            closed = _multiparametric_matrix(series, r_op.N, d_spec.d, field)
+            closed = standard_matrix(series, base.N, field, d_spec.d)
             match = closed == generic
             pre_outcomes.append(
                 Outcome(
@@ -229,12 +169,9 @@ def run_job(config):
                 )
             )
             r_op = closed if match else generic
-            pair_sym, x_sym = twisted_expected(series, r_op.N, d_sym)
-            if field is SYMBOLIC:
-                expected_x, expected_pair = x_sym, pair_sym
-            else:
-                expected_x = x_sym.map_entries(lambda v: v.evaluate(field.at_s), field)
-                expected_pair = _evaluated_pair(pair_sym, field)
+            # A twist that holds at s0 only is still invalid in Q(s).
+            validate_twist(d_sym)
+            expected_pair, expected_x = twisted_expected(series, r_op.N, d_spec, field)
         else:
             r_op = generic
 

@@ -89,11 +89,12 @@ class KappaData:
 
 @dataclass
 class SkewData:
-    """Skew inverse Psi of R with its partial traces C and D."""
+    """Skew inverse Psi of R with its partial traces C and D, both arity-1
+    operators, so the checks that embed them share one embedding each."""
 
     Psi: TensorOperator
-    C: FieldMatrix
-    D: FieldMatrix
+    C: TensorOperator
+    D: TensorOperator
     outcomes: list = dc_field(default_factory=list)
 
 
@@ -409,9 +410,7 @@ def skew_inverse(sys):
             multi_to_linear((i + 1, j + 1), n), multi_to_linear((k + 1, l + 1), n), v
         )
     psi = TensorOperator(n, 2, psi_mat)
-    c_mat = partial_trace(psi, 1).mat
-    d_mat = partial_trace(psi, 2).mat
-    skew = SkewData(psi, c_mat, d_mat)
+    skew = SkewData(psi, partial_trace(psi, 1), partial_trace(psi, 2))
     skew.outcomes = check_skew(sys, skew)
     if not all(o.passed for o in skew.outcomes):
         bad = next(o for o in skew.outcomes if not o.passed)
@@ -429,8 +428,8 @@ def check_skew(sys, skew):
     r23 = embed(sys.R, (2, 3), 3)
     psi12 = embed(skew.Psi, (1, 2), 3)
     psi23 = embed(skew.Psi, (2, 3), 3)
-    c1 = embed(TensorOperator(n, 1, skew.C), (1,), 2)
-    d2 = embed(TensorOperator(n, 1, skew.D), (2,), 2)
+    c1 = embed(skew.C, (1,), 2)
+    d2 = embed(skew.D, (2,), 2)
     ident1 = TensorOperator.identity(n, 1, f)
     return [
         _op_outcome(
@@ -462,15 +461,15 @@ def check_prop1(sys, skew):
 
     These need only skew invertibility, not the BMW structure.
     """
-    n = sys.N
     psi = skew.Psi
-    c1 = embed(TensorOperator(n, 1, skew.C), (1,), 2)
-    c2 = embed(TensorOperator(n, 1, skew.C), (2,), 2)
-    d1 = embed(TensorOperator(n, 1, skew.D), (1,), 2)
-    d2 = embed(TensorOperator(n, 1, skew.D), (2,), 2)
+    c1 = embed(skew.C, (1,), 2)
+    c2 = embed(skew.C, (2,), 2)
+    d1 = embed(skew.D, (1,), 2)
+    d2 = embed(skew.D, (2,), 2)
     r21_inv = embed(sys.R_inv, (2, 1), 2)
-    cd = skew.C * skew.D
-    dc = skew.D * skew.C
+    c, d = skew.C.mat, skew.D.mat
+    cd = c * d
+    dc = d * c
     t_c = partial_trace(compose(c2, r21_inv), 2).mat
     t_d = partial_trace(compose(d2, sys.R_inv), 2).mat
     return [
@@ -512,7 +511,8 @@ def theorem_suite(sys, skew, kappa):
     rk = f.from_int(rank_k)
     nu_inv = f.one / nu
     ident = FieldMatrix.identity(n, f)
-    d2 = embed(TensorOperator(n, 1, skew.D), (2,), 2)
+    c, d = skew.C.mat, skew.D.mat
+    d2 = embed(skew.D, (2,), 2)
     d2k = compose(d2, kappa.K)
     outcomes = [
         Outcome(
@@ -524,12 +524,12 @@ def theorem_suite(sys, skew, kappa):
         _mat_outcome(
             "kappa-trace2",
             "Tr_2(K_12) = nu^-1 rank(K) D",
-            [(partial_trace(kappa.K, 2).mat, skew.D.scaled_by(nu_inv * rk))],
+            [(partial_trace(kappa.K, 2).mat, d.scaled_by(nu_inv * rk))],
         ),
         _mat_outcome(
             "kappa-trace1",
             "Tr_1(K_12) = nu^-1 rank(K) C",
-            [(partial_trace(kappa.K, 1).mat, skew.C.scaled_by(nu_inv * rk))],
+            [(partial_trace(kappa.K, 1).mat, c.scaled_by(nu_inv * rk))],
         ),
         _mat_outcome(
             "d-rinv-trace",
@@ -540,8 +540,8 @@ def theorem_suite(sys, skew, kappa):
             "cd-scalar",
             "CD = DC = nu^2 I",
             [
-                (skew.C * skew.D, ident.scaled_by(nu * nu)),
-                (skew.D * skew.C, ident.scaled_by(nu * nu)),
+                (c * d, ident.scaled_by(nu * nu)),
+                (d * c, ident.scaled_by(nu * nu)),
             ],
         ),
         _mat_outcome(
@@ -557,7 +557,7 @@ def theorem_suite(sys, skew, kappa):
         _scalar_outcome(
             "trace-c-d",
             "Tr C = Tr D = nu mu",
-            [(skew.C.trace(), nu * kappa.mu), (skew.D.trace(), nu * kappa.mu)],
+            [(c.trace(), nu * kappa.mu), (d.trace(), nu * kappa.mu)],
         ),
     ]
     return outcomes, rank_k
@@ -645,35 +645,14 @@ def _build_xy(pair, f):
     return x, y
 
 
-def xy_matrices(pair, field):
-    """Build X_i^j = sum_k g^ik gbar_kj and Y_i^j = sum_k g^kj gbar_ik,
-    then verify XY = I, the palindromic symmetry C_k = eps C_{N-k} of
-    char(X) with eps = C_N = +-1, and the identity C_N C_k = C_{N-k}.
+def _xy_outcomes(pair, field):
+    """Build X_i^j = sum_k g^ik gbar_kj and Y_i^j = sum_k g^kj gbar_ik, then
+    check XY = I, the palindromic symmetry C_k = eps C_{N-k} of char(X) with
+    eps = C_N = +-1, and the identity C_N C_k = C_{N-k}.
 
-    Raises ReciprocityViolation on any failure; a gauge rescaling of the
+    Returns (xy, outcomes), xy None when XY != I; a gauge rescaling of the
     pairings leaves X, Y and eps unchanged.
     """
-    x, y = _build_xy(pair, field)
-    n = pair.N
-    if x * y != FieldMatrix.identity(n, field):
-        raise ReciprocityViolation("XY differs from the identity")
-    coeffs = char_poly(x)
-    eps = is_unit_sign(coeffs[n])
-    if eps is None:
-        raise ReciprocityViolation(
-            f"det X = {field.to_text(coeffs[n])} is not a sign"
-        )
-    eps_el = field.one if eps == 1 else field.zero - field.one
-    for k in range(n + 1):
-        if coeffs[k] != eps_el * coeffs[n - k]:
-            raise ReciprocityViolation(f"C_{k} != eps C_{n - k}")
-        if coeffs[n] * coeffs[k] != coeffs[n - k]:
-            raise ReciprocityViolation(f"C_N C_{k} != C_{n - k}")
-    return XYPair(x, y, eps, coeffs)
-
-
-def _xy_outcomes(pair, field):
-    """Non-raising variant used by the pipeline; returns (xy | None, outcomes)."""
     n = pair.N
     x, y = _build_xy(pair, field)
     ident = FieldMatrix.identity(n, field)
@@ -702,6 +681,16 @@ def _xy_outcomes(pair, field):
         palin_pairs.append((coeffs[n] * coeffs[k], coeffs[n - k]))
     palin = _scalar_outcome("charpoly-palindrome", "C_N C_k = C_{N-k}", palin_pairs)
     return XYPair(x, y, eps, coeffs), [inv_ok, recip, palin]
+
+
+def xy_matrices(pair, field):
+    """X and Y as in _xy_outcomes; raises ReciprocityViolation naming the
+    first check that fails."""
+    xy, outcomes = _xy_outcomes(pair, field)
+    for outcome in outcomes:
+        if not outcome.passed:
+            raise ReciprocityViolation(f"{outcome.id} fails: {outcome.equation}")
+    return xy
 
 
 def rtt_lemma(kappa, xy):
@@ -762,7 +751,7 @@ def rtt_lemma(kappa, xy):
 # Orchestration
 
 
-def full_verification(sys_or_r, nu=None):
+def full_verification(sys_or_r):
     """Run the complete ordered pipeline and aggregate the outcomes.
 
     Accepts a ready RMatrixSystem, or a bare arity-2 operator whose nu is
@@ -774,9 +763,7 @@ def full_verification(sys_or_r, nu=None):
     if isinstance(sys_or_r, RMatrixSystem):
         sys = sys_or_r
     else:
-        if nu is None:
-            nu = detect_nu(sys_or_r)
-        sys = RMatrixSystem(sys_or_r, nu)
+        sys = RMatrixSystem(sys_or_r, detect_nu(sys_or_r))
     f = sys.field
     derived = {
         "N": sys.N,
@@ -827,8 +814,8 @@ def full_verification(sys_or_r, nu=None):
     except NotSkewInvertible as exc:
         return result(f"NotSkewInvertible: {exc}")
     outcomes.extend(skew.outcomes)
-    derived["trace_C"] = skew.C.trace()
-    derived["trace_D"] = skew.D.trace()
+    derived["trace_C"] = skew.C.mat.trace()
+    derived["trace_D"] = skew.D.mat.trace()
 
     outcomes.extend(check_prop1(sys, skew))
 

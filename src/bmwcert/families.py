@@ -23,7 +23,6 @@ from .core import (
     check_bmw_relations,
     detect_nu,
     kappa_of,
-    xy_matrices,
     PairingPair,
     _op_outcome,
 )
@@ -114,17 +113,24 @@ def family_spec(series, N):
     return FamilySpec(series, N, rho, signs)
 
 
-def standard_matrix(series, N, field=SYMBOLIC):
-    """The raw standard R-matrix, without any self-check."""
+def standard_matrix(series, N, field=SYMBOLIC, d=None):
+    """The raw R-matrix over `field`, without any self-check.  Given d, the
+    N x N twist parameters in `field` (a TwistSpec's d), the closed-form
+    multiparametric matrix: the permutation part dressed with d_ij/d_ji and
+    the projector part with d_i'i/d_jj'."""
     spec = family_spec(series, N)
     lam = field.lam
     q = field.q
+    rho = [field.lift(r) for r in spec.rho]
     entries = []
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             jp = N + 1 - j
             e = (1 if i == j else 0) - (1 if i == jp else 0)
-            entries.append(((i, j), (j, i), q**e))
+            coeff = q**e
+            if d is not None:
+                coeff = coeff * d[i - 1][j - 1] / d[j - 1][i - 1]
+            entries.append(((i, j), (j, i), coeff))
     for i in range(2, N + 1):
         for j in range(1, i):
             entries.append(((j, i), (j, i), lam))
@@ -132,7 +138,9 @@ def standard_matrix(series, N, field=SYMBOLIC):
         for j in range(1, i):
             ip = N + 1 - i
             jp = N + 1 - j
-            coeff = lam * (spec.rho[i - 1] / spec.rho[j - 1])
+            coeff = lam * (rho[i - 1] / rho[j - 1])
+            if d is not None:
+                coeff = coeff * (d[ip - 1][i - 1] / d[j - 1][jp - 1])
             if spec.signs[i - 1] * spec.signs[j - 1] == 1:
                 coeff = field.zero - coeff
             entries.append(((ip, i), (j, jp), coeff))
@@ -169,22 +177,11 @@ def build_standard(series, N):
 
 def expected_pairings(series, N):
     """Closed-form pairings gbar_ij = delta_ij' eps_i q^-rho_i and
-    g^ij = delta^ij' eps_i' q^-rho_i, and the X they induce (the identity).
-
-    Returns (PairingPair, X); agreement of the pipeline's factorization with
-    these forms holds up to one global gauge scalar.
+    g^ij = delta^ij' eps_i' q^-rho_i, and the X they induce (the identity):
+    the twisted forms of twisted_expected with every d_ij = 1.
     """
-    spec = family_spec(series, N)
-    f = SYMBOLIC
-    g = {}
-    gbar = {}
-    for i in range(1, N + 1):
-        ip = N + 1 - i
-        inv_rho = spec.rho[i - 1].inverse()
-        gbar[(i, ip)] = inv_rho if spec.signs[i - 1] == 1 else f.zero - inv_rho
-        g[(i, ip)] = inv_rho if spec.signs[ip - 1] == 1 else f.zero - inv_rho
-    pair = PairingPair(N=N, g=g, gbar=gbar)
-    return pair, xy_matrices(pair, f).X
+    one = SYMBOLIC.one
+    return twisted_expected(series, N, TwistSpec(((one,) * N,) * N))
 
 
 # ---------------------------------------------------------------------------
@@ -257,55 +254,31 @@ def check_twist_compat(r, f_op):
     )
 
 
+def twisted_matrix(r, f_op):
+    """The generic twist (P F) R (F^-1 P) of an arity-2 operator R."""
+    n = r.N
+    p = permutation_op(n, 2, 1, 2, r.field)
+    pf = compose(p, f_op)
+    f_inv_p = compose(TensorOperator(n, 2, inverse(f_op.mat)), p)
+    return compose(compose(pf, r), f_inv_p)
+
+
 def twist_r(sys, f_op):
     """The twisted system (P F) R (F^-1 P) with the same nu."""
     compat = check_twist_compat(sys.R, f_op)
     if not compat.passed:
         raise TwistIncompatible("R and F fail the compatibility equalities")
-    n = sys.N
-    field = sys.field
-    p = permutation_op(n, 2, 1, 2, field)
-    pf = compose(p, f_op)
-    f_inv_p = compose(TensorOperator(n, 2, inverse(f_op.mat)), p)
-    twisted = compose(compose(pf, sys.R), f_inv_p)
-    return RMatrixSystem(twisted, sys.nu)
+    return RMatrixSystem(twisted_matrix(sys.R, f_op), sys.nu)
 
 
-def build_multiparametric(series, N, spec, _check=True):
-    """Closed-form multiparametric family: the standard coefficients dressed
-    with d_ij/d_ji on the permutation part and d_i'i/d_jj' on the projector
-    part.  Must coincide exactly with the generic twist of the standard
-    matrix, otherwise ClosedFormMismatch (an index-convention bug)."""
+def build_multiparametric(series, N, spec):
+    """Closed-form multiparametric family (standard_matrix with d).  Must
+    coincide exactly with the generic twist of the standard matrix,
+    otherwise ClosedFormMismatch (an index-convention bug)."""
     if spec.N != N:
         raise InvalidTwistParameters(f"twist is {spec.N} x {spec.N}, family needs {N}")
     validate_twist(spec)
-    fam = family_spec(series, N)
-    field = SYMBOLIC
-    lam = field.lam
-    q = field.q
-    d = spec.d
-    entries = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            jp = N + 1 - j
-            e = (1 if i == j else 0) - (1 if i == jp else 0)
-            entries.append(((i, j), (j, i), q**e * d[i - 1][j - 1] / d[j - 1][i - 1]))
-    for i in range(2, N + 1):
-        for j in range(1, i):
-            entries.append(((j, i), (j, i), lam))
-    for i in range(2, N + 1):
-        for j in range(1, i):
-            ip = N + 1 - i
-            jp = N + 1 - j
-            coeff = (
-                lam
-                * (fam.rho[i - 1] / fam.rho[j - 1])
-                * (d[ip - 1][i - 1] / d[j - 1][jp - 1])
-            )
-            if fam.signs[i - 1] * fam.signs[j - 1] == 1:
-                coeff = field.zero - coeff
-            entries.append(((ip, i), (j, jp), coeff))
-    closed = TensorOperator.from_entries(N, 2, field, entries)
+    closed = standard_matrix(series, N, d=spec.d)
     generic = twist_r(build_standard(series, N), build_F(spec))
     if closed != generic.R:
         raise ClosedFormMismatch(
@@ -332,23 +305,24 @@ def pairings_match_up_to_gauge(found, closed):
     return True
 
 
-def twisted_expected(series, N, spec):
+def twisted_expected(series, N, spec, field=SYMBOLIC):
     """Closed-form twisted pairings gbar_ij = delta_ij' eps_i q^-rho_i d_ii',
-    g^ij = delta^ij' eps_i' q^-rho_i d_ii'^-1, and X = diag(d_i'i / d_ii').
+    g^ij = delta^ij' eps_i' q^-rho_i d_ii'^-1, and X = diag(d_i'i / d_ii'),
+    over `field`, which the twist parameters in spec belong to.
 
     Returns (PairingPair, X); the pipeline's factorization agrees up to one
     gauge scalar and its X agrees exactly.
     """
-    validate_twist(spec)
     fam = family_spec(series, N)
-    f = SYMBOLIC
+    validate_twist(spec)
+    f = field
     d = spec.d
     g = {}
     gbar = {}
     x = FieldMatrix(N, f)
     for i in range(1, N + 1):
         ip = N + 1 - i
-        inv_rho = fam.rho[i - 1].inverse()
+        inv_rho = f.lift(fam.rho[i - 1].inverse())
         dv = d[i - 1][ip - 1]
         gb = inv_rho * dv
         gv = inv_rho / dv

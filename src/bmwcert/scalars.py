@@ -32,9 +32,6 @@ from .errors import (
     PoleAtPoint,
 )
 
-# Exact rationals: arbitrary-precision numerator over a positive
-# arbitrary-precision denominator, always reduced.
-Rational = Fraction
 
 def _coeff(c):
     """A coefficient in canonical form: an integral Fraction as an int."""
@@ -317,9 +314,6 @@ class Scalar:
     def __bool__(self):
         return not self.num.is_zero()
 
-    def is_one(self):
-        return self.num.terms == {0: 1} and self.den.terms == {0: 1}
-
     # -- arithmetic
 
     def __add__(self, other):
@@ -452,24 +446,7 @@ def _poly_text(p):
 
 
 # ---------------------------------------------------------------------------
-# Operation-style entry points
-
-
-def arith(a, b, kind):
-    """Field arithmetic dispatch: kind in {"add", "sub", "mul", "div"}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def evaluate(a, at_s):
-    return a.evaluate(at_s)
+# Sign test shared by both coefficient fields
 
 
 def is_unit_sign(a):
@@ -657,14 +634,13 @@ def _apply_exponent(toks, base, base_is_q, caret_pos):
 
 # ---------------------------------------------------------------------------
 # Coefficient fields: the shared face of the symbolic and numeric paths.
-# A field object carries the distinguished constants and the few hooks the
-# linear algebra kernels need; elements themselves do the arithmetic.
+# A field object carries the distinguished constants, `lift` from Q(s) into
+# the field and the few hooks the linear algebra kernels need; elements
+# themselves do the arithmetic.
 
 
 class ScalarField:
     """The symbolic field Q(s)."""
-
-    name = "symbolic"
 
     def __init__(self):
         self.zero = _SC_ZERO
@@ -679,8 +655,9 @@ class ScalarField:
     def to_text(self, x):
         return str(x)
 
-    def parse(self, text):
-        return parse(text)
+    def lift(self, x):
+        """A Q(s) element of this field: the element itself."""
+        return x
 
     def clear_row_denominators(self, row):
         """Scale a {col: Scalar} row so every entry has denominator 1."""
@@ -738,13 +715,16 @@ class RationalField:
         self.s = at_s
         self.q = at_s * at_s
         self.lam = self.q - 1 / self.q
-        self.name = f"numeric(s={at_s})"
 
     def from_int(self, n):
         return Fraction(n)
 
     def to_text(self, x):
         return str(x)
+
+    def lift(self, x):
+        """The value of a Q(s) element at s = at_s; PoleAtPoint at a pole."""
+        return x.evaluate(self.at_s)
 
     def clear_row_denominators(self, row):
         return row

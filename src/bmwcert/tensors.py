@@ -19,7 +19,6 @@ nonzeros, then lowest row index), so results never depend on scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import BadPositions, ShapeMismatch, Singular
@@ -27,17 +26,6 @@ from .errors import BadPositions, ShapeMismatch, Singular
 
 # ---------------------------------------------------------------------------
 # Multi-index plumbing
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """A point of the product basis: n labels, each in 1..N."""
-
-    n: int
-    parts: tuple
-
-    def linear(self, N):
-        return multi_to_linear(self.parts, N)
 
 
 def multi_to_linear(parts, N):
@@ -161,13 +149,6 @@ class FieldMatrix:
             self.field,
             {r: {k: c * v for k, v in row.items()} for r, row in self.rows.items()},
         )
-
-    def transpose(self):
-        out = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out.setdefault(c, {})[r] = v
-        return FieldMatrix(self.dim, self.field, out)
 
     def trace(self):
         t = self.field.zero
@@ -379,12 +360,6 @@ def permutation_op(N, n, k, l, field):
         swapped[k - 1], swapped[l - 1] = swapped[l - 1], swapped[k - 1]
         m._add_entry(multi_to_linear(swapped, N), multi_to_linear(parts, N), one)
     return TensorOperator(N, n, m)
-
-
-def trace(op):
-    """Full trace of an operator or matrix."""
-    mat = op.mat if isinstance(op, TensorOperator) else op
-    return mat.trace()
 
 
 # ---------------------------------------------------------------------------

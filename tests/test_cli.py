@@ -384,3 +384,59 @@ def test_twist_cell_vanishing_at_s0_is_an_unlucky_point(tmp_path, capsys):
         "bmwcert: error: d[1][2] = q - 4 vanishes at s = 2, an unlucky point; "
         "choose another --at-s\n"
     )
+
+
+def test_twist_cell_pole_at_s0_is_an_unlucky_point(tmp_path, capsys):
+    # 1/(q - 4) is a twist parameter with a pole at s = 2, where q = 4.
+    twist = write_twist(tmp_path / "d.json", [["1", "1/(q-4)"], ["1", "1"]])
+    argv = ["verify", "--family", "sp", "--dim", "2", "--twist", twist]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--at-s", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "bmwcert: error: d[1][2] = 1/(q - 4) has a pole at s = 2, an unlucky point; "
+        "choose another --at-s\n"
+    )
+
+
+# Witnesses of the failing checks of the twisted sp_2 at s = 3/2 with
+# `--nu q^-2`, frozen from the output of the CLI-side numeric evaluation
+# (the symbolic family, twist and closed forms evaluated entry by entry).
+SP2_TWISTED_NUMERIC_WITNESSES = {
+    "nu-detect": ([], [], "-64/729"),
+    "kappa-idempotent": ([1, 2], [1, 2], "-63296/531441"),
+    "kappa-inverse-form": ([1, 2], [1, 2], "208/729"),
+    "bmw-rk": ([1, 2], [1, 2], "-13312/531441"),
+    "bmw-k2rk2": ([1, 1, 2], [1, 1, 2], "-66560/4782969"),
+    "bmw-kk-rinv": ([1, 1, 2], [1, 2, 1], "-208/729"),
+    "bmw-kk-rr": ([1, 2, 1], [1, 1, 2], "-3328/59049"),
+    "bmw-kkk": ([1, 2, 1], [1, 2, 1], "-4160/59049"),
+    "bmw-k1rk1": ([1, 2, 1], [1, 2, 1], "-66560/4782969"),
+    "minimal-cubic": ([1, 2], [1, 2], "3461120/387420489"),
+    "d-rinv-trace": ([1], [1], "-16640/531441"),
+    "cd-scalar": ([1], [1], "-16640/531441"),
+    "d-kappa-trace1": ([1], [1], "-1040/6561"),
+    "d-kappa-trace": ([1], [1], "-1040/6561"),
+    "trace-c-d": ([], [], "-15824/59049"),
+    "pairing-factorization": ([], [], "-989/729"),
+    "xy-inverse": ([1], [1], "-65/81"),
+}
+
+
+def test_numeric_twisted_witnesses_are_pinned(tmp_path, capsys):
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    code = main([
+        "verify", "--family", "sp", "--dim", "2", "--twist", twist,
+        "--nu", "q^-2", "--at-s", "3/2", "--report", "json",
+    ])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["reason"] == "ReciprocityViolation: XY differs from the identity"
+    failing = {
+        chk["id"]: (chk["witness"]["out"], chk["witness"]["in"], chk["witness"]["value"])
+        for chk in doc["checks"]
+        if not chk["pass"]
+    }
+    assert failing == SP2_TWISTED_NUMERIC_WITNESSES
+    assert [chk["id"] for chk in doc["checks"][:3]] == ["twist-valid", "twist-compat", "twist-closed-form"]
+    assert all(chk["pass"] for chk in doc["checks"][:3])

@@ -153,8 +153,8 @@ def test_skew_inverse_of_permutation():
     P = permutation_op(2, 2, 1, 2, F)
     skew = skew_inverse(RMatrixSystem(P, q**5))
     assert skew.Psi == P
-    assert skew.C == FieldMatrix.identity(2, F)
-    assert skew.D == FieldMatrix.identity(2, F)
+    assert skew.C.mat == FieldMatrix.identity(2, F)
+    assert skew.D.mat == FieldMatrix.identity(2, F)
 
 
 def test_skew_inverse_identity_fails():
@@ -166,8 +166,8 @@ def test_skew_inverse_identity_fails():
 def test_skew_inverse_so3_traces():
     skew = skew_inverse(so3_system())
     expected = q**-1 + q**-2 + q**-3  # nu mu at nu = q^-2
-    assert skew.C.trace() == expected
-    assert skew.D.trace() == expected
+    assert skew.C.mat.trace() == expected
+    assert skew.D.mat.trace() == expected
 
 
 def test_prop1_families_and_permutation():
@@ -196,9 +196,9 @@ def test_theorem_suite_sp2_values():
     skew = skew_inverse(sys)
     nu = sys.nu
     ident = FieldMatrix.identity(2, F)
-    assert skew.C * skew.D == ident.scaled_by(q**-6)
-    assert skew.D * skew.C == ident.scaled_by(nu * nu)
-    assert skew.D.trace() == q**-1 + q**-5
+    assert skew.C.mat * skew.D.mat == ident.scaled_by(q**-6)
+    assert skew.D.mat * skew.C.mat == ident.scaled_by(nu * nu)
+    assert skew.D.mat.trace() == q**-1 + q**-5
 
 
 def test_factor_pairings_so3_gauge():
@@ -378,3 +378,31 @@ def test_nu_uniqueness_second_solution_matches():
     a = skew_inverse(sys)
     b = skew_inverse(RMatrixSystem(operator_from_table(SO3_TABLE, 3), q**-2))
     assert a.Psi == b.Psi
+
+
+def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
+    # check_skew, check_prop1 and theorem_suite embed C_1, C_2, D_1 and D_2;
+    # the embeddings live on SkewData.C and .D, so each is built once.
+    import bmwcert.core as core
+
+    real_embed = core.embed
+    built = []
+
+    def counting_embed(op, positions, n):
+        if op.arity == 1 and (tuple(positions), n) not in op._embedded:
+            built.append(tuple(positions))
+        return real_embed(op, positions, n)
+
+    monkeypatch.setattr(core, "embed", counting_embed)
+    assert full_verification(build_standard("sp", 4)).status == "pass"
+    assert sorted(built) == [(1,), (1,), (2,), (2,)]
+
+
+def test_xy_matrices_raises_naming_the_failed_check():
+    from bmwcert import PairingPair
+    from bmwcert.errors import ReciprocityViolation
+
+    two = F.from_int(2)
+    pair = PairingPair(N=2, g={(1, 2): two, (2, 1): one}, gbar={(1, 2): one, (2, 1): one})
+    with pytest.raises(ReciprocityViolation, match=r"^xy-inverse fails: X Y = I$"):
+        xy_matrices(pair, F)

@@ -1,9 +1,12 @@
 """Standard family constructors and the twist machinery."""
 
+from fractions import Fraction
+
 import pytest
 
 from bmwcert import (
     FieldMatrix,
+    RationalField,
     SYMBOLIC,
     TwistSpec,
     build_F,
@@ -26,6 +29,8 @@ from bmwcert import (
     xy_matrices,
 )
 from bmwcert.errors import BadDimension, InvalidTwistParameters
+
+from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, twist_from_text
 
 F = SYMBOLIC
 q = F.q
@@ -261,3 +266,32 @@ def test_so2_builds_and_certifies():
     sys = build_standard("so", 2)
     assert sys.nu == q**-1
     assert full_verification(sys).status == "pass"
+
+
+# (series, N, twist rows or None): so_3..so_6 and sp_2..sp_6 untwisted, and
+# the sp_2 and so_4 twists (the latter on so_4 and sp_4).
+FIELD_GENERIC_CASES = (
+    [(series, n, None) for series, n in (("so", 3), ("so", 4), ("so", 5), ("so", 6))]
+    + [("sp", n, None) for n in (2, 4, 6)]
+    + [("sp", 2, SP2_TWIST_TEXT), ("so", 4, SO4_TWIST_TEXT), ("sp", 4, SO4_TWIST_TEXT)]
+)
+
+
+@pytest.mark.parametrize("s0", [Fraction(3, 2), Fraction(-5, 3)], ids=["3/2", "-5/3"])
+def test_builders_are_field_generic(s0):
+    # Building over Q at s = s0 equals building over Q(s) and evaluating.
+    field = RationalField(s0)
+    for series, n, rows in FIELD_GENERIC_CASES:
+        spec_sym = twist_from_text(rows) if rows else TwistSpec(((one,) * n,) * n)
+        spec = TwistSpec(tuple(tuple(field.lift(v) for v in row) for row in spec_sym.d))
+        d_sym, d = (spec_sym.d, spec.d) if rows else (None, None)
+        numeric = standard_matrix(series, n, field, d)
+        assert numeric.field is field
+        assert numeric == standard_matrix(series, n, d=d_sym).map_entries(field.lift, field), (
+            series, n, rows is not None,
+        )
+        pair_sym, x_sym = twisted_expected(series, n, spec_sym)
+        pair, x = twisted_expected(series, n, spec, field)
+        assert x == x_sym.map_entries(field.lift, field)
+        assert pair.g == {k: field.lift(v) for k, v in pair_sym.g.items()}
+        assert pair.gbar == {k: field.lift(v) for k, v in pair_sym.gbar.items()}

@@ -25,7 +25,6 @@ from bmwcert import (
     rank,
     scale,
     solve_multi_rhs,
-    trace,
 )
 from bmwcert.core import kappa_of, RMatrixSystem
 from bmwcert.errors import BadPositions, ShapeMismatch, Singular
@@ -111,7 +110,7 @@ def test_full_trace_of_so3_contraction():
     R = operator_from_table(SO3_TABLE, 3)
     kappa = kappa_of(RMatrixSystem(R, q**-2))
     mu_expected = q + F.one + q**-1
-    assert trace(partial_trace(kappa.K, 1)) == mu_expected
+    assert partial_trace(kappa.K, 1).mat.trace() == mu_expected
     assert kappa.mu == mu_expected
 
 
