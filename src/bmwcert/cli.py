@@ -6,7 +6,8 @@
     bmwcert export --family so --dim 3 --out so3.json
 
 Exit codes: 0 when every check passes, 1 when a check fails or the pipeline
-aborts on a structural error, 2 on input or configuration errors.
+aborts on a structural error, 2 on input or configuration errors, 3 on an
+internal error.
 
 Numeric mode (--at-s) evaluates every matrix entry at the given rational
 value of s before any operator is composed, then runs the same residual
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys as _sys
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -32,12 +34,13 @@ from .core import (
     kappa_of,
     _build_xy,
 )
-from .errors import BmwError, InvalidTwistParameters, PoleAtPoint
+from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, UnluckyPoint
 from .families import (
     SP_NU_NOTE,
     TwistSpec,
     build_F,
     check_twist_compat,
+    family_nu,
     pairings_match_up_to_gauge,
     standard_matrix,
     twisted_expected,
@@ -53,6 +56,7 @@ from .report import (
     render_text,
 )
 from .scalars import RationalField, SYMBOLIC, parse as parse_scalar
+from .tensors import TensorOperator
 
 
 @dataclass
@@ -80,27 +84,21 @@ class JobConfig:
         }
 
 
-def _evaluated_twist(spec, field):
-    """The twist cells lifted into `field`.  A cell that is nonzero in Q(s)
-    but vanishes at s0, or that has a pole there, is an unlucky point,
-    reported as such."""
-    rows = []
-    for i, row in enumerate(spec.d, 1):
-        cells = []
-        for j, v in enumerate(row, 1):
-            try:
-                w = field.lift(v)
-            except PoleAtPoint:
-                w = None
-            if v and not w:
-                problem = "has a pole" if w is None else "vanishes"
-                raise InvalidTwistParameters(
-                    f"d[{i}][{j}] = {SYMBOLIC.to_text(v)} {problem} at s = {field.at_s}, "
-                    "an unlucky point; choose another --at-s"
-                )
-            cells.append(w)
-        rows.append(tuple(cells))
-    return TwistSpec(tuple(rows))
+def _lifted(name, v, field):
+    """The Q(s) input `v`, named `name` in messages, lifted into `field`.  A
+    value that is nonzero in Q(s) but vanishes at s0, or that has a pole
+    there, is an unlucky point, reported as such."""
+    try:
+        w = field.lift(v)
+    except PoleAtPoint:
+        w = None
+    if v and not w:
+        problem = "has a pole" if w is None else "vanishes"
+        raise UnluckyPoint(
+            f"{name} = {SYMBOLIC.to_text(v)} {problem} at s = {field.at_s}, "
+            "an unlucky point; choose another --at-s"
+        )
+    return w
 
 
 def _resolve_nu(config, r_op, field, file_nu, series):
@@ -108,14 +106,11 @@ def _resolve_nu(config, r_op, field, file_nu, series):
     if config.nu == "detect":
         return detect_nu(r_op)
     if config.nu is not None:
-        return field.lift(parse_scalar(config.nu))
+        return _lifted("nu", parse_scalar(config.nu), field)
     if series is not None:
-        if series == "so":
-            n = r_op.N
-            return field.q ** (1 - n)
-        return detect_nu(r_op)
+        return family_nu(series, r_op.N, field)
     if file_nu is not None:
-        return field.lift(file_nu)
+        return _lifted("nu", file_nu, field)
     return detect_nu(r_op)
 
 
@@ -140,7 +135,11 @@ def run_job(config):
             notes.append(SP_NU_NOTE)
     else:
         base, file_nu = import_rmatrix(config.source[1])
-        base = base.map_entries(field.lift, field)
+        entries = [
+            (out, inp, _lifted(f"entry out={list(out)} in={list(inp)}", v, field))
+            for (out, inp), v in base.items()
+        ]
+        base = TensorOperator.from_entries(base.N, 2, field, entries)
 
     r_op = base
     if config.twist is not None:
@@ -149,8 +148,15 @@ def run_job(config):
             raise InvalidTwistParameters(
                 f"twist is {d_sym.N} x {d_sym.N}, operator needs {base.N} x {base.N}"
             )
-        d_spec = _evaluated_twist(d_sym, field)
+        d_spec = TwistSpec(
+            tuple(
+                tuple(_lifted(f"d[{i}][{j}]", v, field) for j, v in enumerate(row, 1))
+                for i, row in enumerate(d_sym.d, 1)
+            )
+        )
         validate_twist(d_spec)
+        # A twist that holds at s0 only is still invalid in Q(s).
+        validate_twist(d_sym)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
         )
@@ -169,8 +175,6 @@ def run_job(config):
                 )
             )
             r_op = closed if match else generic
-            # A twist that holds at s0 only is still invalid in Q(s).
-            validate_twist(d_sym)
             expected_pair, expected_x = twisted_expected(series, r_op.N, d_spec, field)
         else:
             r_op = generic
@@ -184,21 +188,16 @@ def run_job(config):
         try:
             pair = factor_pairings(kappa_of(sys))
             x_found, _ = _build_xy(pair, field)
-            outcomes.append(
-                Outcome(
-                    "twisted-x-match",
-                    "pipeline X equals diag(d_i'i / d_ii') and pairings match up to gauge",
-                    x_found == expected_x and pairings_match_up_to_gauge(pair, expected_pair),
-                )
-            )
+            x_match = x_found == expected_x and pairings_match_up_to_gauge(pair, expected_pair)
         except BmwError:
-            outcomes.append(
-                Outcome(
-                    "twisted-x-match",
-                    "pipeline X equals diag(d_i'i / d_ii') and pairings match up to gauge",
-                    False,
-                )
+            x_match = False
+        outcomes.append(
+            Outcome(
+                "twisted-x-match",
+                "pipeline X equals diag(d_i'i / d_ii') and pairings match up to gauge",
+                x_match,
             )
+        )
 
     merged = VerificationResult(outcomes, result.derived, result.aborted)
     report = build_report(merged, config.echo(), field, notes)
@@ -300,16 +299,20 @@ def main(argv=None):
             return 0
         config = _config_from_args(args)
         report, code = run_job(config)
+        text = render_json(report) if config.report_format == "json" else render_text(report)
+        if config.out:
+            with open(config.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _sys.stdout.write(text)
+        return code
     except (BmwError, ValueError, OSError) as exc:
         print(f"bmwcert: error: {exc}", file=_sys.stderr)
         return 2
-    text = render_json(report) if config.report_format == "json" else render_text(report)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
-    return code
+    except Exception as exc:
+        print(f"bmwcert: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -154,37 +154,29 @@ class VerificationResult:
 
 
 # ---------------------------------------------------------------------------
-# Outcome helpers
+# The residual rule
 
 
-def _op_outcome(check_id, equation, pairs):
-    """Pass iff every (lhs, rhs) pair of operators agrees exactly.
+def _outcome(check_id, equation, pairs):
+    """Pass iff lhs == rhs for every (lhs, rhs) pair of operators, N x N
+    matrices or scalars.
 
-    Entries are canonical and no zeros are stored, so equal operators are
-    exactly those with a zero residual; the residual is formed only when a
-    pair differs, for its witness.
+    Values are canonical and no zeros are stored, so equal pairs are exactly
+    those with a zero residual; the residual is formed only when a pair
+    differs, for its witness: the first nonzero entry (out_parts, in_parts,
+    v) of an operator, ((row,), (col,), v) 1-based of a matrix, or
+    ((), (), v) for scalars.
     """
     for lhs, rhs in pairs:
         if lhs != rhs:
-            _, wit = is_zero(sub(lhs, rhs))
+            if isinstance(lhs, TensorOperator):
+                wit = is_zero(sub(lhs, rhs))[1]
+            elif isinstance(lhs, FieldMatrix):
+                r, c, v = (lhs - rhs).is_zero_with_witness()[1]
+                wit = ((r + 1,), (c + 1,), v)
+            else:
+                wit = ((), (), lhs - rhs)
             return Outcome(check_id, equation, False, wit)
-    return Outcome(check_id, equation, True)
-
-
-def _mat_outcome(check_id, equation, pairs):
-    for lhs, rhs in pairs:
-        zero, wit = (lhs - rhs).is_zero_with_witness()
-        if not zero:
-            r, c, v = wit
-            return Outcome(check_id, equation, False, ((r + 1,), (c + 1,), v))
-    return Outcome(check_id, equation, True)
-
-
-def _scalar_outcome(check_id, equation, pairs):
-    for lhs, rhs in pairs:
-        diff = lhs - rhs
-        if diff:
-            return Outcome(check_id, equation, False, ((), (), diff))
     return Outcome(check_id, equation, True)
 
 
@@ -215,11 +207,8 @@ def detect_nu(R):
     if r0 not in rv:
         raise NotBMWSpectralType("candidate column is not an eigenvector")
     nu = rv[r0] / v[r0]
-    for k in set(v) | set(rv):
-        lhs = rv.get(k, f.zero)
-        rhs = nu * v.get(k, f.zero)
-        if lhs != rhs:
-            raise NotBMWSpectralType("candidate column is not an eigenvector")
+    if rv != {k: nu * x for k, x in v.items()}:
+        raise NotBMWSpectralType("candidate column is not an eigenvector")
     if nu == f.zero or nu == q or nu == f.zero - q_inv:
         raise NotBMWSpectralType(f"eigenvalue {f.to_text(nu)} lies in the excluded set")
     return nu
@@ -237,7 +226,7 @@ def _kappa_raw(sys):
         coeff, compose(sub(scale(q, ident), sys.R), add(scale(q_inv, ident), sys.R))
     )
     mu = coeff * (q - sys.nu) * (q_inv + sys.nu)
-    outcome = _op_outcome(
+    outcome = _outcome(
         "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
     )
     return KappaData(kappa, mu), outcome
@@ -263,7 +252,7 @@ def check_yang_baxter(sys):
     r1 = embed(sys.R, (1, 2), 3)
     r2 = embed(sys.R, (2, 3), 3)
     r1r2 = compose(r1, r2)
-    return _op_outcome(
+    return _outcome(
         "yang-baxter",
         "R1 R2 R1 = R2 R1 R2",
         [(compose(r1r2, r1), compose(r2, r1r2))],
@@ -276,7 +265,7 @@ def check_kappa_inverse_form(sys, kappa):
     lam_inv = f.one / f.lam
     ident = TensorOperator.identity(sys.N, 2, f)
     alt = scale(lam_inv, add(sub(sys.R_inv, sys.R), scale(f.lam, ident)))
-    return _op_outcome(
+    return _outcome(
         "kappa-inverse-form", "K = lam^-1 (R^-1 - R + lam I)", [(kappa.K, alt)]
     )
 
@@ -314,17 +303,17 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
     )
     return [
         braid,
-        _op_outcome(
+        _outcome(
             "bmw-cubic",
             "R^2 = I + lambda (R - nu K)",
             [(compose(r, r), add(ident2, scale(f.lam, sub(r, scale(nu, k)))))],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-rk",
             "R K = K R = nu K",
             [(compose(r, k), scale(nu, k)), (compose(k, r), scale(nu, k))],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-k2rk2",
             "K2 R1 K2 = nu^-1 K2 and K2 R1^-1 K2 = nu K2",
             [
@@ -332,22 +321,22 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
                 (compose(k2ri1, k2), scale(nu, k2)),
             ],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-kk-rinv",
             "K2 K1 = K2 R1^-1 R2^-1",
             [(k2k1, compose(k2ri1, ri2))],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-kk-rr",
             "K1 K2 = K1 R2 R1 and K2 K1 = K2 R1 R2",
             [(k1k2, compose(k1r2, r1)), (k2k1, compose(k2r1, r2))],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-kkk",
             "K1 K2 K1 = K1 and K2 K1 K2 = K2",
             [(compose(k1k2, k1), k1), (compose(k2k1, k2), k2)],
         ),
-        _op_outcome(
+        _outcome(
             "bmw-k1rk1",
             "K1 R2 K1 = nu^-1 K1 and K1 R2^-1 K1 = nu K1",
             [
@@ -366,10 +355,8 @@ def check_minimal_cubic(sys, kappa):
         compose(sub(sys.R, scale(q, ident)), add(sys.R, scale(f.one / q, ident))),
         sub(sys.R, scale(sys.nu, ident)),
     )
-    zero, wit = is_zero(prod)
-    return Outcome(
-        "minimal-cubic", "(R - q)(R + q^-1)(R - nu) = 0", zero, None if zero else wit
-    )
+    zero = scale(f.zero, ident)
+    return _outcome("minimal-cubic", "(R - q)(R + q^-1)(R - nu) = 0", [(prod, zero)])
 
 
 # ---------------------------------------------------------------------------
@@ -432,22 +419,22 @@ def check_skew(sys, skew):
     d2 = embed(skew.D, (2,), 2)
     ident1 = TensorOperator.identity(n, 1, f)
     return [
-        _op_outcome(
+        _outcome(
             "skew-left",
             "Tr_2(R_12 Psi_23) = P_13",
             [(partial_trace(compose(r12, psi23), 2), p13)],
         ),
-        _op_outcome(
+        _outcome(
             "skew-right",
             "Tr_2(Psi_12 R_23) = P_13",
             [(partial_trace(compose(psi12, r23), 2), p13)],
         ),
-        _op_outcome(
+        _outcome(
             "c-contraction",
             "Tr_1(C_1 R_12) = I",
             [(partial_trace(compose(c1, sys.R), 1), ident1)],
         ),
-        _op_outcome(
+        _outcome(
             "d-contraction",
             "Tr_2(D_2 R_12) = I",
             [(partial_trace(compose(d2, sys.R), 2), ident1)],
@@ -473,19 +460,19 @@ def check_prop1(sys, skew):
     t_c = partial_trace(compose(c2, r21_inv), 2).mat
     t_d = partial_trace(compose(d2, sys.R_inv), 2).mat
     return [
-        _op_outcome(
+        _outcome(
             "psi-c-left", "C_1 Psi_12 = R_21^-1 C_2", [(compose(c1, psi), compose(r21_inv, c2))]
         ),
-        _op_outcome(
+        _outcome(
             "psi-c-right", "Psi_12 C_1 = C_2 R_21^-1", [(compose(psi, c1), compose(c2, r21_inv))]
         ),
-        _op_outcome(
+        _outcome(
             "psi-d-left", "D_2 Psi_12 = R_21^-1 D_1", [(compose(d2, psi), compose(r21_inv, d1))]
         ),
-        _op_outcome(
+        _outcome(
             "psi-d-right", "Psi_12 D_2 = D_1 R_21^-1", [(compose(psi, d2), compose(d1, r21_inv))]
         ),
-        _mat_outcome(
+        _outcome(
             "cd-commute",
             "Tr_2(C_2 R_21^-1) = Tr_2(D_2 R_12^-1) = CD = DC",
             [(t_c, cd), (t_d, cd), (dc, cd)],
@@ -521,22 +508,22 @@ def theorem_suite(sys, skew, kappa):
             rank_k == 1,
             None if rank_k == 1 else ((), (), rk),
         ),
-        _mat_outcome(
+        _outcome(
             "kappa-trace2",
             "Tr_2(K_12) = nu^-1 rank(K) D",
             [(partial_trace(kappa.K, 2).mat, d.scaled_by(nu_inv * rk))],
         ),
-        _mat_outcome(
+        _outcome(
             "kappa-trace1",
             "Tr_1(K_12) = nu^-1 rank(K) C",
             [(partial_trace(kappa.K, 1).mat, c.scaled_by(nu_inv * rk))],
         ),
-        _mat_outcome(
+        _outcome(
             "d-rinv-trace",
             "Tr_2(D_2 R_12^-1) = nu^2 I",
             [(partial_trace(compose(d2, sys.R_inv), 2).mat, ident.scaled_by(nu * nu))],
         ),
-        _mat_outcome(
+        _outcome(
             "cd-scalar",
             "CD = DC = nu^2 I",
             [
@@ -544,17 +531,17 @@ def theorem_suite(sys, skew, kappa):
                 (d * c, ident.scaled_by(nu * nu)),
             ],
         ),
-        _mat_outcome(
+        _outcome(
             "d-kappa-trace1",
             "Tr_1(D_2 K_12) = nu rank(K) I",
             [(partial_trace(d2k, 1).mat, ident.scaled_by(nu * rk))],
         ),
-        _mat_outcome(
+        _outcome(
             "d-kappa-trace",
             "Tr_2(D_2 K_12) = nu I",
             [(partial_trace(d2k, 2).mat, ident.scaled_by(nu))],
         ),
-        _scalar_outcome(
+        _outcome(
             "trace-c-d",
             "Tr C = Tr D = nu mu",
             [(c.trace(), nu * kappa.mu), (d.trace(), nu * kappa.mu)],
@@ -598,51 +585,24 @@ def factor_pairings(kappa):
 def check_pairing_factorization(kappa, pair):
     """Entrywise K[out, in] = gbar[out] g[in], and sum_ij g^ij gbar_ij = mu."""
     f = kappa.K.field
-    n = pair.N
     total = f.zero
     for idx, gv in pair.g.items():
         if idx in pair.gbar:
             total = total + gv * pair.gbar[idx]
-    expected = {}
-    for ob, bv in pair.gbar.items():
-        for ig, gv in pair.g.items():
-            expected[(multi_to_linear(ob, n), multi_to_linear(ig, n))] = bv * gv
-    actual = dict(kappa.K.mat.items())
-    eq_text = "K[out, in] = gbar[out] g[in], sum g gbar = mu"
-    if total != kappa.mu:
-        return Outcome("pairing-factorization", eq_text, False, ((), (), total - kappa.mu))
-    for key in sorted(set(expected) | set(actual)):
-        a = actual.get(key, f.zero)
-        b = expected.get(key, f.zero)
-        if a != b:
-            r, c = key
-            return Outcome(
-                "pairing-factorization",
-                eq_text,
-                False,
-                (linear_to_multi(r, n, 2), linear_to_multi(c, n, 2), a - b),
-            )
-    return Outcome("pairing-factorization", eq_text, True)
+    outer = [(ob, ig, bv * gv) for ob, bv in pair.gbar.items() for ig, gv in pair.g.items()]
+    return _outcome(
+        "pairing-factorization",
+        "K[out, in] = gbar[out] g[in], sum g gbar = mu",
+        [(total, kappa.mu), (kappa.K, TensorOperator.from_entries(pair.N, 2, f, outer))],
+    )
 
 
 def _build_xy(pair, f):
+    """X = G Gbar and Y = Gbar G with G[i, k] = g^ik and Gbar[k, j] = gbar_kj."""
     n = pair.N
-    x = FieldMatrix(n, f)
-    y = FieldMatrix(n, f)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            xs = f.zero
-            ys = f.zero
-            for k in range(1, n + 1):
-                if (i, k) in pair.g and (k, j) in pair.gbar:
-                    xs = xs + pair.g[(i, k)] * pair.gbar[(k, j)]
-                if (k, j) in pair.g and (i, k) in pair.gbar:
-                    ys = ys + pair.g[(k, j)] * pair.gbar[(i, k)]
-            if xs:
-                x._add_entry(i - 1, j - 1, xs)
-            if ys:
-                y._add_entry(i - 1, j - 1, ys)
-    return x, y
+    g = FieldMatrix.from_entries(n, f, [(i - 1, k - 1, v) for (i, k), v in pair.g.items()])
+    gbar = FieldMatrix.from_entries(n, f, [(k - 1, j - 1, v) for (k, j), v in pair.gbar.items()])
+    return g * gbar, gbar * g
 
 
 def _xy_outcomes(pair, field):
@@ -656,13 +616,11 @@ def _xy_outcomes(pair, field):
     n = pair.N
     x, y = _build_xy(pair, field)
     ident = FieldMatrix.identity(n, field)
-    inv_ok = _mat_outcome("xy-inverse", "X Y = I", [(x * y, ident)])
+    inv_ok = _outcome("xy-inverse", "X Y = I", [(x * y, ident)])
     if not inv_ok.passed:
         return None, [inv_ok]
     coeffs = char_poly(x)
     eps = is_unit_sign(coeffs[n])
-    recip_pairs = []
-    palin_pairs = []
     if eps is None:
         recip = Outcome(
             "charpoly-reciprocity",
@@ -671,15 +629,17 @@ def _xy_outcomes(pair, field):
             ((), (), coeffs[n]),
         )
     else:
-        eps_el = field.one if eps == 1 else field.zero - field.one
-        for k in range(n + 1):
-            recip_pairs.append((coeffs[k], eps_el * coeffs[n - k]))
-        recip = _scalar_outcome(
-            "charpoly-reciprocity", "C_k = eps C_{N-k} with eps = C_N = +-1", recip_pairs
+        eps_el = field.from_int(eps)
+        recip = _outcome(
+            "charpoly-reciprocity",
+            "C_k = eps C_{N-k} with eps = C_N = +-1",
+            [(coeffs[k], eps_el * coeffs[n - k]) for k in range(n + 1)],
         )
-    for k in range(n + 1):
-        palin_pairs.append((coeffs[n] * coeffs[k], coeffs[n - k]))
-    palin = _scalar_outcome("charpoly-palindrome", "C_N C_k = C_{N-k}", palin_pairs)
+    palin = _outcome(
+        "charpoly-palindrome",
+        "C_N C_k = C_{N-k}",
+        [(coeffs[n] * coeffs[k], coeffs[n - k]) for k in range(n + 1)],
+    )
     return XYPair(x, y, eps, coeffs), [inv_ok, recip, palin]
 
 
@@ -741,7 +701,7 @@ def rtt_lemma(kappa, xy):
                     rhs[r] = {
                         ij * n + l: uv * yv for ij, uv in urow.items() for l, yv in y_row.items()
                     }
-            outcome = _op_outcome("rtt-conjugation", eq_text, [(operator(lhs), operator(rhs))])
+            outcome = _outcome("rtt-conjugation", eq_text, [(operator(lhs), operator(rhs))])
             if not outcome.passed:
                 return outcome
     return Outcome("rtt-conjugation", eq_text, True)
@@ -783,23 +743,17 @@ def full_verification(sys_or_r):
 
     try:
         detected = detect_nu(sys.R)
-        matches = detected == sys.nu
-        outcomes.append(
-            Outcome(
-                "nu-detect",
-                "detected contraction eigenvalue equals the supplied nu",
-                matches,
-                None if matches else ((), (), detected),
-            )
-        )
+        passed, witness = detected == sys.nu, ((), (), detected)
     except NotBMWSpectralType:
-        outcomes.append(
-            Outcome(
-                "nu-detect",
-                "detected contraction eigenvalue equals the supplied nu",
-                False,
-            )
+        passed, witness = False, None
+    outcomes.append(
+        Outcome(
+            "nu-detect",
+            "detected contraction eigenvalue equals the supplied nu",
+            passed,
+            None if passed else witness,
         )
+    )
 
     kappa, kappa_outcome = _kappa_raw(sys)
     outcomes.append(kappa_outcome)

@@ -31,6 +31,10 @@ class PoleAtPoint(BmwError):
     """Numeric evaluation requested at a zero of the denominator."""
 
 
+class UnluckyPoint(BmwError):
+    """A nonzero input of Q(s) vanishes or has a pole at the numeric point."""
+
+
 class BadPositions(BmwError):
     """Invalid tensor-factor labels for an embedding or a partial trace."""
 

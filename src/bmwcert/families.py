@@ -21,10 +21,9 @@ from functools import lru_cache
 from .core import (
     RMatrixSystem,
     check_bmw_relations,
-    detect_nu,
     kappa_of,
     PairingPair,
-    _op_outcome,
+    _outcome,
 )
 from .errors import (
     BadDimension,
@@ -157,20 +156,22 @@ def _self_check(sys):
             raise BuildSelfCheckFailed(f"relation {out.id} failed at build time")
 
 
+def family_nu(series, N, field=SYMBOLIC):
+    """The contraction eigenvalue of the family: q^(1-N) for so_N and
+    -q^-(N+1) for sp_N (see SP_NU_NOTE)."""
+    if series == "so":
+        return field.q ** (1 - N)
+    return field.zero - field.q ** -(N + 1)
+
+
 @lru_cache(maxsize=None)
 def build_standard(series, N):
-    """Standard family system; nu is q^(1-N) for so and detected for sp,
-    and the whole relation suite is validated at build time.
+    """Standard family system with nu = family_nu(series, N); the whole
+    relation suite is validated at build time.
 
     Results are cached; systems are immutable, so sharing is safe.
     """
-    r = standard_matrix(series, N)
-    f = SYMBOLIC
-    if series == "so":
-        nu = f.q ** (1 - N)
-    else:
-        nu = detect_nu(r)
-    sys = RMatrixSystem(r, nu)
+    sys = RMatrixSystem(standard_matrix(series, N), family_nu(series, N))
     _self_check(sys)
     return sys
 
@@ -244,7 +245,7 @@ def check_twist_compat(r, f_op):
     f23 = embed(f_op, (2, 3), 3)
     f23f12 = compose(f23, f12)
     f12f23 = compose(f12, f23)
-    return _op_outcome(
+    return _outcome(
         "twist-compat",
         "R12 F23 F12 = F23 F12 R23 and F12 F23 R12 = R23 F12 F23",
         [
@@ -290,19 +291,14 @@ def build_multiparametric(series, N, spec):
 def pairings_match_up_to_gauge(found, closed):
     """True when found = (c g, c^-1 gbar) against the closed forms for one
     nonzero scalar c."""
-    if set(found.g) != set(closed.g) or set(found.gbar) != set(closed.gbar):
+    key = min(closed.g)
+    if key not in found.g:
         return False
-    key = next(iter(sorted(closed.g)))
     c = found.g[key] / closed.g[key]
-    if not c:
-        return False
-    for k, v in closed.g.items():
-        if found.g[k] != c * v:
-            return False
-    for k, v in closed.gbar.items():
-        if found.gbar[k] * c != v:
-            return False
-    return True
+    return (
+        found.g == {k: c * v for k, v in closed.g.items()}
+        and {k: v * c for k, v in found.gbar.items()} == closed.gbar
+    )
 
 
 def twisted_expected(series, N, spec, field=SYMBOLIC):

@@ -112,12 +112,7 @@ def import_rmatrix(path):
     Raises ParseError on malformed JSON, grammar errors or duplicate cells,
     and DimensionMismatch on indices outside 1..dim.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     dim = doc.get("dim")
@@ -165,6 +160,16 @@ def import_rmatrix(path):
     return op, parse_scalar(doc["nu"])
 
 
+def _read_json(path):
+    """The parsed JSON document in `path`; ParseError when it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+
+
 def _is_int(x):
     """A JSON integer; bool is an int subclass in Python but not here."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -191,12 +196,7 @@ def export_rmatrix(op, nu, path, comment=None, provenance=None):
 
 def import_twist(path):
     """Read a twist file: {"d": [["<coeff>", ...], ...]} with grammar text."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    doc = _read_json(path)
     grid = doc.get("d") if isinstance(doc, dict) else None
     if not isinstance(grid, list) or not grid:
         raise ParseError("twist file needs a nonempty 'd' array")

@@ -451,15 +451,10 @@ def _poly_text(p):
 
 def is_unit_sign(a):
     """+1 for the constant 1, -1 for the constant -1, None otherwise."""
-    if a == _SC_ONE:
+    if a == 1:
         return 1
-    if isinstance(a, Scalar) and a == Scalar.from_int(-1):
+    if a == -1:
         return -1
-    if isinstance(a, Fraction):
-        if a == 1:
-            return 1
-        if a == -1:
-            return -1
     return None
 
 

@@ -440,3 +440,206 @@ def test_numeric_twisted_witnesses_are_pinned(tmp_path, capsys):
     assert failing == SP2_TWISTED_NUMERIC_WITNESSES
     assert [chk["id"] for chk in doc["checks"][:3]] == ["twist-valid", "twist-compat", "twist-closed-form"]
     assert all(chk["pass"] for chk in doc["checks"][:3])
+
+
+def test_file_source_twist_valid_only_at_s0_exits_2(tmp_path, capsys):
+    # d[2][2] = 4q/9 is 1 at s = 3/2 only, so the twist holds there and
+    # nowhere else; a file source must be refused as a family source is.
+    path = tmp_path / "so3.json"
+    export_family("so", 3, None, str(path))
+    twist = write_twist(tmp_path / "d.json", [["1", "1", "1"], ["1", "4*q/9", "1"], ["1", "1", "1"]])
+    for source in (["--input", str(path)], ["--family", "so", "--dim", "3"]):
+        for mode in ([], ["--at-s", "3/2"]):
+            assert main(["verify", *source, "--twist", twist, *mode]) == 2
+            assert capsys.readouterr().err == "bmwcert: error: d[2][2] d[2][2] != u[2]\n"
+
+
+def _so3_file(tmp_path, entry=None, nu=None):
+    """The exported so_3 file, with R[(1,1),(1,1)] and nu replaced if given."""
+    path = tmp_path / "so3.json"
+    export_family("so", 3, None, str(path))
+    doc = json.loads(path.read_text())
+    if entry is not None:
+        cell = next(e for e in doc["entries"] if e["out"] == [1, 1] and e["in"] == [1, 1])
+        cell["coeff"] = entry
+    if nu is not None:
+        doc["nu"] = nu
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "entry, nu, option, message",
+    [
+        ("q - 4", None, [], "entry out=[1, 1] in=[1, 1] = q - 4 vanishes"),
+        ("q/(q-4)", None, [], "entry out=[1, 1] in=[1, 1] = q/(q - 4) has a pole"),
+        (None, "q-4", [], "nu = q - 4 vanishes"),
+        (None, "1/(q-4)", [], "nu = 1/(q - 4) has a pole"),
+        (None, None, ["--nu", "q-4"], "nu = q - 4 vanishes"),
+        (None, None, ["--nu", "1/(q-4)"], "nu = 1/(q - 4) has a pole"),
+    ],
+    ids=["entry-vanishes", "entry-pole", "file-nu-vanishes", "file-nu-pole",
+         "option-nu-vanishes", "option-nu-pole"],
+)
+def test_unlucky_point_in_file_entry_or_nu_exits_2(tmp_path, capsys, entry, nu, option, message):
+    # Each value is nonzero in Q(s) but vanishes or has a pole at s = 2,
+    # where q = 4.
+    path = _so3_file(tmp_path, entry, nu)
+    assert main(["verify", "--input", path, *option, "--at-s", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"bmwcert: error: {message} at s = 2, an unlucky point; choose another --at-s\n"
+    )
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def boom(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("bmwcert.cli.run_job", boom)
+    assert main(["verify", "--family", "so", "--dim", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "bmwcert: internal error: RuntimeError: boom"
+    assert "Traceback" in err
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--family", "so", "--dim", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("bmwcert: error: ")
+
+
+def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
+    import bmwcert.cli
+    import bmwcert.core
+
+    calls = []
+    detect_nu = bmwcert.core.detect_nu
+
+    def counting(r):
+        calls.append(r)
+        return detect_nu(r)
+
+    monkeypatch.setattr(bmwcert.core, "detect_nu", counting)
+    monkeypatch.setattr(bmwcert.cli, "detect_nu", counting)
+    assert main(["verify", "--family", "sp", "--dim", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+# Witnesses of the failing checks of the two negative controls of the
+# benchmark's sym-families workload, frozen from the output of the per-kind
+# outcome helpers: so_3 with R[(1,1),(1,1)] = q^2 run with --detect-nu, and
+# the identity on V (x) V at dim 2 with nu = q^5.
+BUMP_SO3_WITNESSES = {
+    "yang-baxter": ([1, 1, 2], [1, 1, 2], "q^5 - q^4 - q^3 + 2*q^2 - q - 1 + q^-1"),
+    "kappa-idempotent": ([1, 3], [1, 3], "q^-4 - q^-5 + q^-6 + q^-8 + q^-9 + q^-10"),
+    "kappa-inverse-form": ([1, 3], [1, 3], "-q^-1 + q^-5"),
+    "bmw-braid": ([1, 1, 2], [1, 1, 2], "q^5 - q^4 - q^3 + 2*q^2 - q - 1 + q^-1"),
+    "bmw-rk": ([1, 3], [1, 3], "-q^-3 + q^-7"),
+    "bmw-k2rk2": ([1, 1, 1], [1, 1, 1], "q^4 - 2*q^3 + 3*q^2 - 2*q + 1 + q^-1 - q^-2 + q^-3"),
+    "bmw-kk-rinv": ([1, 1, 1], [1, 1, 1], "q^2 - 2*q + 3 - 2*q^-1 + q^-2 + q^-3 - q^-4 + q^-5"),
+    "bmw-kk-rr": ([1, 1, 1], [1, 1, 1], "q^5 - q^4 + q^3 + q^2 - 2*q + 3 - 2*q^-1 + q^-2"),
+    "bmw-kkk": ([1, 1, 1], [1, 1, 1], "-q^3 + 3*q^2 - 5*q + 6 - 5*q^-1 + 3*q^-2 - q^-3"),
+    "bmw-k1rk1": ([1, 1, 1], [1, 1, 1], "q^4 - 2*q^3 + 3*q^2 - 2*q + 1 + q^-1 - q^-2 + q^-3"),
+    "minimal-cubic": ([1, 3], [1, 3], "1 - q^-2 - q^-4 + q^-6"),
+    "psi-c-left": ([1, 2], [1, 2], "q - 1 - q^-1 + 2*q^-2 - q^-3 - q^-4 + q^-5"),
+    "psi-c-right": ([1, 2], [1, 2], "q - 1 - q^-1 + 2*q^-2 - q^-3 - q^-4 + q^-5"),
+    "psi-d-left": ([2, 2], [1, 3], "q^(-3/2) - q^(-5/2) - q^(-7/2) + q^(-9/2)"),
+    "psi-d-right": ([1, 3], [2, 2], "q^(-3/2) - q^(-5/2) - q^(-7/2) + q^(-9/2)"),
+    "cd-commute": ([1], [1], "-q^2 + 2*q - 3*q^-1 + 2*q^-2 + q^-5 - q^-6"),
+    "kappa-rank-one": ([], [], "2"),
+    "kappa-trace2": ([1], [1], "-q + 1 - q^-1 + q^-5 - 2*q^-6"),
+    "kappa-trace1": ([1], [1], "-q + 1 - q^-1 + q^-3 - 2*q^-4"),
+    "d-rinv-trace": ([1], [1], "-q^4 + q^-6"),
+    "cd-scalar": ([1], [1], "-q^4 + q^-6"),
+    "d-kappa-trace1": ([1], [1], "-2*q^2 - q^-3 + q^-4 - q^-5 + q^-7"),
+    "d-kappa-trace": ([1], [1], "-q^2 - q^-3 + q^-4 - q^-5 + q^-6"),
+    "trace-c-d": ([], [], "q^3 - q^2 + q + q^-1 + q^-2 + q^-4"),
+}
+BUMP_SO3_NUMERIC_WITNESSES = {
+    "yang-baxter": ([1, 1, 2], [1, 1, 2], "257725/9216"),
+    "kappa-idempotent": ([1, 3], [1, 3], "111172864/3486784401"),
+    "kappa-inverse-form": ([1, 3], [1, 3], "-25220/59049"),
+    "bmw-braid": ([1, 1, 2], [1, 1, 2], "257725/9216"),
+    "bmw-rk": ([1, 3], [1, 3], "-403520/4782969"),
+    "bmw-k2rk2": ([1, 1, 1], [1, 1, 1], "2775073/186624"),
+    "bmw-kk-rinv": ([1, 1, 1], [1, 1, 1], "2775073/944784"),
+    "bmw-kk-rr": ([1, 1, 1], [1, 1, 1], "3840133/82944"),
+    "bmw-kkk": ([1, 1, 1], [1, 1, 1], "-147925/46656"),
+    "bmw-k1rk1": ([1, 1, 1], [1, 1, 1], "2775073/186624"),
+    "minimal-cubic": ([1, 3], [1, 3], "409825/531441"),
+    "psi-c-left": ([1, 2], [1, 2], "257725/236196"),
+    "psi-c-right": ([1, 2], [1, 2], "257725/236196"),
+    "psi-d-left": ([2, 2], [1, 3], "2600/19683"),
+    "psi-d-right": ([1, 3], [2, 2], "2600/19683"),
+    "cd-commute": ([1], [1], "-12679225/8503056"),
+    "kappa-rank-one": ([], [], "2"),
+    "kappa-trace2": ([1], [1], "-3597893/2125764"),
+    "kappa-trace1": ([1], [1], "-44213/26244"),
+    "d-rinv-trace": ([1], [1], "-3485735825/136048896"),
+    "cd-scalar": ([1], [1], "-3485735825/136048896"),
+    "d-kappa-trace1": ([1], [1], "-389819209/38263752"),
+    "d-kappa-trace": ([1], [1], "-43543361/8503056"),
+    "trace-c-d": ([], [], "3887941/419904"),
+}
+IDENT2_WITNESSES = {
+    "nu-detect": ([], [], "1"),
+    "kappa-idempotent": ([1, 1], [1, 1], "q^-1 + q^-3 + q^-7 + q^-9 + q^-10"),
+    "kappa-inverse-form": ([1, 1], [1, 1], "-1 + q^-5"),
+    "bmw-rk": ([1, 1], [1, 1], "-1 + q^-5"),
+    "bmw-k2rk2": ([1, 1, 1], [1, 1, 1], "-1 + q^-10"),
+    "bmw-kk-rinv": ([1, 1, 1], [1, 1, 1], "-q^-5 + q^-10"),
+    "bmw-kk-rr": ([1, 1, 1], [1, 1, 1], "-q^-5 + q^-10"),
+    "bmw-kkk": ([1, 1, 1], [1, 1, 1], "-q^-5 + q^-15"),
+    "bmw-k1rk1": ([1, 1, 1], [1, 1, 1], "-1 + q^-10"),
+    "minimal-cubic": ([1, 1], [1, 1], "q^6 - q^4 - q + q^-1"),
+}
+IDENT2_NUMERIC_WITNESSES = {
+    "nu-detect": ([], [], "1"),
+    "kappa-idempotent": ([1, 1], [1, 1], "1871143780/3486784401"),
+    "kappa-inverse-form": ([1, 1], [1, 1], "-58025/59049"),
+    "bmw-rk": ([1, 1], [1, 1], "-58025/59049"),
+    "bmw-k2rk2": ([1, 1, 1], [1, 1, 1], "-3485735825/3486784401"),
+    "bmw-kk-rinv": ([1, 1, 1], [1, 1, 1], "-59417600/3486784401"),
+    "bmw-kk-rr": ([1, 1, 1], [1, 1, 1], "-59417600/3486784401"),
+    "bmw-kkk": ([1, 1, 1], [1, 1, 1], "-3569393484800/205891132094649"),
+    "bmw-k1rk1": ([1, 1, 1], [1, 1, 1], "-3485735825/3486784401"),
+    "minimal-cubic": ([1, 1], [1, 1], "3771625/36864"),
+}
+
+
+
+def _control_file(tmp_path, control):
+    if control == "bump":
+        path = _so3_file(tmp_path, entry="q^2")
+        return [path, "--detect-nu"]
+    path = tmp_path / "ident2.json"
+    entries = [{"out": [i, j], "in": [i, j], "coeff": "1"} for i in (1, 2) for j in (1, 2)]
+    path.write_text(json.dumps({"dim": 2, "nu": "q^5", "entries": entries}))
+    return [str(path)]
+
+
+@pytest.mark.parametrize(
+    "control, mode, reason, witnesses",
+    [
+        ("bump", [], "RankNotOne: rank(K) = 2, expected 1", BUMP_SO3_WITNESSES),
+        ("bump", ["--at-s", "3/2"], "RankNotOne: rank(K) = 2, expected 1",
+         BUMP_SO3_NUMERIC_WITNESSES),
+        ("ident", [], "NotSkewInvertible: the reshuffled 4 x 4 system is singular",
+         IDENT2_WITNESSES),
+        ("ident", ["--at-s", "3/2"], "NotSkewInvertible: the reshuffled 4 x 4 system is singular",
+         IDENT2_NUMERIC_WITNESSES),
+    ],
+    ids=["bump-symbolic", "bump-numeric", "ident-symbolic", "ident-numeric"],
+)
+def test_negative_control_witnesses_are_pinned(tmp_path, capsys, control, mode, reason, witnesses):
+    code = main(["verify", "--input", *_control_file(tmp_path, control), *mode, "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc["status"] == "aborted" and doc["reason"] == reason
+    failing = {
+        chk["id"]: (chk["witness"]["out"], chk["witness"]["in"], chk["witness"]["value"])
+        for chk in doc["checks"]
+        if not chk["pass"]
+    }
+    assert failing == witnesses

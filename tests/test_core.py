@@ -406,3 +406,24 @@ def test_xy_matrices_raises_naming_the_failed_check():
     pair = PairingPair(N=2, g={(1, 2): two, (2, 1): one}, gbar={(1, 2): one, (2, 1): one})
     with pytest.raises(ReciprocityViolation, match=r"^xy-inverse fails: X Y = I$"):
         xy_matrices(pair, F)
+
+
+def test_pairing_factorization_entrywise_witness():
+    # An extra g key outside gbar leaves sum g gbar = mu, so the check
+    # reaches the entrywise comparison, which the pipeline never does
+    # (rank != 1 aborts first).  Witness frozen from the sorted-union loop.
+    from dataclasses import replace
+
+    kappa = kappa_of(so3_system())
+    pair = factor_pairings(kappa)
+    outcome = check_pairing_factorization(kappa, replace(pair, g={**pair.g, (1, 1): one}))
+    assert not outcome.passed
+    assert outcome.witness == ((1, 3), (1, 1), F.zero - one)
+
+
+def test_nu_detect_fails_without_witness_for_scalar_r():
+    # (q - R)(q^-1 + R) vanishes for R = q I, so no nu can be detected.
+    r = TensorOperator(3, 2, FieldMatrix.identity(9, F).scaled_by(q))
+    res = full_verification(RMatrixSystem(r, q**-2))
+    nu_detect = next(o for o in res.outcomes if o.id == "nu-detect")
+    assert not nu_detect.passed and nu_detect.witness is None

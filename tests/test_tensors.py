@@ -20,6 +20,7 @@ from bmwcert import (
     is_zero,
     linear_to_multi,
     multi_to_linear,
+    parse,
     partial_trace,
     permutation_op,
     rank,
@@ -322,3 +323,65 @@ def test_trace_permutation_sandwich():
             w2 = embed(TensorOperator(N, 1, w), (2,), 2)
             lhs = partial_trace(compose(compose(u2, P), w2), 2).mat
             assert lhs == w * u
+
+
+# Entries for the sympy cross-check: Laurent monomials, polynomials in q and
+# s = q^(1/2), and quotients with nontrivial denominators; none has a pole
+# at s = 3/2.
+_ORACLE_ENTRIES = ("1", "-2", "q", "q^-1", "s", "q - 1", "1/(q + 1)", "3/2*s - 1", "(q^2 + 1)/(q - 2)")
+
+
+def _random_matrix(rng, dim, field):
+    """A random dim x dim matrix over field; about a third are singular,
+    with the last row a combination of the first two."""
+    m = FieldMatrix(dim, field)
+    for r in range(dim):
+        for c in range(dim):
+            if rng.random() < 0.6:
+                m._add_entry(r, c, field.lift(parse(rng.choice(_ORACLE_ENTRIES))))
+    if dim >= 3 and rng.random() < 0.35:
+        a, b = (field.lift(parse(rng.choice(_ORACLE_ENTRIES))) for _ in range(2))
+        m.rows.pop(dim - 1, None)
+        for c in range(dim):
+            m._add_entry(dim - 1, c, a * m.get(0, c) + b * m.get(1, c))
+    return m
+
+
+def test_kernels_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    s = sympy.Symbol("s")
+    fields = [(SYMBOLIC, sympy.QQ.frac_field(s)), (RationalField(Fraction(3, 2)), sympy.QQ)]
+
+    def to_sympy(x):
+        if isinstance(x, Fraction):
+            return sympy.Rational(x.numerator, x.denominator)
+
+        def poly(p):
+            return sum(sympy.Rational(Fraction(c)) * s**e for e, c in p.terms.items())
+
+        return poly(x.num) / poly(x.den)
+
+    def to_domain(m, dom):
+        rows = [[to_sympy(m.get(r, c)) for c in range(m.dim)] for r in range(m.dim)]
+        return DomainMatrix.from_list_sympy(m.dim, m.dim, rows).convert_to(dom)
+
+    rng = random.Random(20261018)
+    for field, dom in fields:
+        for _ in range(12):
+            dim = rng.randint(2, 4)
+            a, b = _random_matrix(rng, dim, field), _random_matrix(rng, dim, field)
+            sa, sb = to_domain(a, dom), to_domain(b, dom)
+            assert to_domain(a * b, dom) == sa * sb
+            assert rank(a) == sa.rank()
+            assert [dom.from_sympy(to_sympy(c)) for c in char_poly(a)] == [
+                (-1) ** k * c for k, c in enumerate(sa.charpoly())
+            ]
+            if sa.rank() < dim:
+                with pytest.raises(Singular):
+                    inverse(a)
+                continue
+            sa_inv = sa.inv()
+            assert to_domain(inverse(a), dom) == sa_inv
+            assert to_domain(solve_multi_rhs(a, b), dom) == sa_inv * sb
