@@ -39,7 +39,7 @@ print("compatibility with sp_2:", check_twist_compat(sp2.R, f_op).passed)
 
 # Two independent routes to the twisted matrix: conjugation by the twisting
 # operator, and the closed-form entry pattern.  They must agree exactly;
-# build_multiparametric checks that internally.
+# build_multiparametric builds the closed form only, so compare here.
 generic = twist_r(sp2, f_op)
 closed = build_multiparametric("sp", 2, spec)
 print("closed form equals the generic twist:", closed.R == generic.R)

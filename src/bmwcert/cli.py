@@ -39,6 +39,8 @@ from .families import (
     SP_NU_NOTE,
     TwistSpec,
     build_F,
+    build_multiparametric,
+    build_standard,
     check_twist_compat,
     family_nu,
     pairings_match_up_to_gauge,
@@ -57,6 +59,12 @@ from .report import (
 )
 from .scalars import RationalField, SYMBOLIC, parse as parse_scalar
 from .tensors import TensorOperator
+
+# Carried into every numeric report: what a verdict at one point proves.
+NUMERIC_NOTE = (
+    "numeric mode: checks ran at s = {} only; a failure there is a failure in "
+    "Q(s), a pass is not a certificate; run without --at-s to certify"
+)
 
 
 @dataclass
@@ -121,7 +129,7 @@ def run_job(config):
     OSError); the CLI maps those onto exit code 2.
     """
     field = SYMBOLIC if config.at_s is None else RationalField(config.at_s)
-    notes = []
+    notes = [] if config.at_s is None else [NUMERIC_NOTE.format(config.at_s)]
     pre_outcomes = []
     series = None
     file_nu = None
@@ -154,8 +162,8 @@ def run_job(config):
                 for i, row in enumerate(d_sym.d, 1)
             )
         )
-        validate_twist(d_spec)
-        # A twist that holds at s0 only is still invalid in Q(s).
+        # Valid in Q(s), with no cell vanishing or having a pole at s0,
+        # implies valid at s0, so d_spec is not validated again.
         validate_twist(d_sym)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
@@ -205,7 +213,8 @@ def run_job(config):
 
 
 def export_family(series, dim, twist_path, out_path):
-    """Write a family (twisted if requested) in the file format."""
+    """Write a family (twisted if requested) in the file format, uncertified:
+    `verify --input` certifies the file."""
     if twist_path is not None:
         d = TwistSpec(import_twist(twist_path))
         if all(v == SYMBOLIC.one for row in d.d for v in row):
@@ -213,13 +222,9 @@ def export_family(series, dim, twist_path, out_path):
     else:
         d = None
     if d is None:
-        from .families import build_standard
-
         sys = build_standard(series, dim)
         provenance = {"source": "standard-family", "series": series, "dim": dim}
     else:
-        from .families import build_multiparametric
-
         sys = build_multiparametric(series, dim, d)
         provenance = {
             "source": "multiparametric-family",

@@ -270,13 +270,12 @@ def check_kappa_inverse_form(sys, kappa):
     )
 
 
-def check_bmw_relations(sys, kappa, yang_baxter=None):
+def check_bmw_relations(sys, kappa, yang_baxter):
     """The quotient relations tying R and K, embedded on three factors.
 
-    The braid relation is the Yang-Baxter equation again; pass the outcome
-    of check_yang_baxter as `yang_baxter` to reuse it instead of recomputing
-    both triple products.  The three-site products that several relations
-    share are formed once.
+    The braid relation is the Yang-Baxter equation again, so it reuses
+    `yang_baxter`, the outcome of check_yang_baxter(sys).  The three-site
+    products that several relations share are formed once.
     """
     f = sys.field
     nu = sys.nu
@@ -296,8 +295,6 @@ def check_bmw_relations(sys, kappa, yang_baxter=None):
     k1r2 = compose(k1, r2)
     k1ri2 = compose(k1, ri2)
 
-    if yang_baxter is None:
-        yang_baxter = check_yang_baxter(sys)
     braid = Outcome(
         "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
     )

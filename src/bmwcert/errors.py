@@ -73,22 +73,12 @@ class BadDimension(BmwError):
     """Unsupported dimension for a standard family."""
 
 
-class BuildSelfCheckFailed(BmwError):
-    """A freshly built standard R-matrix failed its own relation suite,
-    which signals an index-convention bug rather than bad input."""
-
-
 class InvalidTwistParameters(BmwError):
     """The twist parameter array violates the compatibility conditions."""
 
 
 class TwistIncompatible(BmwError):
     """The twisting operator is not compatible with the R-matrix."""
-
-
-class ClosedFormMismatch(BmwError):
-    """The closed-form multiparametric matrix disagrees with the
-    generically twisted one."""
 
 
 class DimensionMismatch(BmwError):

@@ -22,6 +22,7 @@ from bmwcert import (
     build_standard,
     check_bmw_relations,
     check_twist_compat,
+    check_yang_baxter,
     detect_nu,
     expected_pairings,
     factor_pairings,
@@ -216,7 +217,7 @@ def test_criterion_7_negative_controls():
 
     wrong = RMatrixSystem(build_standard("sp", 2).R, q**-3)
     kappa, _ = _kappa_raw(wrong)
-    outs = {o.id: o for o in check_bmw_relations(wrong, kappa)}
+    outs = {o.id: o for o in check_bmw_relations(wrong, kappa, check_yang_baxter(wrong))}
     assert not outs["bmw-rk"].passed and outs["bmw-rk"].witness is not None
 
     rows = [[one] * 3 for _ in range(3)]

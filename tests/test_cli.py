@@ -526,6 +526,45 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
+    import bmwcert.cli
+    import bmwcert.families
+
+    calls = []
+    validate_twist = bmwcert.families.validate_twist
+
+    def counting(spec):
+        calls.append(spec)
+        return validate_twist(spec)
+
+    monkeypatch.setattr(bmwcert.families, "validate_twist", counting)
+    monkeypatch.setattr(bmwcert.cli, "validate_twist", counting)
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    for mode in ([], ["--at-s", "3/2"]):
+        calls.clear()
+        assert main(["verify", "--family", "sp", "--dim", "2", "--twist", twist, *mode]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, mode
+
+
+def test_numeric_pass_says_it_is_not_a_certificate(capsys):
+    # The wrong nu equals the family's nu q^-2 at q = 4 (s = 2) only: the
+    # numeric run passes there, the symbolic run fails.
+    argv = ["verify", "--family", "so", "--dim", "3", "--nu", "q^-2 + q - 4"]
+    note = (
+        "numeric mode: checks ran at s = 2 only; a failure there is a failure in "
+        "Q(s), a pass is not a certificate; run without --at-s to certify"
+    )
+    assert main([*argv, "--at-s", "2", "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["notes"] == [note]
+    assert main([*argv, "--at-s", "2"]) == 0
+    assert f"note: {note}\n" in capsys.readouterr().out
+    assert main([*argv, "--report", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["notes"] == []
+    assert main(argv) == 1
+    assert "note:" not in capsys.readouterr().out
+
+
 # Witnesses of the failing checks of the two negative controls of the
 # benchmark's sym-families workload, frozen from the output of the per-kind
 # outcome helpers: so_3 with R[(1,1),(1,1)] = q^2 run with --detect-nu, and

@@ -118,14 +118,14 @@ def test_yang_baxter_failure_with_witness():
 def test_bmw_relations_families():
     for series, dim in (("so", 3), ("so", 4), ("so", 5)):
         sys = build_standard(series, dim)
-        for out in check_bmw_relations(sys, kappa_of(sys)):
+        for out in check_bmw_relations(sys, kappa_of(sys), check_yang_baxter(sys)):
             assert out.passed, (series, dim, out.id)
 
 
 def test_bmw_relations_wrong_sign_nu():
     sys = RMatrixSystem(operator_from_table(SP2_TABLE, 2), q**-3)
     kappa, _ = _kappa_raw(sys)
-    outs = {o.id: o for o in check_bmw_relations(sys, kappa)}
+    outs = {o.id: o for o in check_bmw_relations(sys, kappa, check_yang_baxter(sys))}
     assert not outs["bmw-rk"].passed
     assert outs["bmw-rk"].witness is not None
 
@@ -140,8 +140,7 @@ def test_bmw_braid_reuses_yang_baxter_outcome():
     braids = []
     for sys in (RMatrixSystem(TensorOperator(2, 2, m), q**5), so3_system()):
         kappa, _ = _kappa_raw(sys)
-        alone = check_bmw_relations(sys, kappa)
-        assert check_bmw_relations(sys, kappa, check_yang_baxter(sys)) == alone
+        alone = check_bmw_relations(sys, kappa, check_yang_baxter(sys))
         braid = next(o for o in full_verification(sys).outcomes if o.id == "bmw-braid")
         assert braid == alone[0]
         braids.append(braid)

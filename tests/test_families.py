@@ -215,13 +215,32 @@ def test_build_multiparametric_identity_equals_standard():
 
 
 def test_build_multiparametric_equals_generic(sp2_twist, so4_twist):
-    # the constructor itself cross-checks the two routes; also compare here
+    # the closed form and the generic twist are two routes to one matrix
     t1 = build_multiparametric("sp", 2, sp2_twist)
     g1 = twist_r(build_standard("sp", 2), build_F(sp2_twist))
     assert t1.R == g1.R
     t2 = build_multiparametric("so", 4, so4_twist)
     g2 = twist_r(build_standard("so", 4), build_F(so4_twist))
     assert t2.R == g2.R
+
+
+def test_builders_do_not_certify(monkeypatch, so4_twist):
+    # Certifying is the pipeline's job: building forms no operator product.
+    import bmwcert.core
+    import bmwcert.families
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(bmwcert.core, "compose", counting)
+    monkeypatch.setattr(bmwcert.families, "compose", counting)
+    build_standard.__wrapped__("so", 4)
+    assert calls == []
+    build_multiparametric("so", 4, so4_twist)
+    assert calls == []
 
 
 def test_twisted_expected_sp2(sp2_twist):
