@@ -28,7 +28,6 @@ from .core import (
     Outcome,
     RMatrixSystem,
     VerificationResult,
-    detect_nu,
     factor_pairings,
     full_verification,
     kappa_of,
@@ -103,23 +102,24 @@ def _lifted(name, v, field):
     if v and not w:
         problem = "has a pole" if w is None else "vanishes"
         raise UnluckyPoint(
-            f"{name} = {SYMBOLIC.to_text(v)} {problem} at s = {field.at_s}, "
+            f"{name} = {v} {problem} at s = {field.at_s}, "
             "an unlucky point; choose another --at-s"
         )
     return w
 
 
 def _resolve_nu(config, r_op, field, file_nu, series):
-    """The eigenvalue to verify against, honoring --nu / --detect-nu."""
+    """The eigenvalue to verify against, honoring --nu; None when it is to
+    be detected, which full_verification does for a bare operator."""
     if config.nu == "detect":
-        return detect_nu(r_op)
+        return None
     if config.nu is not None:
         return _lifted("nu", parse_scalar(config.nu), field)
     if series is not None:
         return family_nu(series, r_op.N, field)
     if file_nu is not None:
         return _lifted("nu", file_nu, field)
-    return detect_nu(r_op)
+    return None
 
 
 def run_job(config):
@@ -188,12 +188,14 @@ def run_job(config):
             r_op = generic
 
     nu = _resolve_nu(config, r_op, field, file_nu, series)
-    sys = RMatrixSystem(r_op, nu)
-    result = full_verification(sys)
+    sys = None if nu is None else RMatrixSystem(r_op, nu)
+    result = full_verification(r_op if sys is None else sys)
     outcomes = pre_outcomes + result.outcomes
 
     if expected_x is not None and result.aborted is None:
         try:
+            if sys is None:  # --detect-nu: the pipeline reports the nu it found
+                sys = RMatrixSystem(r_op, result.derived["nu"])
             pair = factor_pairings(kappa_of(sys))
             x_found, _ = _build_xy(pair, field)
             x_match = x_found == expected_x and pairings_match_up_to_gauge(pair, expected_pair)
@@ -208,7 +210,7 @@ def run_job(config):
         )
 
     merged = VerificationResult(outcomes, result.derived, result.aborted)
-    report = build_report(merged, config.echo(), field, notes)
+    report = build_report(merged, config.echo(), notes)
     return report, (0 if report.status == "pass" else 1)
 
 
@@ -230,7 +232,7 @@ def export_family(series, dim, twist_path, out_path):
             "source": "multiparametric-family",
             "series": series,
             "dim": dim,
-            "d": [[SYMBOLIC.to_text(v) for v in row] for row in d.d],
+            "d": [[str(v) for v in row] for row in d.d],
         }
     export_rmatrix(
         sys.R,

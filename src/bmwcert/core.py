@@ -18,6 +18,7 @@ conjugation lemma for commuting-entry matrices against K_23 K_12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -67,7 +68,7 @@ class RMatrixSystem:
             raise ShapeMismatch(f"an R-matrix has arity 2, got {R.arity}")
         f = R.field
         if nu == f.zero or nu == f.q or nu == f.zero - f.one / f.q:
-            raise ValueError(f"nu = {f.to_text(nu)} lies in the excluded set {{0, q, -q^-1}}")
+            raise ValueError(f"nu = {nu} lies in the excluded set {{0, q, -q^-1}}")
         self.N = R.N
         self.R = R
         self.nu = nu
@@ -81,21 +82,28 @@ class RMatrixSystem:
 
 @dataclass
 class KappaData:
-    """The contraction operator K with its loop value mu (K^2 = mu K)."""
+    """The contraction operator K with its loop value mu (K^2 = mu K), and
+    rank(K), eliminated once, on first use."""
 
     K: TensorOperator
     mu: object
+
+    @cached_property
+    def rank(self):
+        return rank(self.K.mat)
 
 
 @dataclass
 class SkewData:
     """Skew inverse Psi of R with its partial traces C and D, both arity-1
-    operators, so the checks that embed them share one embedding each."""
+    operators, so the checks that embed them share one embedding each, and
+    Tr_2(D_2 R_12^-1), which cd-commute and d-rinv-trace compare against."""
 
     Psi: TensorOperator
     C: TensorOperator
     D: TensorOperator
     outcomes: list = dc_field(default_factory=list)
+    d_rinv_trace: Optional[FieldMatrix] = None
 
 
 @dataclass
@@ -210,7 +218,7 @@ def detect_nu(R):
     if rv != {k: nu * x for k, x in v.items()}:
         raise NotBMWSpectralType("candidate column is not an eigenvector")
     if nu == f.zero or nu == q or nu == f.zero - q_inv:
-        raise NotBMWSpectralType(f"eigenvalue {f.to_text(nu)} lies in the excluded set")
+        raise NotBMWSpectralType(f"eigenvalue {nu} lies in the excluded set")
     return nu
 
 
@@ -345,12 +353,11 @@ def check_bmw_relations(sys, kappa, yang_baxter):
 
 
 def check_minimal_cubic(sys, kappa):
+    """(R - q)(R + q^-1) is exactly -lam nu K, so the cubic reuses K."""
     f = sys.field
-    q = f.q
     ident = TensorOperator.identity(sys.N, 2, f)
     prod = compose(
-        compose(sub(sys.R, scale(q, ident)), add(sys.R, scale(f.one / q, ident))),
-        sub(sys.R, scale(sys.nu, ident)),
+        scale(f.zero - f.lam * sys.nu, kappa.K), sub(sys.R, scale(sys.nu, ident))
     )
     zero = scale(f.zero, ident)
     return _outcome("minimal-cubic", "(R - q)(R + q^-1)(R - nu) = 0", [(prod, zero)])
@@ -399,6 +406,7 @@ def skew_inverse(sys):
     if not all(o.passed for o in skew.outcomes):
         bad = next(o for o in skew.outcomes if not o.passed)
         raise NotSkewInvertible(f"no common solution of the defining equalities ({bad.id})")
+    skew.d_rinv_trace = partial_trace(compose(embed(skew.D, (2,), 2), sys.R_inv), 2).mat
     return skew
 
 
@@ -455,7 +463,6 @@ def check_prop1(sys, skew):
     cd = c * d
     dc = d * c
     t_c = partial_trace(compose(c2, r21_inv), 2).mat
-    t_d = partial_trace(compose(d2, sys.R_inv), 2).mat
     return [
         _outcome(
             "psi-c-left", "C_1 Psi_12 = R_21^-1 C_2", [(compose(c1, psi), compose(r21_inv, c2))]
@@ -472,7 +479,7 @@ def check_prop1(sys, skew):
         _outcome(
             "cd-commute",
             "Tr_2(C_2 R_21^-1) = Tr_2(D_2 R_12^-1) = CD = DC",
-            [(t_c, cd), (t_d, cd), (dc, cd)],
+            [(t_c, cd), (skew.d_rinv_trace, cd), (dc, cd)],
         ),
     ]
 
@@ -491,7 +498,7 @@ def theorem_suite(sys, skew, kappa):
     f = sys.field
     n = sys.N
     nu = sys.nu
-    rank_k = rank(kappa.K.mat)
+    rank_k = kappa.rank
     rk = f.from_int(rank_k)
     nu_inv = f.one / nu
     ident = FieldMatrix.identity(n, f)
@@ -518,7 +525,7 @@ def theorem_suite(sys, skew, kappa):
         _outcome(
             "d-rinv-trace",
             "Tr_2(D_2 R_12^-1) = nu^2 I",
-            [(partial_trace(compose(d2, sys.R_inv), 2).mat, ident.scaled_by(nu * nu))],
+            [(skew.d_rinv_trace, ident.scaled_by(nu * nu))],
         ),
         _outcome(
             "cd-scalar",
@@ -560,8 +567,8 @@ def factor_pairings(kappa):
     """
     k_op = kappa.K
     n = k_op.N
-    if rank(k_op.mat) != 1:
-        raise RankNotOne(f"rank(K) = {rank(k_op.mat)}, expected 1")
+    if kappa.rank != 1:
+        raise RankNotOne(f"rank(K) = {kappa.rank}, expected 1")
     (r0, c0), pivot_val = next(iter(k_op.mat.items()))
     g = {}
     for col, v in sorted(k_op.mat.rows[r0].items()):
@@ -712,15 +719,23 @@ def full_verification(sys_or_r):
     """Run the complete ordered pipeline and aggregate the outcomes.
 
     Accepts a ready RMatrixSystem, or a bare arity-2 operator whose nu is
-    then detected.  Structural errors (no skew inverse, rank != 1, XY != I)
+    then detected; either way nu is detected once, and the `nu-detect`
+    outcome compares that value with the nu verified against.  Each derived
+    object is formed once per verdict: K with its rank, and Psi, C, D with
+    Tr_2(D_2 R^-1).  Structural errors (no skew inverse, rank != 1, XY != I)
     short-circuit into a partial result whose `aborted` field names the
     reason; ordinary failures, including a failed K^2 = mu K, are reported
     as failed outcomes and the pipeline continues.
     """
     if isinstance(sys_or_r, RMatrixSystem):
         sys = sys_or_r
+        try:
+            detected = detect_nu(sys.R)
+        except NotBMWSpectralType:
+            detected = None
     else:
-        sys = RMatrixSystem(sys_or_r, detect_nu(sys_or_r))
+        detected = detect_nu(sys_or_r)
+        sys = RMatrixSystem(sys_or_r, detected)
     f = sys.field
     derived = {
         "N": sys.N,
@@ -738,17 +753,13 @@ def full_verification(sys_or_r):
     def result(reason=None):
         return VerificationResult(outcomes, derived, reason)
 
-    try:
-        detected = detect_nu(sys.R)
-        passed, witness = detected == sys.nu, ((), (), detected)
-    except NotBMWSpectralType:
-        passed, witness = False, None
+    passed = detected is not None and detected == sys.nu
     outcomes.append(
         Outcome(
             "nu-detect",
             "detected contraction eigenvalue equals the supplied nu",
             passed,
-            None if passed else witness,
+            None if passed or detected is None else ((), (), detected),
         )
     )
 

@@ -36,19 +36,15 @@ class Report:
     reason: Optional[str] = None
     notes: list = dc_field(default_factory=list)
 
-    @property
-    def passed(self):
-        return self.status == "pass"
 
-
-def build_report(result, config_echo, field, notes=()):
-    """Assemble a Report from a VerificationResult."""
+def build_report(result, config_echo, notes=()):
+    """Assemble a Report from a VerificationResult; values print as str()."""
     derived = dict(result.derived)
     for key in ("nu", "mu", "trace_C", "trace_D"):
         if derived.get(key) is not None:
-            derived[key] = field.to_text(derived[key])
+            derived[key] = str(derived[key])
     if derived.get("X_diag") is not None:
-        derived["X_diag"] = [field.to_text(x) for x in derived["X_diag"]]
+        derived["X_diag"] = [str(x) for x in derived["X_diag"]]
     checks = []
     for o in result.outcomes:
         entry = {"id": o.id, "equation": o.equation, "pass": o.passed}
@@ -57,7 +53,7 @@ def build_report(result, config_echo, field, notes=()):
             entry["witness"] = {
                 "out": list(out),
                 "in": list(inp),
-                "value": field.to_text(value),
+                "value": str(value),
             }
         checks.append(entry)
     return Report(
@@ -178,16 +174,15 @@ def _is_int(x):
 def export_rmatrix(op, nu, path, comment=None, provenance=None):
     """Write an arity-2 operator in the file format; round-trips through
     import_rmatrix."""
-    f = op.field
     doc = {"dim": op.N}
     if nu is not None:
-        doc["nu"] = f.to_text(nu)
+        doc["nu"] = str(nu)
     if comment:
         doc["comment"] = comment
     if provenance:
         doc["provenance"] = provenance
     doc["entries"] = [
-        {"out": list(out), "in": list(inp), "coeff": f.to_text(v)}
+        {"out": list(out), "in": list(inp), "coeff": str(v)}
         for (out, inp), v in op.items()
     ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -630,8 +630,23 @@ def _apply_exponent(toks, base, base_is_q, caret_pos):
 # ---------------------------------------------------------------------------
 # Coefficient fields: the shared face of the symbolic and numeric paths.
 # A field object carries the distinguished constants, `lift` from Q(s) into
-# the field and the few hooks the linear algebra kernels need; elements
-# themselves do the arithmetic.
+# the field and `strip_row_content`, the one hook elimination needs; elements
+# themselves do the arithmetic, and str() gives their grammar text.
+
+
+def _clear_row_denominators(row):
+    """Scale a {col: Scalar} row so every entry has denominator 1."""
+    dens = []
+    seen = set()
+    for v in row.values():
+        if v.den.terms != {0: 1}:
+            key = frozenset(v.den.terms.items())
+            if key not in seen:
+                seen.add(key)
+                dens.append(Scalar(v.den, _LP_ONE))
+    for d in dens:
+        row = {c: v * d for c, v in row.items()}
+    return row
 
 
 class ScalarField:
@@ -647,29 +662,12 @@ class ScalarField:
     def from_int(self, n):
         return Scalar.from_fraction(n)
 
-    def to_text(self, x):
-        return str(x)
-
     def lift(self, x):
         """A Q(s) element of this field: the element itself."""
         return x
 
-    def clear_row_denominators(self, row):
-        """Scale a {col: Scalar} row so every entry has denominator 1."""
-        dens = []
-        seen = set()
-        for v in row.values():
-            if v.den.terms != {0: 1}:
-                key = frozenset(v.den.terms.items())
-                if key not in seen:
-                    seen.add(key)
-                    dens.append(Scalar(v.den, _LP_ONE))
-        for d in dens:
-            row = {c: v * d for c, v in row.items()}
-        return row
-
     def strip_row_content(self, row):
-        """Divide a denominator-free row by its common content.
+        """Clear a row of denominators, then divide it by its common content.
 
         Removes the shared s-power, rational content and any common
         polynomial factor; keeps elimination intermediates small.
@@ -677,7 +675,7 @@ class ScalarField:
         if not row:
             return row
         if any(v.den.terms != {0: 1} for v in row.values()):
-            row = self.clear_row_denominators(row)
+            row = _clear_row_denominators(row)
         vals = list(row.values())
         shift = min(v.num.min_exp() for v in vals)
         polys = []
@@ -714,15 +712,9 @@ class RationalField:
     def from_int(self, n):
         return Fraction(n)
 
-    def to_text(self, x):
-        return str(x)
-
     def lift(self, x):
         """The value of a Q(s) element at s = at_s; PoleAtPoint at a pole."""
         return x.evaluate(self.at_s)
-
-    def clear_row_denominators(self, row):
-        return row
 
     def strip_row_content(self, row):
         if not row:

@@ -95,9 +95,6 @@ class FieldMatrix:
     def nnz(self):
         return sum(len(row) for row in self.rows.values())
 
-    def copy(self):
-        return FieldMatrix(self.dim, self.field, {r: dict(row) for r, row in self.rows.items()})
-
     def __mul__(self, other):
         if not isinstance(other, FieldMatrix):
             return NotImplemented
@@ -380,7 +377,6 @@ def _prepare_rows(m, extra=None):
             for c, v in extra.rows.get(r, {}).items():
                 row[m.dim + c] = v
         if row:
-            row = field.clear_row_denominators(row)
             row = field.strip_row_content(row)
         rows.append(row)
     return rows
@@ -503,7 +499,7 @@ def char_poly(m):
     field = m.field
     n = m.dim
     cs = [field.one]
-    mk = m.copy()
+    mk = m
     ident = FieldMatrix.identity(n, field)
     for k in range(1, n + 1):
         ck = (field.zero - mk.trace()) / field.from_int(k)

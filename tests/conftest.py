@@ -6,11 +6,12 @@ diagonal and the projector part summed manually).  They must never be
 regenerated from the builders they are meant to check.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from bmwcert import SYMBOLIC, Scalar, TensorOperator, TwistSpec, parse
+from bmwcert import SYMBOLIC, Scalar, TensorOperator, TwistSpec, export_family, parse
 
 F = SYMBOLIC
 
@@ -64,6 +65,16 @@ def operator_from_table(table, n):
 
 def twist_from_text(rows):
     return TwistSpec(tuple(tuple(parse(c) for c in row) for row in rows))
+
+
+def so3_file_without_nu(tmp_path):
+    """The exported so_3 file with its nu removed, so verify detects nu."""
+    path = tmp_path / "so3.json"
+    export_family("so", 3, None, str(path))
+    doc = json.loads(path.read_text())
+    del doc["nu"]
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture(scope="session")

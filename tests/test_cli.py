@@ -17,7 +17,7 @@ from bmwcert import (
 )
 from bmwcert.errors import DimensionMismatch, ParseError
 
-from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT
+from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, so3_file_without_nu
 
 F = SYMBOLIC
 
@@ -520,10 +520,43 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
         return detect_nu(r)
 
     monkeypatch.setattr(bmwcert.core, "detect_nu", counting)
-    monkeypatch.setattr(bmwcert.cli, "detect_nu", counting)
     assert main(["verify", "--family", "sp", "--dim", "4"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        lambda tmp: ["--family", "sp", "--dim", "4"],
+        lambda tmp: ["--family", "so", "--dim", "4", "--detect-nu"],
+        lambda tmp: ["--input", so3_file_without_nu(tmp)],
+    ],
+    ids=["sp4", "so4-detect-nu", "so3-file-without-nu"],
+)
+def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, source):
+    # nu is detected once, rank(K) is eliminated once, and minimal-cubic and
+    # the trace Tr_2(D_2 R^-1) reuse what the pipeline already formed.  Each
+    # function is counted wherever the pipeline or the CLI binds it.
+    import bmwcert.cli
+    import bmwcert.core
+
+    calls = {"detect_nu": 0, "rank": 0, "compose": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        for mod in (bmwcert.core, bmwcert.cli):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    assert main(["verify", *source(tmp_path)]) == 0
+    capsys.readouterr()
+    assert calls == {"detect_nu": 1, "rank": 1, "compose": 41}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
