@@ -33,7 +33,7 @@ from .core import (
     kappa_of,
     _build_xy,
 )
-from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, UnluckyPoint
+from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, Singular, UnluckyPoint
 from .families import (
     SP_NU_NOTE,
     TwistSpec,
@@ -57,7 +57,7 @@ from .report import (
     render_text,
 )
 from .scalars import RationalField, SYMBOLIC, parse as parse_scalar
-from .tensors import TensorOperator
+from .tensors import TensorOperator, rank
 
 # Carried into every numeric report: what a verdict at one point proves.
 NUMERIC_NOTE = (
@@ -108,17 +108,32 @@ def _lifted(name, v, field):
     return w
 
 
+def _lifted_nu(v, field):
+    """nu lifted as by _lifted; a nu outside {0, q, -q^-1} in Q(s) that
+    equals q or -q^-1 at s0 is an unlucky point too."""
+    w = _lifted("nu", v, field)
+    if field is not SYMBOLIC:
+        q = SYMBOLIC.q
+        for name, excluded in (("q", q), ("-q^-1", SYMBOLIC.zero - q.inverse())):
+            if v != excluded and w == field.lift(excluded):
+                raise UnluckyPoint(
+                    f"nu = {v} equals {name} at s = {field.at_s}, "
+                    "an unlucky point; choose another --at-s"
+                )
+    return w
+
+
 def _resolve_nu(config, r_op, field, file_nu, series):
     """The eigenvalue to verify against, honoring --nu; None when it is to
     be detected, which full_verification does for a bare operator."""
     if config.nu == "detect":
         return None
     if config.nu is not None:
-        return _lifted("nu", parse_scalar(config.nu), field)
+        return _lifted_nu(parse_scalar(config.nu), field)
     if series is not None:
         return family_nu(series, r_op.N, field)
     if file_nu is not None:
-        return _lifted("nu", file_nu, field)
+        return _lifted_nu(file_nu, field)
     return None
 
 
@@ -132,7 +147,7 @@ def run_job(config):
     notes = [] if config.at_s is None else [NUMERIC_NOTE.format(config.at_s)]
     pre_outcomes = []
     series = None
-    file_nu = None
+    file_r = file_nu = None
     expected_x = None
     expected_pair = None
 
@@ -142,12 +157,12 @@ def run_job(config):
         if series == "sp":
             notes.append(SP_NU_NOTE)
     else:
-        base, file_nu = import_rmatrix(config.source[1])
+        file_r, file_nu = import_rmatrix(config.source[1])
         entries = [
             (out, inp, _lifted(f"entry out={list(out)} in={list(inp)}", v, field))
-            for (out, inp), v in base.items()
+            for (out, inp), v in file_r.items()
         ]
-        base = TensorOperator.from_entries(base.N, 2, field, entries)
+        base = TensorOperator.from_entries(file_r.N, 2, field, entries)
 
     r_op = base
     if config.twist is not None:
@@ -188,8 +203,18 @@ def run_job(config):
             r_op = generic
 
     nu = _resolve_nu(config, r_op, field, file_nu, series)
-    sys = None if nu is None else RMatrixSystem(r_op, nu)
-    result = full_verification(r_op if sys is None else sys)
+    try:
+        sys = None if nu is None else RMatrixSystem(r_op, nu)
+        result = full_verification(r_op if sys is None else sys)
+    except Singular:
+        # A family R is invertible at every admissible s0; a file's R may
+        # be singular at s0 only, which rank in Q(s) tells apart.
+        if file_r is not None and config.at_s is not None and rank(file_r.mat) == file_r.mat.dim:
+            raise UnluckyPoint(
+                f"R is singular at s = {config.at_s} but invertible in Q(s), "
+                "an unlucky point; choose another --at-s"
+            ) from None
+        raise
     outcomes = pre_outcomes + result.outcomes
 
     if expected_x is not None and result.aborted is None:

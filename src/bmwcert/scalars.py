@@ -242,6 +242,7 @@ class LaurentPoly:
 
 
 _LP_ONE = LaurentPoly.const(1)
+_ONE_TERMS = _LP_ONE.terms
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +631,10 @@ def _apply_exponent(toks, base, base_is_q, caret_pos):
 # ---------------------------------------------------------------------------
 # Coefficient fields: the shared face of the symbolic and numeric paths.
 # A field object carries the distinguished constants, `lift` from Q(s) into
-# the field and `strip_row_content`, the one hook elimination needs; elements
-# themselves do the arithmetic, and str() gives their grammar text.
+# the field, `strip_row_content`, the one hook elimination needs, and the
+# pair `to_flat` / `from_flat` that moves a Laurent element in and out of the
+# integer form of tensors.py; elements themselves do the arithmetic, and
+# str() gives their grammar text.
 
 
 def _clear_row_denominators(row):
@@ -665,6 +668,28 @@ class ScalarField:
     def lift(self, x):
         """A Q(s) element of this field: the element itself."""
         return x
+
+    def to_flat(self, v):
+        """(den, {exponent: int}) with v = sum c_e s^e / den and den the
+        least common denominator of v's coefficients, or None when v is not
+        a Laurent polynomial."""
+        if v.den.terms != _ONE_TERMS:
+            return None
+        terms = v.num.terms
+        den = 1
+        for c in terms.values():
+            if c.__class__ is not int:
+                d = c.denominator
+                den = den // _int_gcd(den, d) * d
+        if den == 1:
+            return 1, terms
+        return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+    def from_flat(self, terms, den):
+        """The canonical element sum c_e s^e / den of nonzero int terms."""
+        if den == 1:
+            return Scalar(LaurentPoly(terms), _LP_ONE)
+        return Scalar(LaurentPoly({e: _ratio(c, den) for e, c in terms.items()}), _LP_ONE)
 
     def strip_row_content(self, row):
         """Clear a row of denominators, then divide it by its common content.
@@ -715,6 +740,13 @@ class RationalField:
     def lift(self, x):
         """The value of a Q(s) element at s = at_s; PoleAtPoint at a pole."""
         return x.evaluate(self.at_s)
+
+    def to_flat(self, v):
+        """(den, {0: numerator}); every element here is a constant."""
+        return v.denominator, {0: v.numerator}
+
+    def from_flat(self, terms, den):
+        return Fraction(terms[0], den)
 
     def strip_row_content(self, row):
         if not row:

@@ -1,15 +1,31 @@
 """Sparse exact linear algebra for operators on tensor powers of V.
 
-Matrices are stored row-major as nested dicts {row: {col: value}} holding no
-zeros; row = output index, column = input index.  Multi-indices over n tensor
+Row = output index, column = input index.  Multi-indices over n tensor
 factors with labels 1..N linearize as r = sum((parts_k - 1) * N^(n-k)), the
 first factor being the most significant digit.
+
+A TensorOperator whose entries are all Laurent polynomials in s, which in
+the numeric field is every operator, is held in a flat integer form: one
+positive denominator shared by the whole operator, and rows of integer
+terms keyed by (column, exponent of s).  compose (Gustavson's row-by-row
+product), add, sub, scale, embed, partial_trace, is_zero and == work on
+that form with int arithmetic only.  `TensorOperator.mat`, the
+FieldMatrix of canonical field elements, is a view built from the flat form
+on first read and kept; elimination, witnesses and reports read it.  An
+operator with an entry whose denominator is not a power of s, as a file or
+a twist cell can give, has no flat form and takes the FieldMatrix path, as
+does any operation whose exponents would not fit a key.
+
+A FieldMatrix is stored row-major as nested dicts {row: {col: value}} of
+field elements holding no zeros.  It carries the N x N work, elimination and
+that fallback path.
 
 Values are immutable by convention: an operator must not be mutated after
 construction.  Every operation returns a fresh object except `embed`, which
 keeps each embedding on the operator it came from and returns that shared
 object on a repeated call, so one verdict embeds each operator only once.
-Concurrent callers stay safe: a race at worst computes one embedding twice.
+Concurrent callers stay safe: a race at worst computes one embedding or one
+view twice.
 
 Elimination uses a fraction-free scheme: rows are cleared of denominators up
 front, updates cross-multiply against the pivot, and every updated row is
@@ -20,6 +36,7 @@ nonzeros, then lowest row index), so results never depend on scheduling.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 from .errors import BadPositions, ShapeMismatch, Singular
 
@@ -203,26 +220,250 @@ def _minus_one(field):
 
 
 # ---------------------------------------------------------------------------
+# The flat integer form
+#
+# An operator whose entries are all Laurent polynomials in s is held as
+# 1/den times integer terms: rows {row: {key: int}}, where each key packs a
+# column and an exponent of s as col << _SHIFT | (exp + _OFFSET).  In the
+# numeric field every exponent is 0.  den > 0 and gcd(den, every coefficient)
+# = 1, and no zero is stored, so equal operators have equal flat forms.  lo
+# and hi bound the exponents; an operation whose exponents could leave
+# [_EXP_MIN, _EXP_MAX] takes the FieldMatrix path instead, so a key never
+# carries into its column bits.
+
+_SHIFT = 16
+_OFFSET = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+_EXP_MIN = -_OFFSET
+_EXP_MAX = _OFFSET - 1
+
+
+class _Flat:
+    __slots__ = ("den", "rows", "lo", "hi")
+
+    def __init__(self, den, rows, lo, hi):
+        self.den = den
+        self.rows = rows
+        self.lo = lo
+        self.hi = hi
+
+
+def _fits(lo, hi):
+    return _EXP_MIN <= lo and hi <= _EXP_MAX
+
+
+def _reduced(den, rows, lo, hi):
+    """_Flat of den and rows, with zero coefficients and empty rows dropped
+    and everything divided by gcd(den, coefficients)."""
+    out = {}
+    g = den
+    for r, row in rows.items():
+        if 0 in row.values():
+            row = {k: v for k, v in row.items() if v}
+        if not row:
+            continue
+        out[r] = row
+        if g != 1:
+            g = gcd(g, *row.values())
+    if g != 1:
+        den //= g
+        out = {r: {k: v // g for k, v in row.items()} for r, row in out.items()}
+    return _Flat(den, out, lo, hi)
+
+
+def _flatten(m):
+    """The flat form of a FieldMatrix, or None when an entry is not Laurent
+    or an exponent does not fit a key."""
+    to_flat = m.field.to_flat
+    den = 1
+    lo = hi = 0
+    parts = []
+    for r, row in m.rows.items():
+        for c, v in row.items():
+            split = to_flat(v)
+            if split is None:
+                return None
+            d, terms = split
+            if d != 1:
+                den = den // gcd(den, d) * d
+            lo = min(lo, min(terms))
+            hi = max(hi, max(terms))
+            parts.append((r, (c << _SHIFT) + _OFFSET, d, terms))
+    if not _fits(lo, hi):
+        return None
+    rows = {}
+    for r, base, d, terms in parts:
+        f = den // d
+        row = rows.setdefault(r, {})
+        for e, x in terms.items():
+            row[base + e] = x * f
+    return _Flat(den, rows, lo, hi)
+
+
+def _entry_terms(row, c):
+    """{exp: int} of column c in a flat row."""
+    return {(k & _MASK) - _OFFSET: v for k, v in row.items() if k >> _SHIFT == c}
+
+
+def _unflatten(flat, dim, field):
+    """The FieldMatrix of canonical field elements that flat stands for."""
+    from_flat = field.from_flat
+    den = flat.den
+    rows = {}
+    for r, row in flat.rows.items():
+        cols = {}
+        for k, v in row.items():
+            terms = cols.get(k >> _SHIFT)
+            if terms is None:
+                terms = cols[k >> _SHIFT] = {}
+            terms[(k & _MASK) - _OFFSET] = v
+        rows[r] = {c: from_flat(terms, den) for c, terms in cols.items()}
+    return FieldMatrix(dim, field, rows)
+
+
+def _flat_product(a, b):
+    """Gustavson's row-by-row product: a key of b shifted by a's exponent
+    is the key of the product term."""
+    brows = b.rows
+    out = {}
+    for r, row in a.rows.items():
+        acc = {}
+        get = acc.get
+        for key, x in row.items():
+            brow = brows.get(key >> _SHIFT)
+            if brow is None:
+                continue
+            e = (key & _MASK) - _OFFSET
+            for bkey, y in brow.items():
+                k = bkey + e
+                acc[k] = get(k, 0) + x * y
+        out[r] = acc
+    return _reduced(a.den * b.den, out, a.lo + b.lo, a.hi + b.hi)
+
+
+def _flat_sum(a, b, sign):
+    """a + sign * b over the least common denominator."""
+    g = gcd(a.den, b.den)
+    fa = b.den // g
+    fb = a.den // g * sign
+    rows = {r: {k: v * fa for k, v in row.items()} for r, row in a.rows.items()}
+    for r, row in b.rows.items():
+        acc = rows.get(r)
+        if acc is None:
+            rows[r] = {k: v * fb for k, v in row.items()}
+            continue
+        get = acc.get
+        for k, v in row.items():
+            acc[k] = get(k, 0) + v * fb
+    return _reduced(a.den * fa, rows, min(a.lo, b.lo), max(a.hi, b.hi))
+
+
+def _flat_scale(cden, cterms, a):
+    """sum_e c_e s^e / cden times a."""
+    rows = {}
+    for r, row in a.rows.items():
+        acc = {}
+        get = acc.get
+        for e, x in cterms.items():
+            for k, v in row.items():
+                k += e
+                acc[k] = get(k, 0) + x * v
+        rows[r] = acc
+    return _reduced(a.den * cden, rows, a.lo + min(cterms), a.hi + max(cterms))
+
+
+def _flat_embed(a, N, positions, n):
+    """Embedding of a flat arity-m operator: each index of a moves to its
+    place among n factors, and every label of the other factors adds the
+    same offset to row and column."""
+
+    def offsets(factors):
+        # Offset of every label tuple of `factors`, first factor most
+        # significant, as multi_to_linear orders them.
+        out = [0]
+        for p in factors:
+            w = N ** (n - p)
+            out = [o + d * w for o in out for d in range(N)]
+        return out
+
+    place = offsets(positions)
+    others = offsets(p for p in range(1, n + 1) if p not in positions)
+    rows = {}
+    for r, row in a.rows.items():
+        base = {(place[k >> _SHIFT] << _SHIFT) + (k & _MASK): v for k, v in row.items()}
+        pr = place[r]
+        for off in others:
+            shift = off << _SHIFT
+            rows[pr + off] = {k + shift: v for k, v in base.items()}
+    return _Flat(a.den, rows, a.lo, a.hi)
+
+
+def _flat_trace(a, N, n, k):
+    """Contraction of factor k (0-based) of a flat arity-n operator."""
+    w = N ** (n - 1 - k)
+    digit = [(x // w) % N for x in range(N**n)]
+    rest = [(x // (w * N)) * w + x % w for x in range(N**n)]
+    rows = {}
+    for r, row in a.rows.items():
+        dr = digit[r]
+        acc = rows.setdefault(rest[r], {})
+        get = acc.get
+        for key, v in row.items():
+            c = key >> _SHIFT
+            if digit[c] == dr:
+                kk = (rest[c] << _SHIFT) + (key & _MASK)
+                acc[kk] = get(kk, 0) + v
+    return _reduced(a.den, rows, a.lo, a.hi)
+
+
+# ---------------------------------------------------------------------------
 # Tensor operators
 
 
 class TensorOperator:
-    """An operator on V^(x n), V of dimension N, stored as a FieldMatrix."""
+    """An operator on V^(x n), V of dimension N.
 
-    __slots__ = ("N", "arity", "mat", "_embedded")
+    Held in the flat integer form when every entry is a Laurent polynomial,
+    else as a FieldMatrix; `mat`, the FieldMatrix view, is built from the
+    flat form on first read and kept.
+    """
+
+    __slots__ = ("N", "arity", "field", "_mat", "_flat", "_embedded")
 
     def __init__(self, N, arity, mat):
         if mat.dim != N**arity:
             raise ShapeMismatch(f"matrix dim {mat.dim} != {N}^{arity}")
         self.N = N
         self.arity = arity
-        self.mat = mat
+        self.field = mat.field
+        self._mat = mat
+        # The flat form: None until first asked for, False when there is none.
+        self._flat = None
         # embed's results, keyed by (positions, n); lives as long as self.
         self._embedded = {}
 
+    @classmethod
+    def _of_flat(cls, N, arity, field, flat):
+        op = cls.__new__(cls)
+        op.N = N
+        op.arity = arity
+        op.field = field
+        op._mat = None
+        op._flat = flat
+        op._embedded = {}
+        return op
+
     @property
-    def field(self):
-        return self.mat.field
+    def mat(self):
+        if self._mat is None:
+            self._mat = _unflatten(self._flat, self.N**self.arity, self.field)
+        return self._mat
+
+    def _flat_form(self):
+        """The flat form, or None when this operator has none."""
+        if self._flat is None:
+            self._flat = _flatten(self._mat) or False
+        return self._flat or None
 
     @classmethod
     def from_entries(cls, N, arity, field, entries):
@@ -234,7 +475,8 @@ class TensorOperator:
 
     @classmethod
     def identity(cls, N, arity, field):
-        return cls(N, arity, FieldMatrix.identity(N**arity, field))
+        rows = {i: {(i << _SHIFT) + _OFFSET: 1} for i in range(N**arity)}
+        return cls._of_flat(N, arity, field, _Flat(1, rows, 0, 0))
 
     def entry(self, out, inp):
         return self.mat.get(multi_to_linear(out, self.N), multi_to_linear(inp, self.N))
@@ -248,7 +490,17 @@ class TensorOperator:
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
             return NotImplemented
-        return self.N == other.N and self.arity == other.arity and self.mat == other.mat
+        if self.N != other.N or self.arity != other.arity:
+            return False
+        if self._flat is None or other._flat is None:
+            if self._mat is not None and other._mat is not None:
+                return self._mat == other._mat
+        a, b = self._flat_form(), other._flat_form()
+        if a and b:
+            return a.den == b.den and a.rows == b.rows
+        # Only one has a flat form, so only one has all entries Laurent
+        # with exponents that fit.
+        return not (a or b) and self.mat == other.mat
 
     def map_entries(self, fn, field):
         return TensorOperator(self.N, self.arity, self.mat.map_entries(fn, field))
@@ -261,33 +513,63 @@ def _check_same_shape(a, b):
         )
 
 
+def _like(a, flat):
+    return TensorOperator._of_flat(a.N, a.arity, a.field, flat)
+
+
 def compose(a, b):
     """Operator product a then-after b (matrix product a * b)."""
     _check_same_shape(a, b)
+    fa, fb = a._flat_form(), b._flat_form()
+    if fa and fb and _fits(fa.lo + fb.lo, fa.hi + fb.hi):
+        return _like(a, _flat_product(fa, fb))
     return TensorOperator(a.N, a.arity, a.mat * b.mat)
 
 
 def add(a, b):
     _check_same_shape(a, b)
+    fa, fb = a._flat_form(), b._flat_form()
+    if fa and fb:
+        return _like(a, _flat_sum(fa, fb, 1))
     return TensorOperator(a.N, a.arity, a.mat + b.mat)
 
 
 def sub(a, b):
     _check_same_shape(a, b)
+    fa, fb = a._flat_form(), b._flat_form()
+    if fa and fb:
+        return _like(a, _flat_sum(fa, fb, -1))
     return TensorOperator(a.N, a.arity, a.mat - b.mat)
 
 
 def scale(c, a):
+    if not c:
+        return _like(a, _Flat(1, {}, 0, 0))
+    fa = a._flat_form()
+    split = a.field.to_flat(c) if fa else None
+    if split is not None:
+        cden, cterms = split
+        if _fits(fa.lo + min(cterms), fa.hi + max(cterms)):
+            return _like(a, _flat_scale(cden, cterms, fa))
     return TensorOperator(a.N, a.arity, a.mat.scaled_by(c))
 
 
 def is_zero(a):
     """(True, None) or (False, (out_parts, in_parts, value)) for the first
     nonzero entry in row-major order."""
-    zero, wit = a.mat.is_zero_with_witness()
-    if zero:
-        return True, None
-    r, c, v = wit
+    flat = a._flat_form()
+    if flat:
+        if not flat.rows:
+            return True, None
+        r = min(flat.rows)
+        row = flat.rows[r]
+        c = min(row) >> _SHIFT
+        v = a.field.from_flat(_entry_terms(row, c), flat.den)
+    else:
+        zero, wit = a.mat.is_zero_with_witness()
+        if zero:
+            return True, None
+        r, c, v = wit
     return False, (linear_to_multi(r, a.N, a.arity), linear_to_multi(c, a.N, a.arity), v)
 
 
@@ -309,6 +591,18 @@ def embed(op, positions, n):
     if not all(1 <= p <= n for p in positions):
         raise BadPositions(f"positions {positions} outside 1..{n}")
     N = op.N
+    flat = op._flat_form()
+    if flat:
+        result = TensorOperator._of_flat(N, n, op.field, _flat_embed(flat, N, positions, n))
+    else:
+        result = TensorOperator(N, n, _embed_entries(op, positions, n))
+    op._embedded[(positions, n)] = result
+    return result
+
+
+def _embed_entries(op, positions, n):
+    """embed's FieldMatrix, entry by entry."""
+    N = op.N
     others = [p for p in range(1, n + 1) if p not in positions]
     out_m = FieldMatrix(N**n, op.field)
     labels = list(range(1, N + 1))
@@ -323,8 +617,7 @@ def embed(op, positions, n):
                 base_out[p - 1] = lab
                 base_in[p - 1] = lab
             out_m._add_entry(multi_to_linear(base_out, N), multi_to_linear(base_in, N), v)
-    result = op._embedded[(positions, n)] = TensorOperator(N, n, out_m)
-    return result
+    return out_m
 
 
 def partial_trace(op, space):
@@ -335,7 +628,15 @@ def partial_trace(op, space):
     if not 1 <= space <= n:
         raise BadPositions(f"space {space} outside 1..{n}")
     N = op.N
-    k = space - 1
+    flat = op._flat_form()
+    if flat:
+        return TensorOperator._of_flat(N, n - 1, op.field, _flat_trace(flat, N, n, space - 1))
+    return TensorOperator(N, n - 1, _trace_entries(op, space - 1))
+
+
+def _trace_entries(op, k):
+    """partial_trace's FieldMatrix, entry by entry; k is 0-based."""
+    N, n = op.N, op.arity
     out_m = FieldMatrix(N ** (n - 1), op.field)
     for (out_p, in_p), v in op.items():
         if out_p[k] != in_p[k]:
@@ -343,20 +644,20 @@ def partial_trace(op, space):
         ro = out_p[:k] + out_p[k + 1 :]
         ri = in_p[:k] + in_p[k + 1 :]
         out_m._add_entry(multi_to_linear(ro, N), multi_to_linear(ri, N), v)
-    return TensorOperator(N, n - 1, out_m)
+    return out_m
 
 
 def permutation_op(N, n, k, l, field):
     """The transposition of factors k and l of V^(x n)."""
     if not (1 <= k < l <= n):
         raise BadPositions(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
-    one = field.one
-    m = FieldMatrix(N**n, field)
+    rows = {}
     for parts in product(range(1, N + 1), repeat=n):
         swapped = list(parts)
         swapped[k - 1], swapped[l - 1] = swapped[l - 1], swapped[k - 1]
-        m._add_entry(multi_to_linear(swapped, N), multi_to_linear(parts, N), one)
-    return TensorOperator(N, n, m)
+        c = multi_to_linear(parts, N)
+        rows[multi_to_linear(swapped, N)] = {(c << _SHIFT) + _OFFSET: 1}
+    return TensorOperator._of_flat(N, n, field, _Flat(1, rows, 0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from bmwcert import (
     export_family,
     import_rmatrix,
     main,
+    parse,
     run_job,
 )
 from bmwcert.errors import DimensionMismatch, ParseError
@@ -489,6 +490,65 @@ def test_unlucky_point_in_file_entry_or_nu_exits_2(tmp_path, capsys, entry, nu, 
     assert capsys.readouterr().err == (
         f"bmwcert: error: {message} at s = 2, an unlucky point; choose another --at-s\n"
     )
+
+
+@pytest.mark.parametrize(
+    "source, nu, name",
+    [
+        ("option", "q^2 - 12", "q"),
+        ("file", "q^2 - 12", "q"),
+        ("option", "q - 4 - q^-1", "-q^-1"),
+    ],
+    ids=["option-equals-q", "file-equals-q", "option-equals-minus-q-inverse"],
+)
+def test_nu_landing_in_the_excluded_set_at_s0_is_an_unlucky_point(
+    tmp_path, capsys, source, nu, name
+):
+    # Outside {0, q, -q^-1} in Q(s), but at s = 2, where q = 4, nu equals
+    # q or -q^-1; the symbolic run gets past RMatrixSystem and exits 1.
+    if source == "file":
+        args = ["--input", _so3_file(tmp_path, nu=nu)]
+    else:
+        args = ["--family", "so", "--dim", "3", "--nu", nu]
+    assert main(["verify", *args]) == 1
+    capsys.readouterr()
+    assert main(["verify", *args, "--at-s", "2"]) == 2
+    shown = str(parse(nu))
+    assert capsys.readouterr().err == (
+        f"bmwcert: error: nu = {shown} equals {name} at s = 2, an unlucky point; "
+        "choose another --at-s\n"
+    )
+
+
+def test_r_singular_only_at_s0_is_an_unlucky_point(tmp_path, capsys):
+    # The block [[1, q], [1, 4]] on rows and columns (1,1), (1,2) has
+    # determinant 4 - q: invertible in Q(s), singular at s = 2.
+    def entry(out, inp, coeff):
+        return {"out": out, "in": inp, "coeff": coeff}
+
+    path = tmp_path / "singular_at_2.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "nu": "q^-2",
+        "entries": [
+            entry([1, 1], [1, 1], "1"), entry([1, 1], [1, 2], "q"),
+            entry([1, 2], [1, 1], "1"), entry([1, 2], [1, 2], "4"),
+            entry([2, 1], [2, 1], "1"), entry([2, 2], [2, 2], "1"),
+        ],
+    }))
+    assert main(["verify", "--input", str(path)]) == 1
+    capsys.readouterr()
+    assert main(["verify", "--input", str(path), "--at-s", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "bmwcert: error: R is singular at s = 2 but invertible in Q(s), an unlucky "
+        "point; choose another --at-s\n"
+    )
+    # Singular in Q(s) as well: no unlucky point, the singularity stands.
+    doc = json.loads(path.read_text())
+    doc["entries"][3]["coeff"] = "q"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(path), "--at-s", "2"]) == 2
+    assert capsys.readouterr().err == "bmwcert: error: rank 3 < dim 4\n"
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
