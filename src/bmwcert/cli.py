@@ -18,6 +18,7 @@ of truth.
 from __future__ import annotations
 
 import argparse
+import re
 import sys as _sys
 import traceback
 from dataclasses import dataclass
@@ -204,8 +205,7 @@ def run_job(config):
 
     nu = _resolve_nu(config, r_op, field, file_nu, series)
     try:
-        sys = None if nu is None else RMatrixSystem(r_op, nu)
-        result = full_verification(r_op if sys is None else sys)
+        result = full_verification(r_op if nu is None else RMatrixSystem(r_op, nu))
     except Singular:
         # A family R is invertible at every admissible s0; a file's R may
         # be singular at s0 only, which rank in Q(s) tells apart.
@@ -219,9 +219,7 @@ def run_job(config):
 
     if expected_x is not None and result.aborted is None:
         try:
-            if sys is None:  # --detect-nu: the pipeline reports the nu it found
-                sys = RMatrixSystem(r_op, result.derived["nu"])
-            pair = factor_pairings(kappa_of(sys))
+            pair = factor_pairings(kappa_of(result.system))
             x_found, _ = _build_xy(pair, field)
             x_match = x_found == expected_x and pairings_match_up_to_gauge(pair, expected_pair)
         except BmwError:
@@ -282,7 +280,9 @@ def _build_parser():
     verify.add_argument("--twist", metavar="FILE", help="twist parameter file")
     verify.add_argument("--nu", metavar="TEXT", help="contraction eigenvalue")
     verify.add_argument("--detect-nu", action="store_true", help="detect nu from the operator")
-    verify.add_argument("--at-s", metavar="RATIONAL", help="numeric mode at s (e.g. 3/2)")
+    verify.add_argument(
+        "--at-s", metavar="RATIONAL", help="numeric mode at s (e.g. 3/2 or -5/3)"
+    )
     verify.add_argument("--report", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
@@ -322,9 +322,21 @@ def _config_from_args(args):
     )
 
 
+def _join_negative_at_s(argv):
+    """argparse reads a negative rational such as -5/3 as an option, so
+    `--at-s -5/3` is rewritten to `--at-s=-5/3` before parsing."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--at-s" and re.fullmatch(r"-\d+/\d+", arg):
+            out[-1] = f"--at-s={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_at_s(_sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "export":
             export_family(args.family, args.dim, args.twist, args.out)

@@ -12,13 +12,17 @@ relations, the skew inverse Psi with its partial traces C and D, the trace
 identities tying C and D to K, the rank-one factorization of K into the
 bilinear pairings g and gbar, the mutually inverse X/Y contractions with the
 palindromic symmetry of the characteristic polynomial of X, and finally the
-conjugation lemma for commuting-entry matrices against K_23 K_12.
+conjugation lemma for commuting-entry matrices against K_23 K_12, decided as
+one commutant identity: with Z = K_23 K_12 X_3, P_13 Z = (N^-1 Tr_3(P_13 Z))_12.
+Its witness, built only when that fails, reads Y as X^-1, which xy-inverse
+checks first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -148,11 +152,13 @@ class Outcome:
 @dataclass
 class VerificationResult:
     """Ordered outcomes plus derived values; aborted carries the reason when
-    a structural error cut the pipeline short."""
+    a structural error cut the pipeline short, and system is the
+    RMatrixSystem the outcomes were verified against."""
 
     outcomes: list
     derived: dict
     aborted: Optional[str] = None
+    system: Optional[RMatrixSystem] = None
 
     @property
     def status(self):
@@ -192,20 +198,26 @@ def _outcome(check_id, equation, pairs):
 # Spectral data
 
 
-def detect_nu(R):
+def _w_operator(R):
+    """W = (qI - R)(q^-1 I + R), which detect_nu and K are both read off."""
+    f = R.field
+    ident = TensorOperator.identity(R.N, 2, f)
+    return compose(sub(scale(f.q, ident), R), add(scale(f.one / f.q, ident), R))
+
+
+def detect_nu(R, w_op=None):
     """Read the contraction eigenvalue off an invertible operator.
 
     W = (qI - R)(q^-1 I + R) maps onto the nu-eigenspace of a BMW-type R, so
-    the first nonzero column of W must be an eigenvector.  Raises
-    NotBMWSpectralType when W = 0 (quadratic minimal polynomial), when the
-    column is not an eigenvector, or when the eigenvalue lies in the
-    excluded set {0, q, -q^-1}.
+    the first nonzero column of W must be an eigenvector; w_op, when given,
+    is that W, formed by the caller.  Raises NotBMWSpectralType when W = 0
+    (quadratic minimal polynomial), when the column is not an eigenvector,
+    or when the eigenvalue lies in the excluded set {0, q, -q^-1}.
     """
     f = R.field
     q = f.q
-    q_inv = f.one / q
-    ident = TensorOperator.identity(R.N, 2, f)
-    w_op = compose(sub(scale(q, ident), R), add(scale(q_inv, ident), R))
+    if w_op is None:
+        w_op = _w_operator(R)
     if not w_op.mat.rows:
         raise NotBMWSpectralType("(q - R)(q^-1 + R) vanishes identically")
     col0 = min(c for row in w_op.mat.rows.values() for c in row)
@@ -217,23 +229,20 @@ def detect_nu(R):
     nu = rv[r0] / v[r0]
     if rv != {k: nu * x for k, x in v.items()}:
         raise NotBMWSpectralType("candidate column is not an eigenvector")
-    if nu == f.zero or nu == q or nu == f.zero - q_inv:
+    if nu == f.zero or nu == q or nu == f.zero - f.one / q:
         raise NotBMWSpectralType(f"eigenvalue {nu} lies in the excluded set")
     return nu
 
 
-def _kappa_raw(sys):
-    """K = lambda^-1 nu^-1 (q - R)(q^-1 + R), mu, and the K^2 = mu K outcome,
-    without raising; the orchestration reports the failure and keeps going."""
+def _kappa_raw(sys, w_op=None):
+    """K = lambda^-1 nu^-1 W with W = (q - R)(q^-1 + R), mu, and the
+    K^2 = mu K outcome, without raising; the orchestration reports the
+    failure and keeps going.  w_op, when given, is W, formed by the caller."""
     f = sys.field
     q = f.q
-    q_inv = f.one / q
     coeff = f.one / (f.lam * sys.nu)
-    ident = TensorOperator.identity(sys.N, 2, f)
-    kappa = scale(
-        coeff, compose(sub(scale(q, ident), sys.R), add(scale(q_inv, ident), sys.R))
-    )
-    mu = coeff * (q - sys.nu) * (q_inv + sys.nu)
+    kappa = scale(coeff, _w_operator(sys.R) if w_op is None else w_op)
+    mu = coeff * (q - sys.nu) * (f.one / q + sys.nu)
     outcome = _outcome(
         "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
     )
@@ -658,57 +667,36 @@ def xy_matrices(pair, field):
 
 
 def rtt_lemma(kappa, xy):
-    """For every matrix unit T: T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3.
+    """For every matrix unit T: T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3;
+    linearity extends the check to every commuting-entry matrix.
 
-    X^-1 is taken as Y, which XY = I justifies; linearity extends the check
-    to every commuting-entry matrix.
-
-    Both sides are read off KK = K_23 K_12 by relabelling indices instead
-    of embedding T and forming products.  For T = e_ab, T_1 KK is the rows
-    of KK with first index b moved to first index a, and KK (X T Y)_3 has
-    u_a[out, (i, j)] Y[b, l] at (out, (i, j, l)), with
-    u_a[out, (i, j)] = sum_k KK[out, (i, j, k)] X[k, a].
+    With Z = K_23 K_12 X_3 the rule reads T_1 Z = Z T_3 for every T, that
+    is, P_13 Z commutes with every T_3, which holds exactly when
+    P_13 Z = (N^-1 Tr_3(P_13 Z))_12: one identity decides the check.  X_3
+    commutes with K_12, so Z is formed as (K X_2)_23 K_12, which embeds X
+    on two factors instead of three.  Only when the identity fails is a
+    witness built: the first nonzero residual T_1 KK - KK (X T Y)_3,
+    KK = K_23 K_12, over the matrix units e_ab in row-major order.  The
+    witness needs Y = X^-1, which xy-inverse establishes before the
+    pipeline runs this check.
     """
     f = kappa.K.field
     n = kappa.K.N
-    n2 = n * n
-    kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3)).mat.rows
     eq_text = "T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3 for all matrix units T"
-
-    def operator(rows):
-        return TensorOperator(n, 3, FieldMatrix(n * n2, f, rows))
-
-    for a in range(n):
-        x_col = xy.X.column(a)
-        u = {}
-        for r, row in kk.items():
-            acc = {}
-            for c, v in row.items():
-                xv = x_col.get(c % n)
-                if xv is None:
-                    continue
-                ij = c // n
-                cur = acc.get(ij)
-                cur = v * xv if cur is None else cur + v * xv
-                if cur:
-                    acc[ij] = cur
-                else:
-                    del acc[ij]
-            if acc:
-                u[r] = acc
-        for b in range(n):
-            y_row = xy.Y.rows.get(b, {})
-            lhs = {r + (a - b) * n2: row for r, row in kk.items() if r // n2 == b}
-            rhs = {}
-            if y_row:
-                for r, urow in u.items():
-                    rhs[r] = {
-                        ij * n + l: uv * yv for ij, uv in urow.items() for l, yv in y_row.items()
-                    }
-            outcome = _outcome("rtt-conjugation", eq_text, [(operator(lhs), operator(rhs))])
-            if not outcome.passed:
-                return outcome
-    return Outcome("rtt-conjugation", eq_text, True)
+    k12 = embed(kappa.K, (1, 2), 3)
+    kx = compose(kappa.K, embed(TensorOperator(n, 1, xy.X), (2,), 2))
+    pz = compose(permutation_op(n, 3, 1, 3, f), compose(embed(kx, (2, 3), 3), k12))
+    if pz == embed(scale(f.one / f.from_int(n), partial_trace(pz, 3)), (1, 2), 3):
+        return Outcome("rtt-conjugation", eq_text, True)
+    kk = compose(embed(kappa.K, (2, 3), 3), k12)
+    for a, b in product(range(n), repeat=2):
+        t = FieldMatrix.from_entries(n, f, [(a, b, f.one)])
+        t1 = embed(TensorOperator(n, 1, t), (1,), 3)
+        m3 = embed(TensorOperator(n, 1, xy.X * t * xy.Y), (3,), 3)
+        outcome = _outcome("rtt-conjugation", eq_text, [(compose(t1, kk), compose(kk, m3))])
+        if not outcome.passed:
+            return outcome
+    raise ValueError("rtt-conjugation fails for X, but no matrix unit shows it: Y is not X^-1")
 
 
 # ---------------------------------------------------------------------------
@@ -721,20 +709,23 @@ def full_verification(sys_or_r):
     Accepts a ready RMatrixSystem, or a bare arity-2 operator whose nu is
     then detected; either way nu is detected once, and the `nu-detect`
     outcome compares that value with the nu verified against.  Each derived
-    object is formed once per verdict: K with its rank, and Psi, C, D with
-    Tr_2(D_2 R^-1).  Structural errors (no skew inverse, rank != 1, XY != I)
-    short-circuit into a partial result whose `aborted` field names the
-    reason; ordinary failures, including a failed K^2 = mu K, are reported
-    as failed outcomes and the pipeline continues.
+    object is formed once per verdict: W = (q - R)(q^-1 + R), which nu and
+    K are read off, K with its rank, and Psi, C, D with Tr_2(D_2 R^-1).
+    Structural errors (no skew inverse, rank != 1, XY != I) short-circuit
+    into a partial result whose `aborted` field names the reason; ordinary
+    failures, including a failed K^2 = mu K, are reported as failed
+    outcomes and the pipeline continues.
     """
     if isinstance(sys_or_r, RMatrixSystem):
         sys = sys_or_r
+        w_op = _w_operator(sys.R)
         try:
-            detected = detect_nu(sys.R)
+            detected = detect_nu(sys.R, w_op)
         except NotBMWSpectralType:
             detected = None
     else:
-        detected = detect_nu(sys_or_r)
+        w_op = _w_operator(sys_or_r)
+        detected = detect_nu(sys_or_r, w_op)
         sys = RMatrixSystem(sys_or_r, detected)
     f = sys.field
     derived = {
@@ -751,7 +742,7 @@ def full_verification(sys_or_r):
     outcomes = [yang_baxter]
 
     def result(reason=None):
-        return VerificationResult(outcomes, derived, reason)
+        return VerificationResult(outcomes, derived, reason, sys)
 
     passed = detected is not None and detected == sys.nu
     outcomes.append(
@@ -763,7 +754,8 @@ def full_verification(sys_or_r):
         )
     )
 
-    kappa, kappa_outcome = _kappa_raw(sys)
+    kappa, kappa_outcome = _kappa_raw(sys, w_op)
+    del w_op  # W, and the view detect_nu read, are not needed past K
     outcomes.append(kappa_outcome)
     outcomes.append(check_kappa_inverse_form(sys, kappa))
     derived["mu"] = kappa.mu

@@ -8,10 +8,10 @@ A TensorOperator whose entries are all Laurent polynomials in s, which in
 the numeric field is every operator, is held in a flat integer form: one
 positive denominator shared by the whole operator, and rows of integer
 terms keyed by (column, exponent of s).  compose (Gustavson's row-by-row
-product), add, sub, scale, embed, partial_trace, is_zero and == work on
-that form with int arithmetic only.  `TensorOperator.mat`, the
-FieldMatrix of canonical field elements, is a view built from the flat form
-on first read and kept; elimination, witnesses and reports read it.  An
+product), add, sub, scale, embed, partial_trace and == work on that form
+with int arithmetic only.  `TensorOperator.mat`, the FieldMatrix of
+canonical field elements, is a view built from the flat form on first read
+and kept; elimination, is_zero's witnesses and reports read it.  An
 operator with an entry whose denominator is not a power of s, as a file or
 a twist cell can give, has no flat form and takes the FieldMatrix path, as
 does any operation whose exponents would not fit a key.
@@ -300,11 +300,6 @@ def _flatten(m):
     return _Flat(den, rows, lo, hi)
 
 
-def _entry_terms(row, c):
-    """{exp: int} of column c in a flat row."""
-    return {(k & _MASK) - _OFFSET: v for k, v in row.items() if k >> _SHIFT == c}
-
-
 def _unflatten(flat, dim, field):
     """The FieldMatrix of canonical field elements that flat stands for."""
     from_flat = field.from_flat
@@ -556,20 +551,15 @@ def scale(c, a):
 
 def is_zero(a):
     """(True, None) or (False, (out_parts, in_parts, value)) for the first
-    nonzero entry in row-major order."""
-    flat = a._flat_form()
-    if flat:
-        if not flat.rows:
-            return True, None
-        r = min(flat.rows)
-        row = flat.rows[r]
-        c = min(row) >> _SHIFT
-        v = a.field.from_flat(_entry_terms(row, c), flat.den)
-    else:
-        zero, wit = a.mat.is_zero_with_witness()
-        if zero:
-            return True, None
-        r, c, v = wit
+    nonzero entry in row-major order.
+
+    Read from the `mat` view: checks decide equality on the flat form with
+    ==, and only a failed check asks for its residual's witness.
+    """
+    zero, wit = a.mat.is_zero_with_witness()
+    if zero:
+        return True, None
+    r, c, v = wit
     return False, (linear_to_multi(r, a.N, a.arity), linear_to_multi(c, a.N, a.arity), v)
 
 

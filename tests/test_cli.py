@@ -575,9 +575,9 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
     calls = []
     detect_nu = bmwcert.core.detect_nu
 
-    def counting(r):
+    def counting(r, *rest):
         calls.append(r)
-        return detect_nu(r)
+        return detect_nu(r, *rest)
 
     monkeypatch.setattr(bmwcert.core, "detect_nu", counting)
     assert main(["verify", "--family", "sp", "--dim", "4"]) == 0
@@ -595,9 +595,10 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
     ids=["sp4", "so4-detect-nu", "so3-file-without-nu"],
 )
 def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, source):
-    # nu is detected once, rank(K) is eliminated once, and minimal-cubic and
-    # the trace Tr_2(D_2 R^-1) reuse what the pipeline already formed.  Each
-    # function is counted wherever the pipeline or the CLI binds it.
+    # nu is detected once, rank(K) is eliminated once, W = (q - R)(q^-1 + R)
+    # is formed once for both nu and K, and minimal-cubic and the trace
+    # Tr_2(D_2 R^-1) reuse what the pipeline already formed.  Each function
+    # is counted wherever the pipeline or the CLI binds it.
     import bmwcert.cli
     import bmwcert.core
 
@@ -616,7 +617,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     assert main(["verify", *source(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"detect_nu": 1, "rank": 1, "compose": 41}
+    assert calls == {"detect_nu": 1, "rank": 1, "compose": 42}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
@@ -638,6 +639,34 @@ def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
         assert main(["verify", "--family", "sp", "--dim", "2", "--twist", twist, *mode]) == 0
         capsys.readouterr()
         assert len(calls) == 1, mode
+
+
+def test_twisted_detect_nu_inverts_r_once(monkeypatch, tmp_path, capsys):
+    # twisted-x-match reads K off the system the pipeline verified, so the
+    # detected nu does not build a second RMatrixSystem.
+    import bmwcert.core
+
+    calls = []
+    inverse = bmwcert.core.inverse
+
+    def counting(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(bmwcert.core, "inverse", counting)
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    assert main(["verify", "--family", "sp", "--dim", "2", "--twist", twist, "--detect-nu"]) == 0
+    assert "twisted-x-match" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_negative_at_s_needs_no_equals_sign(capsys):
+    reports = []
+    for at_s in (["--at-s", "-5/3"], ["--at-s=-5/3"]):
+        code = main(["verify", "--family", "so", "--dim", "3", *at_s, "--report", "json"])
+        reports.append((code, *capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0 and '"mode": "numeric(s=-5/3)"' in reports[0][1]
 
 
 def test_numeric_pass_says_it_is_not_a_certificate(capsys):

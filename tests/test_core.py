@@ -1,12 +1,15 @@
 """The verification suite itself: spectral data, relations, skew inverse,
 rank-one structure, pairings, X/Y and the conjugation lemma."""
 
+from fractions import Fraction
+
 import pytest
 
 from bmwcert import (
     FieldMatrix,
     KappaData,
     RMatrixSystem,
+    RationalField,
     SYMBOLIC,
     TensorOperator,
     build_standard,
@@ -21,10 +24,12 @@ from bmwcert import (
     permutation_op,
     rtt_lemma,
     skew_inverse,
+    standard_matrix,
     theorem_suite,
     xy_matrices,
 )
 from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw
+from bmwcert.families import family_nu
 from bmwcert.tensors import compose, embed, is_zero, sub
 from bmwcert.errors import (
     KappaNotIdempotentScaled,
@@ -275,11 +280,12 @@ def test_rtt_lemma_so3_and_twisted():
 def rtt_oracle(kappa, xy):
     """The conjugation lemma as embedded operator products, matrix unit by
     matrix unit: the first nonzero residual entry, or None."""
+    f = kappa.K.field
     n = kappa.K.N
     kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3))
     for a in range(n):
         for b in range(n):
-            t = FieldMatrix.from_entries(n, F, [(a, b, one)])
+            t = FieldMatrix.from_entries(n, f, [(a, b, f.one)])
             t1 = embed(TensorOperator(n, 1, t), (1,), 3)
             m3 = embed(TensorOperator(n, 1, xy.X * t * xy.Y), (3,), 3)
             zero, wit = is_zero(sub(compose(t1, kk), compose(kk, m3)))
@@ -288,9 +294,13 @@ def rtt_oracle(kappa, xy):
     return None
 
 
-def unipotent(n, c):
+def unipotent(n, c, f=F):
     """I + c e_12."""
-    return FieldMatrix.from_entries(n, F, [(i, i, one) for i in range(n)] + [(0, 1, c)])
+    return FieldMatrix.from_entries(n, f, [(i, i, f.one) for i in range(n)] + [(0, 1, c)])
+
+
+def diagonal(entries, f):
+    return FieldMatrix.from_entries(len(entries), f, [(i, i, v) for i, v in enumerate(entries)])
 
 
 def test_rtt_lemma_negative_controls_match_the_oracle():
@@ -307,6 +317,35 @@ def test_rtt_lemma_negative_controls_match_the_oracle():
         outcome = rtt_lemma(kappa, pair)
         assert not outcome.passed
         assert outcome.witness == rtt_oracle(kappa, pair) == witness
+
+
+@pytest.mark.parametrize("field", [F, RationalField(Fraction(3, 2))], ids=["Q(s)", "s=3/2"])
+def test_rtt_lemma_matches_the_oracle_on_gauged_inverse_pairs(field):
+    # (X G, G^-1 Y) and (G X, Y G^-1) are inverse pairs, so the commutant
+    # identity must give the oracle's verdict, and its witness when it fails.
+    # A scalar G keeps the pass verdict among the cases.
+    twist = twist_from_text(SP2_TWIST_TEXT).d
+    systems = [("so", 3, None), ("so", 4, None), ("sp", 2, None), ("sp", 4, None), ("sp", 2, twist)]
+    q_f = field.q
+    verdicts = []
+    for series, n, d in systems:
+        d_f = d and [[field.lift(v) for v in row] for row in d]
+        r = standard_matrix(series, n, field, d_f)
+        kappa = kappa_of(RMatrixSystem(r, family_nu(series, n, field)))
+        xy = xy_matrices(factor_pairings(kappa), field)
+        powers = [q_f**i for i in range(n)]
+        gauges = [
+            (unipotent(n, q_f, field), unipotent(n, field.zero - q_f, field)),
+            (diagonal(powers, field), diagonal([field.one / p for p in powers], field)),
+            (diagonal([q_f] * n, field), diagonal([field.one / q_f] * n, field)),
+        ]
+        for g, g_inv in gauges:
+            for pair in (XYPair(xy.X * g, g_inv * xy.Y, 1), XYPair(g * xy.X, xy.Y * g_inv, 1)):
+                outcome = rtt_lemma(kappa, pair)
+                assert outcome.witness == rtt_oracle(kappa, pair)
+                assert outcome.passed == (outcome.witness is None)
+                verdicts.append(outcome.passed)
+    assert verdicts.count(True) == 10 and verdicts.count(False) == 20
 
 
 def test_full_verification_so4():
@@ -385,16 +424,24 @@ def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
     import bmwcert.core as core
 
     real_embed = core.embed
+    real_skew_inverse = core.skew_inverse
     built = []
+    skews = []
 
     def counting_embed(op, positions, n):
         if op.arity == 1 and (tuple(positions), n) not in op._embedded:
-            built.append(tuple(positions))
+            built.append((op, tuple(positions)))
         return real_embed(op, positions, n)
 
+    def capturing_skew_inverse(sys):
+        skews.append(real_skew_inverse(sys))
+        return skews[-1]
+
     monkeypatch.setattr(core, "embed", counting_embed)
+    monkeypatch.setattr(core, "skew_inverse", capturing_skew_inverse)
     assert full_verification(build_standard("sp", 4)).status == "pass"
-    assert sorted(built) == [(1,), (1,), (2,), (2,)]
+    (skew,) = skews
+    assert sorted(p for op, p in built if op is skew.C or op is skew.D) == [(1,), (1,), (2,), (2,)]
 
 
 def test_xy_matrices_raises_naming_the_failed_check():
