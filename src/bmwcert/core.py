@@ -127,7 +127,8 @@ class PairingPair:
 @dataclass
 class XYPair:
     """The mutually inverse contractions of g with gbar, plus the sign of
-    the palindromic symmetry of char(X)."""
+    the palindromic symmetry of char(X): row j, column i of X is
+    sum_k g^ik gbar_kj, and row i, column j of Y is sum_k gbar_ik g^kj."""
 
     X: FieldMatrix
     Y: FieldMatrix
@@ -611,16 +612,25 @@ def check_pairing_factorization(kappa, pair):
 
 
 def _build_xy(pair, f):
-    """X = G Gbar and Y = Gbar G with G[i, k] = g^ik and Gbar[k, j] = gbar_kj."""
+    """X = (G Gbar)^T and Y = Gbar G with G[i, k] = g^ik and Gbar[k, j] =
+    gbar_kj, so X[j, i] = sum_k g^ik gbar_kj.
+
+    A change of basis R -> (A (x) A) R (A (x) A)^-1 takes G Gbar to
+    A^-T (G Gbar) A^T, so it is the transpose that moves as X -> A X A^-1,
+    which the conjugation rule of rtt_lemma needs; a diagonal X cannot tell
+    the two apart.
+    """
     n = pair.N
     g = FieldMatrix.from_entries(n, f, [(i - 1, k - 1, v) for (i, k), v in pair.g.items()])
     gbar = FieldMatrix.from_entries(n, f, [(k - 1, j - 1, v) for (k, j), v in pair.gbar.items()])
-    return g * gbar, gbar * g
+    x = FieldMatrix.from_entries(n, f, [(j, i, v) for (i, j), v in (g * gbar).items()])
+    return x, gbar * g
 
 
 def _xy_outcomes(pair, field):
-    """Build X_i^j = sum_k g^ik gbar_kj and Y_i^j = sum_k g^kj gbar_ik, then
-    check XY = I, the palindromic symmetry C_k = eps C_{N-k} of char(X) with
+    """Build X and Y as _build_xy does, X[j, i] = sum_k g^ik gbar_kj and
+    Y[i, j] = sum_k gbar_ik g^kj with the first index the row, then check
+    XY = I, the palindromic symmetry C_k = eps C_{N-k} of char(X) with
     eps = C_N = +-1, and the identity C_N C_k = C_{N-k}.
 
     Returns (xy, outcomes), xy None when XY != I; a gauge rescaling of the

@@ -4,17 +4,16 @@ Row = output index, column = input index.  Multi-indices over n tensor
 factors with labels 1..N linearize as r = sum((parts_k - 1) * N^(n-k)), the
 first factor being the most significant digit.
 
-A TensorOperator whose entries are all Laurent polynomials in s, which in
-the numeric field is every operator, is held in a flat integer form: one
-positive denominator shared by the whole operator, and rows of integer
-terms keyed by (column, exponent of s).  compose (Gustavson's row-by-row
-product), add, sub, scale, embed, partial_trace and == work on that form
-with int arithmetic only.  `TensorOperator.mat`, the FieldMatrix of
-canonical field elements, is a view built from the flat form on first read
-and kept; elimination, is_zero's witnesses and reports read it.  An
-operator with an entry whose denominator is not a power of s, as a file or
-a twist cell can give, has no flat form and takes the FieldMatrix path, as
-does any operation whose exponents would not fit a key.
+An operator has a flat integer form exactly when every entry is a Laurent
+polynomial in s, which in the numeric field is every operator: one positive
+denominator shared by the whole operator, and rows of integer terms keyed
+by (exponent of s, column).  compose (Gustavson's row-by-row product), add,
+sub, scale, embed, partial_trace and == work on that form with int
+arithmetic only.  `TensorOperator.mat`, the FieldMatrix of canonical field
+elements, is a view built from the flat form on first read and kept;
+elimination, is_zero's witnesses and reports read it.  An operator with an
+entry whose denominator is not a power of s, as a file, a twist cell or a
+scaling by 1/lam can give, has no flat form and takes the FieldMatrix path.
 
 A FieldMatrix is stored row-major as nested dicts {row: {col: value}} of
 field elements holding no zeros.  It carries the N x N work, elimination and
@@ -223,36 +222,25 @@ def _minus_one(field):
 # The flat integer form
 #
 # An operator whose entries are all Laurent polynomials in s is held as
-# 1/den times integer terms: rows {row: {key: int}}, where each key packs a
-# column and an exponent of s as col << _SHIFT | (exp + _OFFSET).  In the
-# numeric field every exponent is 0.  den > 0 and gcd(den, every coefficient)
-# = 1, and no zero is stored, so equal operators have equal flat forms.  lo
-# and hi bound the exponents; an operation whose exponents could leave
-# [_EXP_MIN, _EXP_MAX] takes the FieldMatrix path instead, so a key never
-# carries into its column bits.
-
-_SHIFT = 16
-_OFFSET = 1 << (_SHIFT - 1)
-_MASK = (1 << _SHIFT) - 1
-_EXP_MIN = -_OFFSET
-_EXP_MAX = _OFFSET - 1
+# 1/den times integer terms: rows {row: {key: int}}, where each key packs an
+# exponent of s above a column as (exp << bits) + col, bits being the bit
+# length of the operator's dimension.  So col = key & ((1 << bits) - 1) and
+# exp = key >> bits, of any size and sign, and adding e << bits to a key
+# multiplies its term by s^e.  In the numeric field every exponent is 0 and
+# a key is its column.  den > 0 and gcd(den, every coefficient) = 1, and no
+# zero is stored, so equal operators have equal flat forms.
 
 
 class _Flat:
-    __slots__ = ("den", "rows", "lo", "hi")
+    __slots__ = ("den", "rows", "bits")
 
-    def __init__(self, den, rows, lo, hi):
+    def __init__(self, den, rows, bits):
         self.den = den
         self.rows = rows
-        self.lo = lo
-        self.hi = hi
+        self.bits = bits
 
 
-def _fits(lo, hi):
-    return _EXP_MIN <= lo and hi <= _EXP_MAX
-
-
-def _reduced(den, rows, lo, hi):
+def _reduced(den, rows, bits):
     """_Flat of den and rows, with zero coefficients and empty rows dropped
     and everything divided by gcd(den, coefficients)."""
     out = {}
@@ -268,15 +256,14 @@ def _reduced(den, rows, lo, hi):
     if g != 1:
         den //= g
         out = {r: {k: v // g for k, v in row.items()} for r, row in out.items()}
-    return _Flat(den, out, lo, hi)
+    return _Flat(den, out, bits)
 
 
 def _flatten(m):
-    """The flat form of a FieldMatrix, or None when an entry is not Laurent
-    or an exponent does not fit a key."""
+    """The flat form of a FieldMatrix, or None when an entry is not Laurent."""
     to_flat = m.field.to_flat
+    bits = m.dim.bit_length()
     den = 1
-    lo = hi = 0
     parts = []
     for r, row in m.rows.items():
         for c, v in row.items():
@@ -286,54 +273,55 @@ def _flatten(m):
             d, terms = split
             if d != 1:
                 den = den // gcd(den, d) * d
-            lo = min(lo, min(terms))
-            hi = max(hi, max(terms))
-            parts.append((r, (c << _SHIFT) + _OFFSET, d, terms))
-    if not _fits(lo, hi):
-        return None
+            parts.append((r, c, d, terms))
     rows = {}
-    for r, base, d, terms in parts:
+    for r, c, d, terms in parts:
         f = den // d
         row = rows.setdefault(r, {})
         for e, x in terms.items():
-            row[base + e] = x * f
-    return _Flat(den, rows, lo, hi)
+            row[(e << bits) + c] = x * f
+    return _Flat(den, rows, bits)
 
 
 def _unflatten(flat, dim, field):
     """The FieldMatrix of canonical field elements that flat stands for."""
     from_flat = field.from_flat
     den = flat.den
+    bits = flat.bits
+    mask = (1 << bits) - 1
     rows = {}
     for r, row in flat.rows.items():
         cols = {}
         for k, v in row.items():
-            terms = cols.get(k >> _SHIFT)
+            terms = cols.get(k & mask)
             if terms is None:
-                terms = cols[k >> _SHIFT] = {}
-            terms[(k & _MASK) - _OFFSET] = v
+                terms = cols[k & mask] = {}
+            terms[k >> bits] = v
         rows[r] = {c: from_flat(terms, den) for c, terms in cols.items()}
     return FieldMatrix(dim, field, rows)
 
 
 def _flat_product(a, b):
-    """Gustavson's row-by-row product: a key of b shifted by a's exponent
-    is the key of the product term."""
+    """Gustavson's row-by-row product: a key of b shifted by the exponent
+    bits of a's key is the key of the product term."""
     brows = b.rows
+    mask = (1 << a.bits) - 1
     out = {}
     for r, row in a.rows.items():
         acc = {}
         get = acc.get
         for key, x in row.items():
-            brow = brows.get(key >> _SHIFT)
+            c = key & mask
+            brow = brows.get(c)
             if brow is None:
                 continue
-            e = (key & _MASK) - _OFFSET
+            e = key - c
             for bkey, y in brow.items():
                 k = bkey + e
                 acc[k] = get(k, 0) + x * y
-        out[r] = acc
-    return _reduced(a.den * b.den, out, a.lo + b.lo, a.hi + b.hi)
+        if acc:
+            out[r] = acc
+    return _reduced(a.den * b.den, out, a.bits)
 
 
 def _flat_sum(a, b, sign):
@@ -350,21 +338,23 @@ def _flat_sum(a, b, sign):
         get = acc.get
         for k, v in row.items():
             acc[k] = get(k, 0) + v * fb
-    return _reduced(a.den * fa, rows, min(a.lo, b.lo), max(a.hi, b.hi))
+    return _reduced(a.den * fa, rows, a.bits)
 
 
 def _flat_scale(cden, cterms, a):
     """sum_e c_e s^e / cden times a."""
+    bits = a.bits
     rows = {}
     for r, row in a.rows.items():
         acc = {}
         get = acc.get
         for e, x in cterms.items():
+            e <<= bits
             for k, v in row.items():
                 k += e
                 acc[k] = get(k, 0) + x * v
         rows[r] = acc
-    return _reduced(a.den * cden, rows, a.lo + min(cterms), a.hi + max(cterms))
+    return _reduced(a.den * cden, rows, bits)
 
 
 def _flat_embed(a, N, positions, n):
@@ -383,14 +373,16 @@ def _flat_embed(a, N, positions, n):
 
     place = offsets(positions)
     others = offsets(p for p in range(1, n + 1) if p not in positions)
+    bits = a.bits
+    mask = (1 << bits) - 1
+    nbits = (N**n).bit_length()
     rows = {}
     for r, row in a.rows.items():
-        base = {(place[k >> _SHIFT] << _SHIFT) + (k & _MASK): v for k, v in row.items()}
+        base = {((k >> bits) << nbits) + place[k & mask]: v for k, v in row.items()}
         pr = place[r]
         for off in others:
-            shift = off << _SHIFT
-            rows[pr + off] = {k + shift: v for k, v in base.items()}
-    return _Flat(a.den, rows, a.lo, a.hi)
+            rows[pr + off] = {k + off: v for k, v in base.items()}
+    return _Flat(a.den, rows, nbits)
 
 
 def _flat_trace(a, N, n, k):
@@ -398,17 +390,20 @@ def _flat_trace(a, N, n, k):
     w = N ** (n - 1 - k)
     digit = [(x // w) % N for x in range(N**n)]
     rest = [(x // (w * N)) * w + x % w for x in range(N**n)]
+    bits = a.bits
+    mask = (1 << bits) - 1
+    nbits = (N ** (n - 1)).bit_length()
     rows = {}
     for r, row in a.rows.items():
         dr = digit[r]
         acc = rows.setdefault(rest[r], {})
         get = acc.get
         for key, v in row.items():
-            c = key >> _SHIFT
+            c = key & mask
             if digit[c] == dr:
-                kk = (rest[c] << _SHIFT) + (key & _MASK)
+                kk = ((key >> bits) << nbits) + rest[c]
                 acc[kk] = get(kk, 0) + v
-    return _reduced(a.den, rows, a.lo, a.hi)
+    return _reduced(a.den, rows, nbits)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +413,9 @@ def _flat_trace(a, N, n, k):
 class TensorOperator:
     """An operator on V^(x n), V of dimension N.
 
-    Held in the flat integer form when every entry is a Laurent polynomial,
-    else as a FieldMatrix; `mat`, the FieldMatrix view, is built from the
-    flat form on first read and kept.
+    Held in the flat integer form exactly when every entry is a Laurent
+    polynomial, else as a FieldMatrix; `mat`, the FieldMatrix view, is built
+    from the flat form on first read and kept.
     """
 
     __slots__ = ("N", "arity", "field", "_mat", "_flat", "_embedded")
@@ -432,8 +427,8 @@ class TensorOperator:
         self.arity = arity
         self.field = mat.field
         self._mat = mat
-        # The flat form: None until first asked for, False when there is none.
-        self._flat = None
+        # The flat form, None when an entry is not Laurent.
+        self._flat = _flatten(mat)
         # embed's results, keyed by (positions, n); lives as long as self.
         self._embedded = {}
 
@@ -454,12 +449,6 @@ class TensorOperator:
             self._mat = _unflatten(self._flat, self.N**self.arity, self.field)
         return self._mat
 
-    def _flat_form(self):
-        """The flat form, or None when this operator has none."""
-        if self._flat is None:
-            self._flat = _flatten(self._mat) or False
-        return self._flat or None
-
     @classmethod
     def from_entries(cls, N, arity, field, entries):
         """entries: iterable of (out_parts, in_parts, value) with 1-based labels."""
@@ -470,8 +459,9 @@ class TensorOperator:
 
     @classmethod
     def identity(cls, N, arity, field):
-        rows = {i: {(i << _SHIFT) + _OFFSET: 1} for i in range(N**arity)}
-        return cls._of_flat(N, arity, field, _Flat(1, rows, 0, 0))
+        dim = N**arity
+        rows = {i: {i: 1} for i in range(dim)}
+        return cls._of_flat(N, arity, field, _Flat(1, rows, dim.bit_length()))
 
     def entry(self, out, inp):
         return self.mat.get(multi_to_linear(out, self.N), multi_to_linear(inp, self.N))
@@ -487,15 +477,13 @@ class TensorOperator:
             return NotImplemented
         if self.N != other.N or self.arity != other.arity:
             return False
-        if self._flat is None or other._flat is None:
-            if self._mat is not None and other._mat is not None:
-                return self._mat == other._mat
-        a, b = self._flat_form(), other._flat_form()
-        if a and b:
+        a, b = self._flat, other._flat
+        if a is not None and b is not None:
             return a.den == b.den and a.rows == b.rows
-        # Only one has a flat form, so only one has all entries Laurent
-        # with exponents that fit.
-        return not (a or b) and self.mat == other.mat
+        if a is not None or b is not None:
+            # Only one has all entries Laurent.
+            return False
+        return self._mat == other._mat
 
     def map_entries(self, fn, field):
         return TensorOperator(self.N, self.arity, self.mat.map_entries(fn, field))
@@ -515,37 +503,33 @@ def _like(a, flat):
 def compose(a, b):
     """Operator product a then-after b (matrix product a * b)."""
     _check_same_shape(a, b)
-    fa, fb = a._flat_form(), b._flat_form()
-    if fa and fb and _fits(fa.lo + fb.lo, fa.hi + fb.hi):
+    fa, fb = a._flat, b._flat
+    if fa is not None and fb is not None:
         return _like(a, _flat_product(fa, fb))
     return TensorOperator(a.N, a.arity, a.mat * b.mat)
 
 
 def add(a, b):
     _check_same_shape(a, b)
-    fa, fb = a._flat_form(), b._flat_form()
-    if fa and fb:
+    fa, fb = a._flat, b._flat
+    if fa is not None and fb is not None:
         return _like(a, _flat_sum(fa, fb, 1))
     return TensorOperator(a.N, a.arity, a.mat + b.mat)
 
 
 def sub(a, b):
     _check_same_shape(a, b)
-    fa, fb = a._flat_form(), b._flat_form()
-    if fa and fb:
+    fa, fb = a._flat, b._flat
+    if fa is not None and fb is not None:
         return _like(a, _flat_sum(fa, fb, -1))
     return TensorOperator(a.N, a.arity, a.mat - b.mat)
 
 
 def scale(c, a):
-    if not c:
-        return _like(a, _Flat(1, {}, 0, 0))
-    fa = a._flat_form()
-    split = a.field.to_flat(c) if fa else None
+    fa = a._flat
+    split = a.field.to_flat(c) if fa is not None else None
     if split is not None:
-        cden, cterms = split
-        if _fits(fa.lo + min(cterms), fa.hi + max(cterms)):
-            return _like(a, _flat_scale(cden, cterms, fa))
+        return _like(a, _flat_scale(*split, fa))
     return TensorOperator(a.N, a.arity, a.mat.scaled_by(c))
 
 
@@ -581,8 +565,8 @@ def embed(op, positions, n):
     if not all(1 <= p <= n for p in positions):
         raise BadPositions(f"positions {positions} outside 1..{n}")
     N = op.N
-    flat = op._flat_form()
-    if flat:
+    flat = op._flat
+    if flat is not None:
         result = TensorOperator._of_flat(N, n, op.field, _flat_embed(flat, N, positions, n))
     else:
         result = TensorOperator(N, n, _embed_entries(op, positions, n))
@@ -618,8 +602,8 @@ def partial_trace(op, space):
     if not 1 <= space <= n:
         raise BadPositions(f"space {space} outside 1..{n}")
     N = op.N
-    flat = op._flat_form()
-    if flat:
+    flat = op._flat
+    if flat is not None:
         return TensorOperator._of_flat(N, n - 1, op.field, _flat_trace(flat, N, n, space - 1))
     return TensorOperator(N, n - 1, _trace_entries(op, space - 1))
 
@@ -645,9 +629,8 @@ def permutation_op(N, n, k, l, field):
     for parts in product(range(1, N + 1), repeat=n):
         swapped = list(parts)
         swapped[k - 1], swapped[l - 1] = swapped[l - 1], swapped[k - 1]
-        c = multi_to_linear(parts, N)
-        rows[multi_to_linear(swapped, N)] = {(c << _SHIFT) + _OFFSET: 1}
-    return TensorOperator._of_flat(N, n, field, _Flat(1, rows, 0, 0))
+        rows[multi_to_linear(swapped, N)] = {multi_to_linear(parts, N): 1}
+    return TensorOperator._of_flat(N, n, field, _Flat(1, rows, (N**n).bit_length()))
 
 
 # ---------------------------------------------------------------------------

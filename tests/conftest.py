@@ -11,7 +11,17 @@ from fractions import Fraction
 
 import pytest
 
-from bmwcert import SYMBOLIC, Scalar, TensorOperator, TwistSpec, export_family, parse
+from bmwcert import (
+    SYMBOLIC,
+    Scalar,
+    TensorOperator,
+    TwistSpec,
+    compose,
+    embed,
+    export_family,
+    inverse,
+    parse,
+)
 
 F = SYMBOLIC
 
@@ -65,6 +75,17 @@ def operator_from_table(table, n):
 
 def twist_from_text(rows):
     return TwistSpec(tuple(tuple(parse(c) for c in row) for row in rows))
+
+
+def change_of_basis(r, a):
+    """(A (x) A) R (A (x) A)^-1 for an arity-2 R and an N x N FieldMatrix A;
+    it keeps every BMW identity and nu, and takes X to A X A^-1."""
+    n = r.N
+    a1 = TensorOperator(n, 1, a)
+    a1_inv = TensorOperator(n, 1, inverse(a))
+    aa = compose(embed(a1, (1,), 2), embed(a1, (2,), 2))
+    aa_inv = compose(embed(a1_inv, (1,), 2), embed(a1_inv, (2,), 2))
+    return compose(aa, compose(r, aa_inv))
 
 
 def so3_file_without_nu(tmp_path):

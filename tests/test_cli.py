@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from bmwcert import (
+    FieldMatrix,
     JobConfig,
     SYMBOLIC,
+    build_multiparametric,
     build_standard,
     export_family,
     import_rmatrix,
@@ -17,8 +19,15 @@ from bmwcert import (
     run_job,
 )
 from bmwcert.errors import DimensionMismatch, ParseError
+from bmwcert.report import export_rmatrix
 
-from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, so3_file_without_nu
+from conftest import (
+    SO4_TWIST_TEXT,
+    SP2_TWIST_TEXT,
+    change_of_basis,
+    so3_file_without_nu,
+    twist_from_text,
+)
 
 F = SYMBOLIC
 
@@ -804,3 +813,110 @@ def test_negative_control_witnesses_are_pinned(tmp_path, capsys, control, mode, 
         if not chk["pass"]
     }
     assert failing == witnesses
+
+
+def _pipeline_ids(capsys):
+    """The 35 check ids of the plain pipeline, in report order."""
+    assert main(["verify", "--family", "sp", "--dim", "2", "--report", "json"]) == 0
+    ids = [chk["id"] for chk in json.loads(capsys.readouterr().out)["checks"]]
+    assert len(ids) == 35
+    return ids
+
+
+@pytest.mark.parametrize(
+    "mode, x_diag",
+    [([], ["q^-1", "q"]), (["--at-s", "3/2"], ["4/9", "9/4"])],
+    ids=["symbolic", "at-s"],
+)
+def test_verify_file_with_twist(tmp_path, capsys, mode, x_diag):
+    # A file source with a twist verifies the generic twist: there is no
+    # closed form to compare against, and no expected X.
+    path = tmp_path / "sp2.json"
+    export_family("sp", 2, None, str(path))
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    ids = _pipeline_ids(capsys)
+    code = main(["verify", "--input", str(path), "--twist", twist, *mode, "--report", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["status"] == "pass"
+    assert [chk["id"] for chk in doc["checks"]] == ["twist-valid", "twist-compat", *ids]
+    assert doc["derived"]["X_diag"] == x_diag
+
+
+def test_export_command_writes_what_export_family_writes(tmp_path):
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    for extra in ([], ["--twist", twist]):
+        out = tmp_path / "cli.json"
+        ref = tmp_path / "ref.json"
+        assert main(["export", "--family", "sp", "--dim", "2", *extra, "--out", str(out)]) == 0
+        export_family("sp", 2, twist if extra else None, str(ref))
+        assert out.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--family", "so"], "need --family and --dim, or --input FILE"),
+        (["verify", "--family", "so", "--dim", "3", "--nu", "q", "--detect-nu"],
+         "--nu and --detect-nu are mutually exclusive"),
+        (["verify", "--family", "so", "--dim", "3", "--at-s", "1/0"], "bad --at-s value '1/0'"),
+    ],
+    ids=["no-source", "nu-and-detect", "bad-at-s"],
+)
+def test_bad_options_exit_2_with_message(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bmwcert: error: {message}")
+    assert "Traceback" not in err
+
+
+# The twisted sp_2 of SP2_TWIST_TEXT after the change of basis A = I + e_12,
+# as `export` writes it.  Its X is not diagonal, so it tells X from its
+# transpose.
+COB_SP2 = {
+    "dim": 2,
+    "nu": "-q^-3",
+    "entries": [
+        {"out": [1, 1], "in": [1, 1], "coeff": "q"},
+        {"out": [1, 1], "in": [1, 2], "coeff": "q^-2 - q^-3"},
+        {"out": [1, 1], "in": [2, 1], "coeff": "-q + 1"},
+        {"out": [1, 1], "in": [2, 2], "coeff": "q - 1 - q^-2 + q^-3"},
+        {"out": [1, 2], "in": [1, 2], "coeff": "q - q^-3"},
+        {"out": [1, 2], "in": [2, 1], "coeff": "1"},
+        {"out": [1, 2], "in": [2, 2], "coeff": "-1 + q^-3"},
+        {"out": [2, 1], "in": [1, 2], "coeff": "q^-2"},
+        {"out": [2, 1], "in": [2, 2], "coeff": "q - q^-2"},
+        {"out": [2, 2], "in": [2, 2], "coeff": "q"},
+    ],
+}
+
+
+def _cob_files(tmp_path):
+    """COB_SP2, and the twisted so_4 of SO4_TWIST_TEXT after the change of
+    basis A = I + e_12 + 2 e_23 + q e_34."""
+    sp2 = tmp_path / "cob_sp2.json"
+    sp2.write_text(json.dumps(COB_SP2))
+    so4 = build_multiparametric("so", 4, twist_from_text(SO4_TWIST_TEXT))
+    off_diagonal = [(0, 1, F.one), (1, 2, F.from_int(2)), (2, 3, F.q)]
+    a = FieldMatrix.from_entries(4, F, [(i, i, F.one) for i in range(4)] + off_diagonal)
+    so4_path = tmp_path / "cob_so4.json"
+    export_rmatrix(change_of_basis(so4.R, a), so4.nu, str(so4_path))
+    return [sp2, so4_path]
+
+
+def test_cob_sp2_is_the_changed_basis_of_the_twisted_sp2(tmp_path):
+    sp2 = build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT))
+    a = FieldMatrix.from_entries(2, F, [(0, 0, F.one), (1, 1, F.one), (0, 1, F.one)])
+    op, nu = import_rmatrix(str(_cob_files(tmp_path)[0]))
+    assert op == change_of_basis(sp2.R, a) and nu == sp2.nu
+
+
+@pytest.mark.parametrize(
+    "mode", [[], ["--at-s", "3/2"], ["--detect-nu"]], ids=["symbolic", "at-s", "detect-nu"]
+)
+def test_change_of_basis_passes_every_check(tmp_path, capsys, mode):
+    for path in _cob_files(tmp_path):
+        code = main(["verify", "--input", str(path), *mode, "--report", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["status"] == "pass", path.name
+        assert len(doc["checks"]) == 35 and all(chk["pass"] for chk in doc["checks"])
+        assert doc["derived"]["X_diag"] is None

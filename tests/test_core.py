@@ -20,6 +20,7 @@ from bmwcert import (
     detect_nu,
     factor_pairings,
     full_verification,
+    inverse,
     kappa_of,
     permutation_op,
     rtt_lemma,
@@ -38,7 +39,14 @@ from bmwcert.errors import (
     RankNotOne,
 )
 
-from conftest import operator_from_table, twist_from_text, SO3_TABLE, SP2_TABLE, SP2_TWIST_TEXT
+from conftest import (
+    SO3_TABLE,
+    SP2_TABLE,
+    SP2_TWIST_TEXT,
+    change_of_basis,
+    operator_from_table,
+    twist_from_text,
+)
 
 F = SYMBOLIC
 q = F.q
@@ -317,6 +325,25 @@ def test_rtt_lemma_negative_controls_match_the_oracle():
         outcome = rtt_lemma(kappa, pair)
         assert not outcome.passed
         assert outcome.witness == rtt_oracle(kappa, pair) == witness
+
+
+def test_x_moves_with_a_change_of_basis():
+    # (A (x) A) R (A (x) A)^-1 keeps the conjugation rule when X moves as
+    # A X A^-1.  G Gbar moves as A^-T (G Gbar) A^T, so X is its transpose;
+    # on the twisted sp_2 after A = I + e_12, X is not diagonal, and the
+    # rule holds with X and fails with X^T.
+    twisted = build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT))
+    a, a_inv = unipotent(2, one), unipotent(2, F.zero - one)
+    kappa = kappa_of(RMatrixSystem(change_of_basis(twisted.R, a), twisted.nu))
+    xy = xy_matrices(factor_pairings(kappa), F)
+    x0 = xy_matrices(factor_pairings(kappa_of(twisted)), F).X
+    assert xy.X == a * x0 * a_inv
+    assert xy.X.get(0, 1) != F.zero
+    x_t = FieldMatrix.from_entries(2, F, [(c, r, v) for (r, c), v in xy.X.items()])
+    for pair, passed in ((xy, True), (XYPair(x_t, inverse(x_t), 1), False)):
+        outcome = rtt_lemma(kappa, pair)
+        assert outcome.passed is passed
+        assert outcome.witness == rtt_oracle(kappa, pair)
 
 
 @pytest.mark.parametrize("field", [F, RationalField(Fraction(3, 2))], ids=["Q(s)", "s=3/2"])

@@ -4,9 +4,9 @@ Every operation on operators is checked on random sparse operators, in Q(s)
 and at s = 3/2, against the same operation done entry by entry on the
 materialised matrices: FieldMatrix products, sums and scalings, and the
 entry-wise embedding and partial trace.  The draws cover negative
-exponents, Fraction coefficients, cancellation, exponents too large for a
-packed key, and entries with a non-monomial denominator, which have no flat
-form, mixed with operands that have one.
+exponents, Fraction coefficients, cancellation, exponents of any size, and
+entries with a non-monomial denominator, which have no flat form, mixed
+with operands that have one.
 """
 
 import random
@@ -32,7 +32,7 @@ from bmwcert.tensors import _embed_entries, _trace_entries, sub
 F = SYMBOLIC
 NUMERIC = RationalField(Fraction(3, 2))
 COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
-# Further from 0 than any exponent a packed key holds.
+# Far from 0: a key's exponent part has no bound.
 FAR = 1 << 20
 KINDS = ("laurent", "far", "rational", "numeric")
 
@@ -56,7 +56,7 @@ def _element(rng, kind):
 
 def _operator(rng, N, n, kind, density=0.3):
     """A random operator of `kind`: Laurent entries; one entry with an
-    exponent beyond a packed key ("far"); one entry with the denominator
+    exponent of size 2^20 ("far"); one entry with the denominator
     q + 1 ("rational"); or constants at s = 3/2 ("numeric")."""
     field = NUMERIC if kind == "numeric" else F
     dim = N**n
@@ -79,7 +79,7 @@ def _check(op, ref):
     when both are fully reduced."""
     assert op.mat == ref
     fresh = TensorOperator(op.N, op.arity, ref)
-    assert (op._flat_form() is None) == (fresh._flat_form() is None)
+    assert (op._flat is None) == (fresh._flat is None)
     assert op == fresh
 
 
@@ -100,9 +100,9 @@ def _pairs(rng):
 
 def test_flat_form_exists_exactly_for_laurent_entries_that_fit():
     rng = random.Random(1)
-    for kind, flat in (("laurent", True), ("numeric", True), ("far", False), ("rational", False)):
+    for kind, flat in (("laurent", True), ("numeric", True), ("far", True), ("rational", False)):
         op = _operator(rng, 2, 2, kind)
-        assert (op._flat_form() is not None) is flat
+        assert (op._flat is not None) is flat
 
 
 def test_products_sums_and_equality_agree_with_field_matrices():
@@ -119,14 +119,16 @@ def test_products_sums_and_equality_agree_with_field_matrices():
 
 
 def test_exponents_past_a_packed_key_take_the_matrix_path():
+    # A key's exponent part has no bound, so a product whose exponents pass
+    # 2^15 stays flat.
     big = Scalar.s_power((1 << 15) - 4)
     a = TensorOperator.from_entries(2, 1, F, [((1,), (1,), big), ((1,), (2,), F.one)])
     b = TensorOperator.from_entries(2, 1, F, [((1,), (1,), big), ((2,), (1,), F.q)])
-    assert a._flat_form() is not None and b._flat_form() is not None
+    assert a._flat is not None and b._flat is not None
     prod = compose(a, b)
     _check(prod, a.mat * b.mat)
     assert prod.entry((1,), (1,)) == big * big + F.q
-    assert prod._flat_form() is None
+    assert prod._flat is not None
     _check(scale(big, a), a.mat.scaled_by(big))
 
 
