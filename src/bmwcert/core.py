@@ -16,6 +16,15 @@ conjugation lemma for commuting-entry matrices against K_23 K_12, decided as
 one commutant identity: with Z = K_23 K_12 X_3, P_13 Z = (N^-1 Tr_3(P_13 Z))_12.
 Its witness, built only when that fails, reads Y as X^-1, which xy-inverse
 checks first.
+
+Derived quantities are verified, not solved for: R^-1, Psi and the
+factorization K = gbar g^T are formed in closed form from the paper's own
+identities and accepted only after an exact check by products
+(_closed_form_r_inv, _psi_candidate, _rank_one_pairing).  When K has rank
+one, the K-bordered relations are decided on N rows of the N^3.
+Elimination and the full three-site products run only when a candidate or
+a restricted check fails, and a failure's witness always comes from the
+full residual, so outcomes do not depend on which path decided them.
 """
 
 from __future__ import annotations
@@ -49,6 +58,9 @@ from .tensors import (
     partial_trace,
     permutation_op,
     rank,
+    realign,
+    restrict_rows,
+    row_supports,
     scale,
     solve_multi_rhs,
     sub,
@@ -63,9 +75,12 @@ class RMatrixSystem:
     eigenvalue nu; the unit of verification.
 
     nu must avoid {0, q, -q^-1}, which also keeps the loop value mu nonzero.
+    Building a system composes nothing: R^-1 is set by full_verification
+    when the closed form of kappa-inverse-form checks out, and is otherwise
+    eliminated on first read, which raises Singular for a singular R.
     """
 
-    __slots__ = ("N", "R", "nu", "R_inv")
+    __slots__ = ("N", "R", "nu", "_r_inv")
 
     def __init__(self, R, nu):
         if R.arity != 2:
@@ -76,25 +91,39 @@ class RMatrixSystem:
         self.N = R.N
         self.R = R
         self.nu = nu
-        # Eager inversion doubles as the invertibility check.
-        self.R_inv = TensorOperator(R.N, 2, inverse(R.mat))
+        self._r_inv = None
 
     @property
     def field(self):
         return self.R.field
 
+    @property
+    def R_inv(self):
+        if self._r_inv is None:
+            self._r_inv = TensorOperator(self.N, 2, inverse(self.R.mat))
+        return self._r_inv
+
 
 @dataclass
 class KappaData:
-    """The contraction operator K with its loop value mu (K^2 = mu K), and
-    rank(K), eliminated once, on first use."""
+    """The contraction operator K with its loop value mu (K^2 = mu K).
+
+    `pairing` is the pivot factorization of K (see factor_pairings) when
+    K == gbar g^T, which holds exactly when rank(K) = 1, and None otherwise;
+    `rank` is eliminated only when that comparison fails.  Each is formed
+    once, on first use.
+    """
 
     K: TensorOperator
     mu: object
 
     @cached_property
+    def pairing(self):
+        return _rank_one_pairing(self.K)
+
+    @cached_property
     def rank(self):
-        return rank(self.K.mat)
+        return 1 if self.pairing is not None else rank(self.K.mat)
 
 
 @dataclass
@@ -277,63 +306,110 @@ def check_yang_baxter(sys):
     )
 
 
-def check_kappa_inverse_form(sys, kappa):
-    """The second defining expression of K: lam^-1 (R^-1 - R + lam I)."""
+def _closed_form_r_inv(sys, kappa):
+    """The candidate R^-1 = R - lam I + lam K of kappa-inverse-form, or None
+    when it is not R^-1.
+
+    K = (lam nu)^-1 (q - R)(q^-1 + R) says R^2 - lam R = I - lam nu K, so
+    R (R - lam I + lam K) = I + lam (R K - nu K): the candidate is R^-1
+    exactly when R K = nu K, which one N^2 x N^2 product decides.
+    """
     f = sys.field
-    lam_inv = f.one / f.lam
+    r, k = sys.R, kappa.K
+    if compose(r, k) != scale(sys.nu, k):
+        return None
+    return add(sub(r, scale(f.lam, TensorOperator.identity(sys.N, 2, f))), scale(f.lam, k))
+
+
+def check_kappa_inverse_form(sys, kappa):
+    """The second defining expression of K: lam^-1 (R^-1 - R + lam I).
+
+    Decided as lam K = R^-1 - R + lam I, which scales by lam, not by 1/lam,
+    so both sides keep the flat form.  The residual K - lam^-1 (...) is
+    lam^-1 times that of the scaled identity, so a failure's witness is the
+    first nonzero entry of the latter divided by lam.
+    """
+    f = sys.field
     ident = TensorOperator.identity(sys.N, 2, f)
-    alt = scale(lam_inv, add(sub(sys.R_inv, sys.R), scale(f.lam, ident)))
-    return _outcome(
-        "kappa-inverse-form", "K = lam^-1 (R^-1 - R + lam I)", [(kappa.K, alt)]
-    )
+    eq_text = "K = lam^-1 (R^-1 - R + lam I)"
+    lam_k = scale(f.lam, kappa.K)
+    rhs = add(sub(sys.R_inv, sys.R), scale(f.lam, ident))
+    if lam_k == rhs:
+        return Outcome("kappa-inverse-form", eq_text, True)
+    out, inp, v = is_zero(sub(lam_k, rhs))[1]
+    return Outcome("kappa-inverse-form", eq_text, False, (out, inp, v / f.lam))
 
 
 def check_bmw_relations(sys, kappa, yang_baxter):
     """The quotient relations tying R and K, embedded on three factors.
 
     The braid relation is the Yang-Baxter equation again, so it reuses
-    `yang_baxter`, the outcome of check_yang_baxter(sys).  The three-site
-    products that several relations share are formed once.
+    `yang_baxter`, the outcome of check_yang_baxter(sys).  The five
+    K-bordered relations have K_1 or K_2 as the leftmost factor of both
+    sides.  When K = gbar g^T (kappa.pairing), gbar being 1 at the pivot row
+    p of K, row (a, b, c) of K_23 is gbar_bc times row (a, p) and row
+    (a, b, c) of K_12 is gbar_ab times row (p, c).  So those relations hold
+    exactly when the N rows (a, p) of each side, respectively (p, c), agree,
+    and only these rows are formed.  A failure is decided again on the full
+    products, which give its witness.
     """
     f = sys.field
     nu = sys.nu
-    nu_inv = f.one / nu
-    r, r_inv, k = sys.R, sys.R_inv, kappa.K
+    r, k = sys.R, kappa.K
     ident2 = TensorOperator.identity(sys.N, 2, f)
-    r1 = embed(r, (1, 2), 3)
-    r2 = embed(r, (2, 3), 3)
-    ri1 = embed(r_inv, (1, 2), 3)
-    ri2 = embed(r_inv, (2, 3), 3)
+    nu_k = scale(nu, k)
     k1 = embed(k, (1, 2), 3)
     k2 = embed(k, (2, 3), 3)
-    k2r1 = compose(k2, r1)
-    k2ri1 = compose(k2, ri1)
-    k2k1 = compose(k2, k1)
-    k1k2 = compose(k1, k2)
-    k1r2 = compose(k1, r2)
-    k1ri2 = compose(k1, ri2)
-
     braid = Outcome(
         "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
     )
-    return [
+    head = [
         braid,
         _outcome(
             "bmw-cubic",
             "R^2 = I + lambda (R - nu K)",
-            [(compose(r, r), add(ident2, scale(f.lam, sub(r, scale(nu, k)))))],
+            [(compose(r, r), add(ident2, scale(f.lam, sub(r, nu_k))))],
         ),
-        _outcome(
-            "bmw-rk",
-            "R K = K R = nu K",
-            [(compose(r, k), scale(nu, k)), (compose(k, r), scale(nu, k))],
-        ),
+        _outcome("bmw-rk", "R K = K R = nu K", [(compose(r, k), nu_k), (compose(k, r), nu_k)]),
+    ]
+    pair = kappa.pairing
+    if pair is not None:
+        n = sys.N
+        r0 = multi_to_linear(pair.pivot[0], n)
+        k1_rows = restrict_rows(k1, range(r0 * n, r0 * n + n))
+        k2_rows = restrict_rows(k2, range(r0, n**3, n * n))
+        bordered = _k_bordered(sys, k1, k2, k1_rows, k2_rows)
+        if all(o.passed for o in bordered):
+            return head + bordered
+        full = _k_bordered(sys, k1, k2, k1, k2)
+        return head + [o if o.passed else w for o, w in zip(bordered, full)]
+    return head + _k_bordered(sys, k1, k2, k1, k2)
+
+
+def _k_bordered(sys, k1, k2, k1_left, k2_left):
+    """Outcomes of the five K-bordered relations, with k1_left and k2_left,
+    K_1 and K_2 or some of their rows, as the leftmost factor of each side.
+    The three-site products that several relations share are formed once."""
+    f = sys.field
+    nu = sys.nu
+    nu_inv = f.one / nu
+    r1 = embed(sys.R, (1, 2), 3)
+    r2 = embed(sys.R, (2, 3), 3)
+    ri1 = embed(sys.R_inv, (1, 2), 3)
+    ri2 = embed(sys.R_inv, (2, 3), 3)
+    k2r1 = compose(k2_left, r1)
+    k2ri1 = compose(k2_left, ri1)
+    k2k1 = compose(k2_left, k1)
+    k1k2 = compose(k1_left, k2)
+    k1r2 = compose(k1_left, r2)
+    k1ri2 = compose(k1_left, ri2)
+    return [
         _outcome(
             "bmw-k2rk2",
             "K2 R1 K2 = nu^-1 K2 and K2 R1^-1 K2 = nu K2",
             [
-                (compose(k2r1, k2), scale(nu_inv, k2)),
-                (compose(k2ri1, k2), scale(nu, k2)),
+                (compose(k2r1, k2), scale(nu_inv, k2_left)),
+                (compose(k2ri1, k2), scale(nu, k2_left)),
             ],
         ),
         _outcome(
@@ -349,14 +425,14 @@ def check_bmw_relations(sys, kappa, yang_baxter):
         _outcome(
             "bmw-kkk",
             "K1 K2 K1 = K1 and K2 K1 K2 = K2",
-            [(compose(k1k2, k1), k1), (compose(k2k1, k2), k2)],
+            [(compose(k1k2, k1), k1_left), (compose(k2k1, k2), k2_left)],
         ),
         _outcome(
             "bmw-k1rk1",
             "K1 R2 K1 = nu^-1 K1 and K1 R2^-1 K1 = nu K1",
             [
-                (compose(k1r2, k1), scale(nu_inv, k1)),
-                (compose(k1ri2, k1), scale(nu, k1)),
+                (compose(k1r2, k1), scale(nu_inv, k1_left)),
+                (compose(k1ri2, k1), scale(nu, k1_left)),
             ],
         ),
     ]
@@ -377,42 +453,70 @@ def check_minimal_cubic(sys, kappa):
 # Skew inverse
 
 
-def skew_inverse(sys):
-    """Solve for the skew inverse Psi: Tr_2(R_12 Psi_23) = Tr_2(Psi_12 R_23) = P_13.
+def _psi_candidate(sys, kappa):
+    """The closed-form skew inverse Psi_12 = nu^-2 D'_1 (R^-1)_21 C'_2 with
+    C' = nu Tr_1 K and D' = nu Tr_2 K, or None unless rank(K) = 1.
+
+    psi-c-left, C_1 Psi_12 = R_21^-1 C_2, with D C = nu^2 I gives Psi; when
+    rank(K) = 1, C' and D' are the C and D that kappa-trace1 and
+    kappa-trace2 state.
+    """
+    if kappa is None or kappa.pairing is None:
+        return None
+    nu = sys.nu
+    c = scale(nu, partial_trace(kappa.K, 1))
+    d = scale(nu, partial_trace(kappa.K, 2))
+    dr = compose(embed(d, (1,), 2), embed(sys.R_inv, (2, 1), 2))
+    return scale(sys.field.one / (nu * nu), compose(dr, embed(c, (2,), 2)))
+
+
+def _skew_sides(m_r, s_r, psi, swap):
+    """Whether skew-left and skew-right hold for psi, decided on N^2 x N^2
+    products.
+
+    Entry for entry, Tr_2(R_12 Psi_23) = P_13 reads M_R S_Psi = P and
+    Tr_2(Psi_12 R_23) = P_13 reads M_Psi S_R = P, where S_X is
+    realign(X), M_X = S_X P, and P = swap is the transposition of V x V.
+    m_r and s_r are M_R and S_R.
+    """
+    s_psi = realign(psi)
+    return (
+        compose(m_r, s_psi) == swap,
+        compose(compose(s_psi, swap), s_r) == swap,
+    )
+
+
+def skew_inverse(sys, kappa=None):
+    """The skew inverse Psi: Tr_2(R_12 Psi_23) = Tr_2(Psi_12 R_23) = P_13.
 
     In entries the defining system reads, for all a, e, c, g:
         sum_{b, bp} R[(a,b),(e,bp)] Psi[(bp,c),(b,g)] = delta(a,g) delta(c,e)
-    which decouples into one N^2 x N^2 coefficient matrix shared by N^2
-    right-hand sides.  Psi, when it exists, is the unique solution; both
-    defining equalities and both derived contractions
+    which is M_R S_Psi = P (see _skew_sides): one N^2 x N^2 coefficient
+    matrix shared by N^2 right-hand sides.  Psi, when it exists, is the
+    unique solution.  Given kappa with rank(K) = 1, the closed form of
+    _psi_candidate is tried first and taken when it satisfies both defining
+    equalities; a solution of M_R S_Psi = P proves M_R nonsingular, so it is
+    the solution elimination would find.  Only otherwise is the system
+    solved.  Both defining equalities and both derived contractions
         Tr_1(C_1 R_12) = I,   Tr_2(D_2 R_12) = I
     are then verified exactly.
     """
-    f = sys.field
     n = sys.N
-    m = FieldMatrix(n * n, f)
-    for (out_p, in_p), v in sys.R.items():
-        a, b = out_p
-        e, bp = in_p
-        m._add_entry((a - 1) * n + (e - 1), (bp - 1) * n + (b - 1), v)
-    rhs = FieldMatrix(n * n, f)
-    for a in range(1, n + 1):
-        for e in range(1, n + 1):
-            rhs._add_entry((a - 1) * n + (e - 1), (e - 1) * n + (a - 1), f.one)
-    try:
-        sol = solve_multi_rhs(m, rhs)
-    except Singular as exc:
-        raise NotSkewInvertible(f"the reshuffled {n * n} x {n * n} system is singular") from exc
-    psi_mat = FieldMatrix(n * n, f)
-    for (row, col), v in sol.items():
-        i, k = divmod(row, n)
-        j, l = divmod(col, n)
-        psi_mat._add_entry(
-            multi_to_linear((i + 1, j + 1), n), multi_to_linear((k + 1, l + 1), n), v
-        )
-    psi = TensorOperator(n, 2, psi_mat)
+    swap = permutation_op(n, 2, 1, 2, sys.field)
+    s_r = realign(sys.R)
+    m_r = compose(s_r, swap)
+    psi = _psi_candidate(sys, kappa)
+    if psi is not None and all(_skew_sides(m_r, s_r, psi, swap)):
+        sides = (True, True)
+    else:
+        try:
+            sol = solve_multi_rhs(m_r.mat, swap.mat)
+        except Singular as exc:
+            raise NotSkewInvertible(f"the reshuffled {n * n} x {n * n} system is singular") from exc
+        psi = realign(TensorOperator(n, 2, sol))
+        sides = _skew_sides(m_r, s_r, psi, swap)
     skew = SkewData(psi, partial_trace(psi, 1), partial_trace(psi, 2))
-    skew.outcomes = check_skew(sys, skew)
+    skew.outcomes = check_skew(sys, skew, sides)
     if not all(o.passed for o in skew.outcomes):
         bad = next(o for o in skew.outcomes if not o.passed)
         raise NotSkewInvertible(f"no common solution of the defining equalities ({bad.id})")
@@ -420,30 +524,29 @@ def skew_inverse(sys):
     return skew
 
 
-def check_skew(sys, skew):
+def check_skew(sys, skew, sides):
     """Outcomes for the defining equalities of Psi and the contractions of
-    C and D against R."""
+    C and D against R.
+
+    sides says whether skew-left and skew-right hold, as _skew_sides decides
+    them on N^2 x N^2 products; only a failing side forms its three-site
+    product, for the witness.
+    """
     f = sys.field
     n = sys.N
-    p13 = permutation_op(n, 2, 1, 2, f)
-    r12 = embed(sys.R, (1, 2), 3)
-    r23 = embed(sys.R, (2, 3), 3)
-    psi12 = embed(skew.Psi, (1, 2), 3)
-    psi23 = embed(skew.Psi, (2, 3), 3)
     c1 = embed(skew.C, (1,), 2)
     d2 = embed(skew.D, (2,), 2)
     ident1 = TensorOperator.identity(n, 1, f)
+
+    def side(holds, check_id, equation, a, b):
+        if holds:
+            return Outcome(check_id, equation, True)
+        lhs = partial_trace(compose(embed(a, (1, 2), 3), embed(b, (2, 3), 3)), 2)
+        return _outcome(check_id, equation, [(lhs, permutation_op(n, 2, 1, 2, f))])
+
     return [
-        _outcome(
-            "skew-left",
-            "Tr_2(R_12 Psi_23) = P_13",
-            [(partial_trace(compose(r12, psi23), 2), p13)],
-        ),
-        _outcome(
-            "skew-right",
-            "Tr_2(Psi_12 R_23) = P_13",
-            [(partial_trace(compose(psi12, r23), 2), p13)],
-        ),
+        side(sides[0], "skew-left", "Tr_2(R_12 Psi_23) = P_13", sys.R, skew.Psi),
+        side(sides[1], "skew-right", "Tr_2(Psi_12 R_23) = P_13", skew.Psi, sys.R),
         _outcome(
             "c-contraction",
             "Tr_1(C_1 R_12) = I",
@@ -575,17 +678,21 @@ def factor_pairings(kappa):
     Any other pivot differs by the gauge rescaling g -> c g, gbar -> c^-1
     gbar, which all downstream data ignore.
     """
-    k_op = kappa.K
-    n = k_op.N
     if kappa.rank != 1:
         raise RankNotOne(f"rank(K) = {kappa.rank}, expected 1")
-    (r0, c0), pivot_val = next(iter(k_op.mat.items()))
-    g = {}
-    for col, v in sorted(k_op.mat.rows[r0].items()):
-        g[linear_to_multi(col, n, 2)] = v
+    return _pivot_pairing(kappa.K)
+
+
+def _pivot_pairing(k_op):
+    """g and gbar as factor_pairings reads them off a nonzero K, whatever
+    its rank."""
+    m = k_op.mat
+    n = k_op.N
+    (r0, c0), pivot_val = next(iter(m.items()))
+    g = {linear_to_multi(col, n, 2): v for col, v in sorted(m.rows[r0].items())}
     gbar = {}
-    for row in sorted(k_op.mat.rows):
-        rowdict = k_op.mat.rows[row]
+    for row in sorted(m.rows):
+        rowdict = m.rows[row]
         if c0 in rowdict:
             gbar[linear_to_multi(row, n, 2)] = rowdict[c0] / pivot_val
     return PairingPair(
@@ -596,6 +703,23 @@ def factor_pairings(kappa):
     )
 
 
+def _rank_one_pairing(k_op):
+    """The pivot pairing of K when K == gbar g^T, which holds exactly when
+    rank(K) = 1; else None.  Every nonzero row of gbar g^T has the columns
+    of g, so a K whose rows differ in support, or K = 0, is turned down
+    before a field element is read."""
+    if len(set(row_supports(k_op).values())) != 1:
+        return None
+    pair = _pivot_pairing(k_op)
+    return pair if k_op == _outer(pair, k_op.field) else None
+
+
+def _outer(pair, f):
+    """gbar g^T: the operator with entry gbar[out] g[in] at (out, in)."""
+    outer = [(ob, ig, bv * gv) for ob, bv in pair.gbar.items() for ig, gv in pair.g.items()]
+    return TensorOperator.from_entries(pair.N, 2, f, outer)
+
+
 def check_pairing_factorization(kappa, pair):
     """Entrywise K[out, in] = gbar[out] g[in], and sum_ij g^ij gbar_ij = mu."""
     f = kappa.K.field
@@ -603,11 +727,10 @@ def check_pairing_factorization(kappa, pair):
     for idx, gv in pair.g.items():
         if idx in pair.gbar:
             total = total + gv * pair.gbar[idx]
-    outer = [(ob, ig, bv * gv) for ob, bv in pair.gbar.items() for ig, gv in pair.g.items()]
     return _outcome(
         "pairing-factorization",
         "K[out, in] = gbar[out] g[in], sum g gbar = mu",
-        [(total, kappa.mu), (kappa.K, TensorOperator.from_entries(pair.N, 2, f, outer))],
+        [(total, kappa.mu), (kappa.K, _outer(pair, f))],
     )
 
 
@@ -720,7 +843,9 @@ def full_verification(sys_or_r):
     then detected; either way nu is detected once, and the `nu-detect`
     outcome compares that value with the nu verified against.  Each derived
     object is formed once per verdict: W = (q - R)(q^-1 + R), which nu and
-    K are read off, K with its rank, and Psi, C, D with Tr_2(D_2 R^-1).
+    K are read off, K with its rank, R^-1, and Psi, C, D with
+    Tr_2(D_2 R^-1).  R^-1 is kept on the system: the closed form when
+    R K = nu K, else eliminated on first read.
     Structural errors (no skew inverse, rank != 1, XY != I) short-circuit
     into a partial result whose `aborted` field names the reason; ordinary
     failures, including a failed K^2 = mu K, are reported as failed
@@ -767,6 +892,8 @@ def full_verification(sys_or_r):
     kappa, kappa_outcome = _kappa_raw(sys, w_op)
     del w_op  # W, and the view detect_nu read, are not needed past K
     outcomes.append(kappa_outcome)
+    if sys._r_inv is None:
+        sys._r_inv = _closed_form_r_inv(sys, kappa)
     outcomes.append(check_kappa_inverse_form(sys, kappa))
     derived["mu"] = kappa.mu
 
@@ -774,7 +901,7 @@ def full_verification(sys_or_r):
     outcomes.append(check_minimal_cubic(sys, kappa))
 
     try:
-        skew = skew_inverse(sys)
+        skew = skew_inverse(sys, kappa)
     except NotSkewInvertible as exc:
         return result(f"NotSkewInvertible: {exc}")
     outcomes.extend(skew.outcomes)

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import RMatrixSystem, PairingPair, _outcome
-from .errors import BadDimension, InvalidTwistParameters, TwistIncompatible
+from .errors import BadDimension, InvalidTwistParameters, Singular, TwistIncompatible
 from .scalars import SYMBOLIC, Scalar
 from .tensors import (
     FieldMatrix,
     TensorOperator,
     compose,
     embed,
-    inverse,
     permutation_op,
 )
 
@@ -231,12 +230,24 @@ def check_twist_compat(r, f_op):
 
 
 def twisted_matrix(r, f_op):
-    """The generic twist (P F) R (F^-1 P) of an arity-2 operator R."""
+    """The generic twist (P F) R (F^-1 P) of an arity-2 operator R, F as
+    build_F builds it.
+
+    P F is diagonal, so F has one entry per row and column, and F^-1 is F
+    transposed with every entry inverted.  A missing entry, a zero d_ij,
+    makes F singular and raises Singular as elimination would.
+    """
     n = r.N
-    p = permutation_op(n, 2, 1, 2, r.field)
-    pf = compose(p, f_op)
-    f_inv_p = compose(TensorOperator(n, 2, inverse(f_op.mat)), p)
-    return compose(compose(pf, r), f_inv_p)
+    field = r.field
+    p = permutation_op(n, 2, 1, 2, field)
+    fm = f_op.mat
+    if fm.nnz() < fm.dim:
+        raise Singular(f"rank {fm.nnz()} < dim {fm.dim}")
+    f_inv = FieldMatrix.from_entries(
+        fm.dim, field, [(j, i, field.one / v) for (i, j), v in fm.items()]
+    )
+    f_inv_p = compose(TensorOperator(n, 2, f_inv), p)
+    return compose(compose(compose(p, f_op), r), f_inv_p)
 
 
 def twist_r(sys, f_op):

@@ -8,8 +8,8 @@ An operator has a flat integer form exactly when every entry is a Laurent
 polynomial in s, which in the numeric field is every operator: one positive
 denominator shared by the whole operator, and rows of integer terms keyed
 by (exponent of s, column).  compose (Gustavson's row-by-row product), add,
-sub, scale, embed, partial_trace and == work on that form with int
-arithmetic only.  `TensorOperator.mat`, the FieldMatrix of canonical field
+sub, scale, embed, partial_trace, restrict_rows, realign and == work on that
+form with int arithmetic only.  `TensorOperator.mat`, the FieldMatrix of canonical field
 elements, is a view built from the flat form on first read and kept;
 elimination, is_zero's witnesses and reports read it.  An operator with an
 entry whose denominator is not a power of s, as a file, a twist cell or a
@@ -619,6 +619,56 @@ def _trace_entries(op, k):
         ri = in_p[:k] + in_p[k + 1 :]
         out_m._add_entry(multi_to_linear(ro, N), multi_to_linear(ri, N), v)
     return out_m
+
+
+def restrict_rows(op, rows):
+    """op with every row outside `rows` set to zero.  compose works row by
+    row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
+    flat = op._flat
+    if flat is not None:
+        kept = {r: flat.rows[r] for r in rows if r in flat.rows}
+        return _like(op, _reduced(flat.den, kept, flat.bits))
+    m = op.mat
+    kept = {r: m.rows[r] for r in rows if r in m.rows}
+    return TensorOperator(op.N, op.arity, FieldMatrix(m.dim, op.field, kept))
+
+
+def row_supports(op):
+    """{row: frozenset of its nonzero columns} for every nonzero row, read
+    off the flat form when there is one, so no field element is built."""
+    flat = op._flat
+    if flat is None:
+        return {r: frozenset(row) for r, row in op.mat.rows.items()}
+    mask = (1 << flat.bits) - 1
+    return {r: frozenset(k & mask for k in row) for r, row in flat.rows.items()}
+
+
+def realign(op):
+    """The arity-2 operator S with S[(i,k),(j,l)] = op[(i,j),(k,l)]: the
+    second output index trades places with the first input index.  S is its
+    own inverse, and a sum over one index of each of two arity-2 operators
+    becomes a matrix product of their realignments."""
+    N = op.N
+    if op.arity != 2:
+        raise ShapeMismatch(f"realign needs arity 2, got {op.arity}")
+    flat = op._flat
+    if flat is not None:
+        mask = (1 << flat.bits) - 1
+        rows = {}
+        for r, row in flat.rows.items():
+            i, j = divmod(r, N)
+            for key, v in row.items():
+                c = key & mask
+                k, l = divmod(c, N)
+                rows.setdefault(i * N + k, {})[key - c + j * N + l] = v
+        return _like(op, _Flat(flat.den, rows, flat.bits))
+    entries = []
+    for r, row in op.mat.rows.items():
+        i, j = divmod(r, N)
+        for c, v in row.items():
+            k, l = divmod(c, N)
+            entries.append((i * N + k, j * N + l, v))
+    return TensorOperator(N, 2, FieldMatrix.from_entries(N * N, op.field, entries))
 
 
 def permutation_op(N, n, k, l, field):

@@ -604,10 +604,11 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
     ids=["sp4", "so4-detect-nu", "so3-file-without-nu"],
 )
 def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, source):
-    # nu is detected once, rank(K) is eliminated once, W = (q - R)(q^-1 + R)
-    # is formed once for both nu and K, and minimal-cubic and the trace
-    # Tr_2(D_2 R^-1) reuse what the pipeline already formed.  Each function
-    # is counted wherever the pipeline or the CLI binds it.
+    # nu is detected once, W = (q - R)(q^-1 + R) is formed once for both nu
+    # and K, and minimal-cubic and the trace Tr_2(D_2 R^-1) reuse what the
+    # pipeline already formed.  rank(K) = 1 is decided as K == gbar g^T, so
+    # a passing verdict eliminates nothing.  Each function is counted
+    # wherever the pipeline or the CLI binds it.
     import bmwcert.cli
     import bmwcert.core
 
@@ -626,7 +627,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     assert main(["verify", *source(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"detect_nu": 1, "rank": 1, "compose": 42}
+    assert calls == {"detect_nu": 1, "rank": 0, "compose": 47}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
@@ -652,7 +653,8 @@ def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
 
 def test_twisted_detect_nu_inverts_r_once(monkeypatch, tmp_path, capsys):
     # twisted-x-match reads K off the system the pipeline verified, so the
-    # detected nu does not build a second RMatrixSystem.
+    # detected nu does not build a second RMatrixSystem, and R^-1 is the
+    # closed form of kappa-inverse-form: R is not inverted at all.
     import bmwcert.core
 
     calls = []
@@ -666,7 +668,63 @@ def test_twisted_detect_nu_inverts_r_once(monkeypatch, tmp_path, capsys):
     twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
     assert main(["verify", "--family", "sp", "--dim", "2", "--twist", twist, "--detect-nu"]) == 0
     assert "twisted-x-match" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+ELIMINATION = ("rank", "inverse", "solve_multi_rhs")
+
+
+def _count_eliminations(monkeypatch):
+    """Calls of the elimination kernels wherever the package binds them."""
+    import bmwcert.cli
+    import bmwcert.core
+    import bmwcert.families
+
+    calls = dict.fromkeys(ELIMINATION, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ELIMINATION:
+        for mod in (bmwcert.core, bmwcert.families, bmwcert.cli):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    return calls
+
+
+@pytest.mark.parametrize("mode", [[], ["--at-s", "3/2"]], ids=["symbolic", "numeric"])
+def test_passing_family_verdicts_eliminate_nothing(monkeypatch, tmp_path, capsys, mode):
+    # R^-1, Psi and rank(K) = 1 are closed forms checked by products.
+    calls = _count_eliminations(monkeypatch)
+    twist = write_twist(tmp_path / "d.json", SO4_TWIST_TEXT)
+    for source in (["--family", "so", "--dim", "5"], ["--family", "sp", "--dim", "4"],
+                   ["--family", "so", "--dim", "4", "--twist", twist]):
+        assert main(["verify", *source, *mode]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(ELIMINATION, 0)
+
+
+@pytest.mark.parametrize(
+    "control, expected",
+    [
+        # bmw-rk fails and rank(K) = 2: every candidate is turned down.
+        ("bump", {"rank": 1, "inverse": 1, "solve_multi_rhs": 1}),
+        # R K != nu K and K is not gbar g^T; the skew system is singular, so
+        # the pipeline aborts before rank(K) is asked for.
+        ("ident", {"rank": 0, "inverse": 1, "solve_multi_rhs": 1}),
+    ],
+)
+def test_negative_controls_reach_the_elimination_fallbacks(
+    monkeypatch, tmp_path, capsys, control, expected
+):
+    calls = _count_eliminations(monkeypatch)
+    assert main(["verify", "--input", *_control_file(tmp_path, control)]) == 1
+    capsys.readouterr()
+    assert calls == expected
 
 
 def test_negative_at_s_needs_no_equals_sign(capsys):

@@ -460,8 +460,8 @@ def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
             built.append((op, tuple(positions)))
         return real_embed(op, positions, n)
 
-    def capturing_skew_inverse(sys):
-        skews.append(real_skew_inverse(sys))
+    def capturing_skew_inverse(*args):
+        skews.append(real_skew_inverse(*args))
         return skews[-1]
 
     monkeypatch.setattr(core, "embed", counting_embed)
