@@ -12,10 +12,11 @@ relations, the skew inverse Psi with its partial traces C and D, the trace
 identities tying C and D to K, the rank-one factorization of K into the
 bilinear pairings g and gbar, the mutually inverse X/Y contractions with the
 palindromic symmetry of the characteristic polynomial of X, and finally the
-conjugation lemma for commuting-entry matrices against K_23 K_12, decided as
-one commutant identity: with Z = K_23 K_12 X_3, P_13 Z = (N^-1 Tr_3(P_13 Z))_12.
-Its witness, built only when that fails, reads Y as X^-1, which xy-inverse
-checks first.
+conjugation lemma for commuting-entry matrices against K_23 K_12.  When
+K = gbar g^T that lemma is decided on N x N data, as (Gbar G) X being a
+scalar matrix; otherwise as one commutant identity: with Z = K_23 K_12 X_3,
+P_13 Z = (N^-1 Tr_3(P_13 Z))_12.  Its witness, built only when the lemma
+fails, reads Y as X^-1, which xy-inverse checks first.
 
 Derived quantities are verified, not solved for: R^-1, Psi and the
 factorization K = gbar g^T are formed in closed form from the paper's own
@@ -106,16 +107,19 @@ class RMatrixSystem:
 
 @dataclass
 class KappaData:
-    """The contraction operator K with its loop value mu (K^2 = mu K).
+    """The contraction operator K with its loop value mu (K^2 = mu K), and
+    the operator R it was formed from.
 
     `pairing` is the pivot factorization of K (see factor_pairings) when
     K == gbar g^T, which holds exactly when rank(K) = 1, and None otherwise;
-    `rank` is eliminated only when that comparison fails.  Each is formed
-    once, on first use.
+    `rank` is eliminated only when that comparison fails.  `rk` and `kr` are
+    the products R K and K R, which the closed-form R^-1, bmw-rk and
+    minimal-cubic share.  Each is formed once, on first use.
     """
 
     K: TensorOperator
     mu: object
+    R: Optional[TensorOperator] = None
 
     @cached_property
     def pairing(self):
@@ -124,6 +128,14 @@ class KappaData:
     @cached_property
     def rank(self):
         return 1 if self.pairing is not None else rank(self.K.mat)
+
+    @cached_property
+    def rk(self):
+        return compose(self.R, self.K)
+
+    @cached_property
+    def kr(self):
+        return compose(self.K, self.R)
 
 
 @dataclass
@@ -276,7 +288,7 @@ def _kappa_raw(sys, w_op=None):
     outcome = _outcome(
         "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
     )
-    return KappaData(kappa, mu), outcome
+    return KappaData(kappa, mu, sys.R), outcome
 
 
 def kappa_of(sys):
@@ -312,13 +324,13 @@ def _closed_form_r_inv(sys, kappa):
 
     K = (lam nu)^-1 (q - R)(q^-1 + R) says R^2 - lam R = I - lam nu K, so
     R (R - lam I + lam K) = I + lam (R K - nu K): the candidate is R^-1
-    exactly when R K = nu K, which one N^2 x N^2 product decides.
+    exactly when R K = nu K, which the product R K of bmw-rk decides.
     """
     f = sys.field
-    r, k = sys.R, kappa.K
-    if compose(r, k) != scale(sys.nu, k):
+    k = kappa.K
+    if kappa.rk != scale(sys.nu, k):
         return None
-    return add(sub(r, scale(f.lam, TensorOperator.identity(sys.N, 2, f))), scale(f.lam, k))
+    return add(sub(sys.R, scale(f.lam, TensorOperator.identity(sys.N, 2, f))), scale(f.lam, k))
 
 
 def check_kappa_inverse_form(sys, kappa):
@@ -370,7 +382,7 @@ def check_bmw_relations(sys, kappa, yang_baxter):
             "R^2 = I + lambda (R - nu K)",
             [(compose(r, r), add(ident2, scale(f.lam, sub(r, nu_k))))],
         ),
-        _outcome("bmw-rk", "R K = K R = nu K", [(compose(r, k), nu_k), (compose(k, r), nu_k)]),
+        _outcome("bmw-rk", "R K = K R = nu K", [(kappa.rk, nu_k), (kappa.kr, nu_k)]),
     ]
     pair = kappa.pairing
     if pair is not None:
@@ -439,13 +451,12 @@ def _k_bordered(sys, k1, k2, k1_left, k2_left):
 
 
 def check_minimal_cubic(sys, kappa):
-    """(R - q)(R + q^-1) is exactly -lam nu K, so the cubic reuses K."""
+    """(R - q)(R + q^-1) is exactly -lam nu K, so the cubic is
+    -lam nu (K R - nu K) and reuses the product K R of bmw-rk."""
     f = sys.field
-    ident = TensorOperator.identity(sys.N, 2, f)
-    prod = compose(
-        scale(f.zero - f.lam * sys.nu, kappa.K), sub(sys.R, scale(sys.nu, ident))
-    )
-    zero = scale(f.zero, ident)
+    k = kappa.K
+    prod = scale(f.zero - f.lam * sys.nu, sub(kappa.kr, scale(sys.nu, k)))
+    zero = scale(f.zero, k)
     return _outcome("minimal-cubic", "(R - q)(R + q^-1)(R - nu) = 0", [(prod, zero)])
 
 
@@ -470,20 +481,18 @@ def _psi_candidate(sys, kappa):
     return scale(sys.field.one / (nu * nu), compose(dr, embed(c, (2,), 2)))
 
 
-def _skew_sides(m_r, s_r, psi, swap):
-    """Whether skew-left and skew-right hold for psi, decided on N^2 x N^2
-    products.
+def _skew_sides(m_r, psi, swap):
+    """Whether skew-left and skew-right hold for psi, decided on one
+    N^2 x N^2 product.
 
     Entry for entry, Tr_2(R_12 Psi_23) = P_13 reads M_R S_Psi = P and
     Tr_2(Psi_12 R_23) = P_13 reads M_Psi S_R = P, where S_X is
-    realign(X), M_X = S_X P, and P = swap is the transposition of V x V.
-    m_r and s_r are M_R and S_R.
+    realign(X), M_X = S_X P, and P = swap is the transposition of V x V;
+    m_r is M_R.  The two sides are equivalent: M_R S_Psi = P says
+    S_R (P S_Psi P) = I, a one-sided inverse of a square matrix is
+    two-sided, so S_Psi P S_R = P, and the converse is the same argument.
     """
-    s_psi = realign(psi)
-    return (
-        compose(m_r, s_psi) == swap,
-        compose(compose(s_psi, swap), s_r) == swap,
-    )
+    return compose(m_r, realign(psi)) == swap
 
 
 def skew_inverse(sys, kappa=None):
@@ -503,34 +512,34 @@ def skew_inverse(sys, kappa=None):
     """
     n = sys.N
     swap = permutation_op(n, 2, 1, 2, sys.field)
-    s_r = realign(sys.R)
-    m_r = compose(s_r, swap)
+    m_r = compose(realign(sys.R), swap)
     psi = _psi_candidate(sys, kappa)
-    if psi is not None and all(_skew_sides(m_r, s_r, psi, swap)):
-        sides = (True, True)
-    else:
+    holds = psi is not None and _skew_sides(m_r, psi, swap)
+    if not holds:
         try:
             sol = solve_multi_rhs(m_r.mat, swap.mat)
         except Singular as exc:
             raise NotSkewInvertible(f"the reshuffled {n * n} x {n * n} system is singular") from exc
         psi = realign(TensorOperator(n, 2, sol))
-        sides = _skew_sides(m_r, s_r, psi, swap)
+        holds = _skew_sides(m_r, psi, swap)
     skew = SkewData(psi, partial_trace(psi, 1), partial_trace(psi, 2))
-    skew.outcomes = check_skew(sys, skew, sides)
+    skew.outcomes = check_skew(sys, skew, holds)
     if not all(o.passed for o in skew.outcomes):
+        # skew-right holds exactly when skew-left does, so the first failure
+        # is skew-left or a contraction, never skew-right.
         bad = next(o for o in skew.outcomes if not o.passed)
         raise NotSkewInvertible(f"no common solution of the defining equalities ({bad.id})")
     skew.d_rinv_trace = partial_trace(compose(embed(skew.D, (2,), 2), sys.R_inv), 2).mat
     return skew
 
 
-def check_skew(sys, skew, sides):
+def check_skew(sys, skew, holds):
     """Outcomes for the defining equalities of Psi and the contractions of
     C and D against R.
 
-    sides says whether skew-left and skew-right hold, as _skew_sides decides
-    them on N^2 x N^2 products; only a failing side forms its three-site
-    product, for the witness.
+    holds says whether skew-left and skew-right hold, which they do together,
+    as _skew_sides decides on one N^2 x N^2 product; only a failing side
+    forms its three-site product, for the witness.
     """
     f = sys.field
     n = sys.N
@@ -545,8 +554,8 @@ def check_skew(sys, skew, sides):
         return _outcome(check_id, equation, [(lhs, permutation_op(n, 2, 1, 2, f))])
 
     return [
-        side(sides[0], "skew-left", "Tr_2(R_12 Psi_23) = P_13", sys.R, skew.Psi),
-        side(sides[1], "skew-right", "Tr_2(Psi_12 R_23) = P_13", skew.Psi, sys.R),
+        side(holds, "skew-left", "Tr_2(R_12 Psi_23) = P_13", sys.R, skew.Psi),
+        side(holds, "skew-right", "Tr_2(Psi_12 R_23) = P_13", skew.Psi, sys.R),
         _outcome(
             "c-contraction",
             "Tr_1(C_1 R_12) = I",
@@ -743,11 +752,17 @@ def _build_xy(pair, f):
     which the conjugation rule of rtt_lemma needs; a diagonal X cannot tell
     the two apart.
     """
+    g, gbar = _pairing_matrices(pair, f)
+    x = FieldMatrix.from_entries(pair.N, f, [(j, i, v) for (i, j), v in (g * gbar).items()])
+    return x, gbar * g
+
+
+def _pairing_matrices(pair, f):
+    """G[i, k] = g^ik and Gbar[k, j] = gbar_kj as N x N matrices."""
     n = pair.N
     g = FieldMatrix.from_entries(n, f, [(i - 1, k - 1, v) for (i, k), v in pair.g.items()])
     gbar = FieldMatrix.from_entries(n, f, [(k - 1, j - 1, v) for (k, j), v in pair.gbar.items()])
-    x = FieldMatrix.from_entries(n, f, [(j, i, v) for (i, j), v in (g * gbar).items()])
-    return x, gbar * g
+    return g, gbar
 
 
 def _xy_outcomes(pair, field):
@@ -804,24 +819,33 @@ def rtt_lemma(kappa, xy):
     linearity extends the check to every commuting-entry matrix.
 
     With Z = K_23 K_12 X_3 the rule reads T_1 Z = Z T_3 for every T, that
-    is, P_13 Z commutes with every T_3, which holds exactly when
-    P_13 Z = (N^-1 Tr_3(P_13 Z))_12: one identity decides the check.  X_3
-    commutes with K_12, so Z is formed as (K X_2)_23 K_12, which embeds X
-    on two factors instead of three.  Only when the identity fails is a
-    witness built: the first nonzero residual T_1 KK - KK (X T Y)_3,
-    KK = K_23 K_12, over the matrix units e_ab in row-major order.  The
-    witness needs Y = X^-1, which xy-inverse establishes before the
-    pipeline runs this check.
+    is, P_13 Z commutes with every T_3.  When K = gbar g^T
+    (kappa.pairing), K_23 K_12 has the entry gbar_bc g_de (Gbar G)_af at
+    ((a,b,c),(d,e,f)), so the rule reads T (Gbar G) X = (Gbar G) X T: it
+    holds exactly when the N x N matrix (Gbar G) X is scalar.  Otherwise it
+    holds exactly when P_13 Z = (N^-1 Tr_3(P_13 Z))_12, and X_3 commutes
+    with K_12, so Z is formed as (K X_2)_23 K_12, which embeds X on two
+    factors instead of three.  Only when the rule fails is a witness
+    built: the first nonzero residual T_1 KK - KK (X T Y)_3, KK = K_23 K_12,
+    over the matrix units e_ab in row-major order.  The witness needs
+    Y = X^-1, which xy-inverse establishes before the pipeline runs this
+    check.
     """
     f = kappa.K.field
     n = kappa.K.N
     eq_text = "T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3 for all matrix units T"
-    k12 = embed(kappa.K, (1, 2), 3)
-    kx = compose(kappa.K, embed(TensorOperator(n, 1, xy.X), (2,), 2))
-    pz = compose(permutation_op(n, 3, 1, 3, f), compose(embed(kx, (2, 3), 3), k12))
-    if pz == embed(scale(f.one / f.from_int(n), partial_trace(pz, 3)), (1, 2), 3):
+    if kappa.pairing is not None:
+        g, gbar = _pairing_matrices(kappa.pairing, f)
+        yx = gbar * g * xy.X
+        holds = yx == FieldMatrix.identity(n, f).scaled_by(yx.get(0, 0))
+    else:
+        kx = compose(kappa.K, embed(TensorOperator(n, 1, xy.X), (2,), 2))
+        k12 = embed(kappa.K, (1, 2), 3)
+        pz = compose(permutation_op(n, 3, 1, 3, f), compose(embed(kx, (2, 3), 3), k12))
+        holds = pz == embed(scale(f.one / f.from_int(n), partial_trace(pz, 3)), (1, 2), 3)
+    if holds:
         return Outcome("rtt-conjugation", eq_text, True)
-    kk = compose(embed(kappa.K, (2, 3), 3), k12)
+    kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3))
     for a, b in product(range(n), repeat=2):
         t = FieldMatrix.from_entries(n, f, [(a, b, f.one)])
         t1 = embed(TensorOperator(n, 1, t), (1,), 3)

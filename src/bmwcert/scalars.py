@@ -18,6 +18,31 @@ alike, so it changes no comparison, hash or printed text.
 Equality of scalars is therefore structural equality, and values are safe to
 hash and to share between threads: everything here is immutable and every
 operation is pure.
+
+Arithmetic keeps that form by Henrici's rules (P. Henrici, JACM 3(1):6-9,
+1956; Knuth, TAOCP vol. 2, 4.5.1), which take gcds of the operands' own
+parts and never of a whole product or cross-multiplied sum.  Write a = n/d
+with n = s^k c P, P the primitive part, and b = n'/d' alike; gcd(P, d) = 1
+and gcd(P', d') = 1 by the form, and s divides no denominator.
+
+  * Product: cancel g1 = gcd(P, d') and g2 = gcd(P', d); the result is
+    s^(k+k') c c' (P/g1)(P'/g2) / ((d/g2)(d'/g1)).  A prime factor of
+    d/g2 divides neither P (coprime to d) nor P'/g2 (g2 took what P' shares
+    with d), and likewise for d'/g1, so it is coprime.  A gcd is skipped
+    when its denominator is 1 or its numerator part P is 1 (a monomial).
+  * Inverse: s^-k c^-1 d / P.  P is already primitive, positive-leading
+    and coprime to d, so no gcd is taken; a quotient is a product with an
+    inverse.
+  * Power: n^k / d^k, coprime because n and d are.
+  * Sum: g = gcd(d, d'), t = n (d'/g) + n' (d/g), g2 = gcd(P_t, g); the
+    result is (t/g2) / ((d/g) (d'/g2)).  A prime factor of d/g that divided
+    t would divide n (d'/g), but it divides neither n nor d'/g; likewise
+    for d'/g, and g2 takes what t shares with g.  When g = 1 the cross sum
+    is already reduced, and when a denominator is 1 no gcd is taken at all.
+
+Products and sums of primitive, positive-leading polynomials with nonzero
+constant terms are such polynomials again (Gauss), and so are their exact
+quotients, so every denominator stays in canonical form.
 """
 
 from __future__ import annotations
@@ -76,33 +101,52 @@ def _ip_primitive(u):
 
 
 def _ip_pseudo_rem(u, v):
-    """Pseudo-remainder of u by v (both nonzero, deg u >= deg v)."""
+    """A nonzero integer multiple of the remainder of u by v in Q[s], both
+    nonzero, deg u >= deg v, and v positive-leading.  Each step scales by
+    lc(v) / gcd(lc(v), c) only, which a monic v never does."""
     dv = _ip_degree(v)
     lv = v[-1]
     r = list(u)
     for k in range(_ip_degree(u) - dv, -1, -1):
-        c = r[dv + k] if dv + k < len(r) else 0
+        c = r.pop()
         if not c:
             continue
-        r = [lv * a for a in r]
-        for t in range(dv + 1):
+        if lv != 1:
+            g = _int_gcd(lv, c)
+            c //= g
+            if lv != g:
+                a = lv // g
+                r = [a * x for x in r]
+        for t in range(dv):
             r[k + t] -= c * v[t]
-        _ip_trim(r)
-        if not r:
-            break
-    return r
+    return _ip_trim(r)
 
 
 def _ip_gcd(u, v):
-    """Gcd of integer polynomials by a primitive remainder sequence."""
-    u = _ip_primitive(list(u))
-    v = _ip_primitive(list(v))
+    """Gcd of primitive, positive-leading integer polynomials by a primitive
+    remainder sequence; primitive and positive-leading itself."""
     if _ip_degree(u) < _ip_degree(v):
         u, v = v, u
     while v:
         r = _ip_pseudo_rem(u, v)
         u, v = v, (_ip_primitive(r) if r else [])
     return u
+
+
+def _ip_mul(u, v):
+    """Product of integer polynomials."""
+    if len(u) == 1:
+        c = u[0]
+        return v if c == 1 else [c * b for b in v]
+    if len(v) == 1:
+        c = v[0]
+        return u if c == 1 else [c * a for a in u]
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+    return out
 
 
 def _ip_exact_div(u, v):
@@ -206,8 +250,8 @@ class LaurentPoly:
             total += c * at**e
         return total
 
-    def int_form(self):
-        """Split a poly with min_exp 0 as content * primitive-int-list.
+    def int_form(self, low=0):
+        """Split s^-low times a poly with min_exp low as content * int list.
 
         Returns (content, coeffs) with content a canonical coefficient
         carrying the sign of the leading coefficient and coeffs an
@@ -223,22 +267,31 @@ class LaurentPoly:
                 den_lcm = den_lcm // _int_gcd(den_lcm, d) * d
         if self.terms[deg] < 0:
             num_gcd = -num_gcd
-        coeffs = [0] * (deg + 1)
+        coeffs = [0] * (deg - low + 1)
         if den_lcm == 1:
             for e, c in self.terms.items():
-                coeffs[e] = c // num_gcd
+                coeffs[e - low] = c // num_gcd
             return num_gcd, coeffs
         # num_gcd and den_lcm are coprime, so the content is not integral.
         for e, c in self.terms.items():
-            coeffs[e] = c.numerator * (den_lcm // c.denominator) // num_gcd
+            coeffs[e - low] = c.numerator * (den_lcm // c.denominator) // num_gcd
         return Fraction(num_gcd, den_lcm), coeffs
 
+    def int_list(self):
+        """The ascending coefficient list of an integer polynomial."""
+        coeffs = [0] * (self.max_exp() + 1)
+        for e, c in self.terms.items():
+            coeffs[e] = c
+        return coeffs
+
     @classmethod
-    def from_int_list(cls, coeffs, scale=1):
-        scale = _coeff(scale)
+    def from_int_list(cls, coeffs, scale=1, shift=0):
+        """scale * s^shift * sum coeffs[e] s^e."""
+        if scale.__class__ is not int:
+            scale = _coeff(scale)
         if scale.__class__ is int:
-            return cls({e: scale * c for e, c in enumerate(coeffs) if c})
-        return cls({e: _coeff(scale * c) for e, c in enumerate(coeffs) if c})
+            return cls({e + shift: scale * c for e, c in enumerate(coeffs) if c})
+        return cls({e + shift: _coeff(scale * c) for e, c in enumerate(coeffs) if c})
 
 
 _LP_ONE = LaurentPoly.const(1)
@@ -315,19 +368,29 @@ class Scalar:
     def __bool__(self):
         return not self.num.is_zero()
 
-    # -- arithmetic
+    # -- arithmetic: Henrici's rules (module docstring)
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.den is other.den or self.den == other.den:
-            if self.den.terms == {0: 1}:
+        ad, bd = self.den, other.den
+        if ad is bd or ad.terms == bd.terms:
+            if ad.terms == _ONE_TERMS:
                 s = self.num + other.num
                 return Scalar(s, _LP_ONE) if s.terms else _SC_ZERO
-            return Scalar._make(self.num + other.num, self.den)
-        return Scalar._make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+            return Scalar._make(self.num + other.num, ad)
+        if bd.terms == _ONE_TERMS:
+            return Scalar(self.num + other.num * ad, ad)
+        if ad.terms == _ONE_TERMS:
+            return Scalar(self.num * bd + other.num, bd)
+        adl, bdl = ad.int_list(), bd.int_list()
+        g = _ip_gcd(adl, bdl)
+        if len(g) == 1:
+            return Scalar(self.num * bd + other.num * ad, ad * bd)
+        ad = LaurentPoly.from_int_list(_ip_exact_div(adl, g))
+        bd = LaurentPoly.from_int_list(_ip_exact_div(bdl, g))
+        r = Scalar._make(self.num * bd + other.num * ad, LaurentPoly.from_int_list(g))
+        return Scalar(r.num, r.den * ad * bd)
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
@@ -342,37 +405,69 @@ class Scalar:
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        if self.num.is_zero() or other.num.is_zero():
+        a, b = self.num.terms, other.num.terms
+        if not a or not b:
             return _SC_ZERO
-        if self.den.terms == {0: 1} and other.den.terms == {0: 1}:
-            return Scalar(self.num * other.num, _LP_ONE)
-        return Scalar._make(self.num * other.num, self.den * other.den)
+        ad, bd = self.den, other.den
+        # A factor c s^k only rescales the other numerator.
+        if bd.terms == _ONE_TERMS and (ad.terms == _ONE_TERMS or len(b) == 1):
+            return Scalar(self.num * other.num, ad)
+        if ad.terms == _ONE_TERMS and len(a) == 1:
+            return Scalar(self.num * other.num, bd)
+        ka = self.num.min_exp()
+        kb = other.num.min_exp()
+        ca, an = self.num.int_form(ka)
+        cb, bn = other.num.int_form(kb)
+        adl, bdl = ad.int_list(), bd.int_list()
+        if len(an) > 1 and len(bdl) > 1:
+            g = _ip_gcd(an, bdl)
+            if len(g) > 1:
+                an, bdl = _ip_exact_div(an, g), _ip_exact_div(bdl, g)
+        if len(bn) > 1 and len(adl) > 1:
+            g = _ip_gcd(bn, adl)
+            if len(g) > 1:
+                bn, adl = _ip_exact_div(bn, g), _ip_exact_div(adl, g)
+        den = _ip_mul(adl, bdl)
+        return Scalar(
+            LaurentPoly.from_int_list(_ip_mul(an, bn), ca * cb, ka + kb),
+            LaurentPoly.from_int_list(den) if len(den) > 1 else _LP_ONE,
+        )
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         if other.num.is_zero():
             raise DivisionByZero("division by zero scalar")
-        return Scalar._make(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self):
-        if self.num.is_zero():
+        num = self.num
+        if num.is_zero():
             raise DivisionByZero("inverse of zero")
-        return Scalar._make(self.den, self.num)
+        k = num.min_exp()
+        c, p = num.int_form(k)
+        return Scalar(
+            LaurentPoly.from_int_list(self.den.int_list(), _ratio(1, c), -k),
+            LaurentPoly.from_int_list(p) if len(p) > 1 else _LP_ONE,
+        )
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = _SC_ONE
-        base = self
+        # Powers of coprime polynomials are coprime: no gcd.
+        num = den = _LP_ONE
+        bn, bd = self.num, self.den
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                num = num * bn
+                den = den * bd
             k >>= 1
-        return out
+            if k:
+                bn = bn * bn
+                bd = bd * bd
+        return Scalar(num, den) if num.terms else _SC_ZERO
 
     # -- comparison and hashing (canonical form makes this structural)
 

@@ -606,9 +606,11 @@ def test_sp_verdict_detects_nu_once(monkeypatch, capsys):
 def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, source):
     # nu is detected once, W = (q - R)(q^-1 + R) is formed once for both nu
     # and K, and minimal-cubic and the trace Tr_2(D_2 R^-1) reuse what the
-    # pipeline already formed.  rank(K) = 1 is decided as K == gbar g^T, so
-    # a passing verdict eliminates nothing.  Each function is counted
-    # wherever the pipeline or the CLI binds it.
+    # pipeline already formed.  R K and K R are formed once each, one product
+    # decides both skew sides, and with K = gbar g^T rtt-conjugation composes
+    # no operator.  rank(K) = 1 is decided as K == gbar g^T, so a passing
+    # verdict eliminates nothing.  Each function is counted wherever the
+    # pipeline or the CLI binds it.
     import bmwcert.cli
     import bmwcert.core
 
@@ -627,7 +629,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     assert main(["verify", *source(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"detect_nu": 1, "rank": 0, "compose": 47}
+    assert calls == {"detect_nu": 1, "rank": 0, "compose": 40}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):

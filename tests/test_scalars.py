@@ -1,5 +1,6 @@
 """Field arithmetic, canonical form, parsing and evaluation."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -268,3 +269,121 @@ def test_power_negative():
     assert (q + one) ** 0 == one
     with pytest.raises(DivisionByZero):
         F.zero.inverse()
+
+
+# Henrici's rules against the unreduced cross formulas.  The scalars share
+# denominator factors from one pool, so equal, partly shared and coprime
+# denominators all occur, and so do cancellation to 0 and to 1.
+_FACTORS = ["q + 1", "q + 2", "2*q - 1", "q^2 + q + 1", "s + 3", "3*s^2 - s + 2"]
+
+
+def pooled_scalar(rng):
+    """s^k c (factors) / (factors), canonicalised by _make."""
+
+    def poly(count):
+        p = LaurentPoly.const(1)
+        for _ in range(count):
+            p = p * parse(rng.choice(_FACTORS)).num
+        return p
+
+    content = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 7]))
+    num = poly(rng.randint(0, 2)) * LaurentPoly({rng.randint(-3, 3): content})
+    return Scalar._make(num, poly(rng.randint(0, 2)))
+
+
+def cross_formulas(a, b):
+    """(name, value, unreduced num, unreduced den) of each operation."""
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    cases = [
+        ("a + b", a + b, an * bd + bn * ad, ad * bd),
+        ("a - b", a - b, an * bd - bn * ad, ad * bd),
+        ("a * b", a * b, an * bn, ad * bd),
+    ]
+    if b:
+        cases.append(("a / b", a / b, an * bd, ad * bn))
+    if a:
+        cases.append(("a.inverse()", a.inverse(), ad, an))
+        cases.append(("a ** -2", a**-2, ad * ad, an * an))
+    return cases
+
+
+def assert_matches_cross_formulas(a, b):
+    for name, got, num, den in cross_formulas(a, b):
+        want = Scalar._make(num, den)
+        where = (name, str(a), str(b), str(got), str(want))
+        assert got.num.terms == want.num.terms and got.den.terms == want.den.terms, where
+        assert canonical_invariants(got), where
+
+
+def test_henrici_rules_agree_with_the_cross_formulas():
+    from bmwcert.scalars import _ip_gcd
+
+    rng = random.Random(20261018)
+    pool = [pooled_scalar(rng) for _ in range(40)]
+    kinds = {"equal": 0, "shared": 0, "coprime": 0, "zero": 0, "one": 0}
+    for i, a in enumerate(pool):
+        for b in pool[i : i + 8] + [-a, a.inverse() if a else a]:
+            assert_matches_cross_formulas(a, b)
+            if a.den == b.den:
+                kinds["equal"] += 1
+            elif len(_ip_gcd(a.den.int_list(), b.den.int_list())) > 1:
+                kinds["shared"] += 1
+            else:
+                kinds["coprime"] += 1
+            kinds["zero"] += (a + b).is_zero()
+            kinds["one"] += a * b == one
+    assert min(kinds.values()) > 0, kinds
+    negative_leading = [x for x in pool if x.num.terms[x.num.max_exp()] < 0]
+    fraction_content = [x for x in pool if any(type(c) is Fraction for c in x.num.terms.values())]
+    shifted = [x for x in pool if x and x.num.min_exp() != 0]
+    assert negative_leading and fraction_content and shifted
+
+
+@pytest.mark.parametrize(
+    "a, b, op, gcds, want",
+    [
+        # Sum, g = gcd(ad, bd) = 1: the one gcd is g itself.
+        ("1/(q + 1)", "1/(q + 2)", "+", 1, "(2*q + 3)/(q^2 + 3*q + 2)"),
+        # Sum, g = q + 1 and g2 = gcd(t, g) = 1.
+        ("1/((q + 1)*(q + 2))", "1/((q + 1)*(q + 3))", "+", 2,
+         "(2*q + 5)/(q^3 + 6*q^2 + 11*q + 6)"),
+        # Sum, g = q + 1 and g2 = q + 1: t = -(q + 1) cancels against g.
+        ("1/((q + 1)*(q + 2))", "-2/((q + 1)*(q + 3))", "+", 2, "-1/(q^2 + 5*q + 6)"),
+        # Sum with a denominator of 1: no gcd.
+        ("q + 1", "1/(q + 2)", "+", 0, "(q^2 + 3*q + 3)/(q + 2)"),
+        # Product of monomial numerators: no gcd.
+        ("2*q/(q + 1)", "3/(q + 2)", "*", 0, "6*q/(q^2 + 3*q + 2)"),
+        # Product, both cross gcds cancel.
+        ("(q + 1)/(q + 2)", "(q + 2)/(q + 1)", "*", 2, "1"),
+        # Quotient and inverse take no gcd for the inverse.
+        ("q/(q + 1)", "(q + 1)/(q + 2)", "/", 1, "q*(q + 2)/(q + 1)^2"),
+    ],
+)
+def test_henrici_branches(monkeypatch, a, b, op, gcds, want):
+    import bmwcert.scalars as scalars
+
+    a, b = parse(a), parse(b)
+    calls = []
+    gcd = scalars._ip_gcd
+
+    def counting(u, v):
+        calls.append((u, v))
+        return gcd(u, v)
+
+    monkeypatch.setattr(scalars, "_ip_gcd", counting)
+    got = {"+": operator.add, "*": operator.mul, "/": operator.truediv}[op](a, b)
+    assert len(calls) == gcds
+    monkeypatch.undo()
+    assert got == parse(want)
+    assert_matches_cross_formulas(a, b)
+
+
+def test_inverse_and_powers_take_no_gcd(monkeypatch):
+    import bmwcert.scalars as scalars
+
+    x = parse("(q^2 - 1/3)/(2*q + 1)") * q**-3
+    monkeypatch.setattr(scalars, "_ip_gcd", None)
+    for got in (x.inverse(), x**3, x**-2):
+        assert canonical_invariants(got)
+    monkeypatch.undo()
+    assert x.inverse() * x == one and x**3 * x**-2 == x
