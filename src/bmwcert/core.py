@@ -12,11 +12,11 @@ relations, the skew inverse Psi with its partial traces C and D, the trace
 identities tying C and D to K, the rank-one factorization of K into the
 bilinear pairings g and gbar, the mutually inverse X/Y contractions with the
 palindromic symmetry of the characteristic polynomial of X, and finally the
-conjugation lemma for commuting-entry matrices against K_23 K_12.  When
-K = gbar g^T that lemma is decided on N x N data, as (Gbar G) X being a
-scalar matrix; otherwise as one commutant identity: with Z = K_23 K_12 X_3,
-P_13 Z = (N^-1 Tr_3(P_13 Z))_12.  Its witness, built only when the lemma
-fails, reads Y as X^-1, which xy-inverse checks first.
+conjugation lemma for commuting-entry matrices against K_23 K_12.  That
+lemma needs rank(K) = 1 and is decided on N x N data: with
+M[a, f] = sum_k K[(a,k),(k,f)], which is Gbar G for every gauge of the
+pairings, it holds exactly when M X is a scalar matrix.  Its witness, built
+only when the lemma fails, reads Y as X^-1, which xy-inverse checks first.
 
 Derived quantities are verified, not solved for: R^-1, Psi and the
 factorization K = gbar g^T are formed in closed form from the paper's own
@@ -481,81 +481,66 @@ def _psi_candidate(sys, kappa):
     return scale(sys.field.one / (nu * nu), compose(dr, embed(c, (2,), 2)))
 
 
-def _skew_sides(m_r, psi, swap):
-    """Whether skew-left and skew-right hold for psi, decided on one
-    N^2 x N^2 product.
-
-    Entry for entry, Tr_2(R_12 Psi_23) = P_13 reads M_R S_Psi = P and
-    Tr_2(Psi_12 R_23) = P_13 reads M_Psi S_R = P, where S_X is
-    realign(X), M_X = S_X P, and P = swap is the transposition of V x V;
-    m_r is M_R.  The two sides are equivalent: M_R S_Psi = P says
-    S_R (P S_Psi P) = I, a one-sided inverse of a square matrix is
-    two-sided, so S_Psi P S_R = P, and the converse is the same argument.
-    """
-    return compose(m_r, realign(psi)) == swap
-
-
 def skew_inverse(sys, kappa=None):
     """The skew inverse Psi: Tr_2(R_12 Psi_23) = Tr_2(Psi_12 R_23) = P_13.
 
     In entries the defining system reads, for all a, e, c, g:
         sum_{b, bp} R[(a,b),(e,bp)] Psi[(bp,c),(b,g)] = delta(a,g) delta(c,e)
-    which is M_R S_Psi = P (see _skew_sides): one N^2 x N^2 coefficient
-    matrix shared by N^2 right-hand sides.  Psi, when it exists, is the
-    unique solution.  Given kappa with rank(K) = 1, the closed form of
-    _psi_candidate is tried first and taken when it satisfies both defining
-    equalities; a solution of M_R S_Psi = P proves M_R nonsingular, so it is
-    the solution elimination would find.  Only otherwise is the system
-    solved.  Both defining equalities and both derived contractions
-        Tr_1(C_1 R_12) = I,   Tr_2(D_2 R_12) = I
-    are then verified exactly.
+    which is M_R S_Psi = P, where S_X is realign(X), M_X = S_X P, and P is
+    the transposition of V x V: one N^2 x N^2 coefficient matrix shared by
+    N^2 right-hand sides.  Tr_2(Psi_12 R_23) = P_13 reads M_Psi S_R = P, and
+    follows: M_R S_Psi = P says S_R (P S_Psi P) = I, and a one-sided inverse
+    of a square matrix is two-sided, so S_Psi P S_R = P.
+
+    Psi, when it exists, is the unique solution.  Given kappa with
+    rank(K) = 1, the closed form of _psi_candidate is taken when
+    M_R S_Psi = P holds for it, which proves M_R nonsingular, so it is the
+    solution elimination would find.  Only otherwise is the system solved,
+    and the solution is checked by the same product.  The Psi returned thus
+    always satisfies both defining equalities, and check_skew verifies the
+    two contractions of C and D against R.
     """
     n = sys.N
     swap = permutation_op(n, 2, 1, 2, sys.field)
     m_r = compose(realign(sys.R), swap)
     psi = _psi_candidate(sys, kappa)
-    holds = psi is not None and _skew_sides(m_r, psi, swap)
-    if not holds:
+    if psi is None or compose(m_r, realign(psi)) != swap:
         try:
             sol = solve_multi_rhs(m_r.mat, swap.mat)
         except Singular as exc:
             raise NotSkewInvertible(f"the reshuffled {n * n} x {n * n} system is singular") from exc
         psi = realign(TensorOperator(n, 2, sol))
-        holds = _skew_sides(m_r, psi, swap)
+        if compose(m_r, realign(psi)) != swap:
+            raise RuntimeError("the solved skew inverse fails M_R S_Psi = P")
     skew = SkewData(psi, partial_trace(psi, 1), partial_trace(psi, 2))
-    skew.outcomes = check_skew(sys, skew, holds)
-    if not all(o.passed for o in skew.outcomes):
-        # skew-right holds exactly when skew-left does, so the first failure
-        # is skew-left or a contraction, never skew-right.
-        bad = next(o for o in skew.outcomes if not o.passed)
-        raise NotSkewInvertible(f"no common solution of the defining equalities ({bad.id})")
+    skew.outcomes = check_skew(sys, skew)
     skew.d_rinv_trace = partial_trace(compose(embed(skew.D, (2,), 2), sys.R_inv), 2).mat
     return skew
 
 
-def check_skew(sys, skew, holds):
+def check_skew(sys, skew):
     """Outcomes for the defining equalities of Psi and the contractions of
-    C and D against R.
+    C = Tr_1 Psi and D = Tr_2 Psi against R.
 
-    holds says whether skew-left and skew-right hold, which they do together,
-    as _skew_sides decides on one N^2 x N^2 product; only a failing side
-    forms its three-site product, for the witness.
+    skew_inverse returns only a Psi with M_R S_Psi = P, so skew-left and
+    skew-right hold.  The contractions follow from them, and are still
+    formed and compared:
+    - skew-right in entries is sum_{b,y} Psi[(a,b),(e,y)] R[(y,c),(b,g)] =
+      delta(a,g) delta(c,e); summed over a = e it is
+      sum_{b,y} C[b,y] R[(y,c),(b,g)] = delta(c,g), which is
+      Tr_1(C_1 R_12) = I;
+    - skew-left summed over c = g is sum_{b,y} R[(a,b),(e,y)] D[y,b] =
+      delta(a,e), which is Tr_2(R_12 D_2) = I, and by cyclicity of Tr_2
+      Tr_2(D_2 R_12) = I.
     """
     f = sys.field
     n = sys.N
     c1 = embed(skew.C, (1,), 2)
     d2 = embed(skew.D, (2,), 2)
     ident1 = TensorOperator.identity(n, 1, f)
-
-    def side(holds, check_id, equation, a, b):
-        if holds:
-            return Outcome(check_id, equation, True)
-        lhs = partial_trace(compose(embed(a, (1, 2), 3), embed(b, (2, 3), 3)), 2)
-        return _outcome(check_id, equation, [(lhs, permutation_op(n, 2, 1, 2, f))])
-
     return [
-        side(holds, "skew-left", "Tr_2(R_12 Psi_23) = P_13", sys.R, skew.Psi),
-        side(holds, "skew-right", "Tr_2(Psi_12 R_23) = P_13", skew.Psi, sys.R),
+        Outcome("skew-left", "Tr_2(R_12 Psi_23) = P_13", True),
+        Outcome("skew-right", "Tr_2(Psi_12 R_23) = P_13", True),
         _outcome(
             "c-contraction",
             "Tr_1(C_1 R_12) = I",
@@ -689,7 +674,8 @@ def factor_pairings(kappa):
     """
     if kappa.rank != 1:
         raise RankNotOne(f"rank(K) = {kappa.rank}, expected 1")
-    return _pivot_pairing(kappa.K)
+    pair = kappa.pairing
+    return _pivot_pairing(kappa.K) if pair is None else pair
 
 
 def _pivot_pairing(k_op):
@@ -752,17 +738,11 @@ def _build_xy(pair, f):
     which the conjugation rule of rtt_lemma needs; a diagonal X cannot tell
     the two apart.
     """
-    g, gbar = _pairing_matrices(pair, f)
-    x = FieldMatrix.from_entries(pair.N, f, [(j, i, v) for (i, j), v in (g * gbar).items()])
-    return x, gbar * g
-
-
-def _pairing_matrices(pair, f):
-    """G[i, k] = g^ik and Gbar[k, j] = gbar_kj as N x N matrices."""
     n = pair.N
     g = FieldMatrix.from_entries(n, f, [(i - 1, k - 1, v) for (i, k), v in pair.g.items()])
     gbar = FieldMatrix.from_entries(n, f, [(k - 1, j - 1, v) for (k, j), v in pair.gbar.items()])
-    return g, gbar
+    x = FieldMatrix.from_entries(n, f, [(j, i, v) for (i, j), v in (g * gbar).items()])
+    return x, gbar * g
 
 
 def _xy_outcomes(pair, field):
@@ -818,32 +798,27 @@ def rtt_lemma(kappa, xy):
     """For every matrix unit T: T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3;
     linearity extends the check to every commuting-entry matrix.
 
-    With Z = K_23 K_12 X_3 the rule reads T_1 Z = Z T_3 for every T, that
-    is, P_13 Z commutes with every T_3.  When K = gbar g^T
-    (kappa.pairing), K_23 K_12 has the entry gbar_bc g_de (Gbar G)_af at
-    ((a,b,c),(d,e,f)), so the rule reads T (Gbar G) X = (Gbar G) X T: it
-    holds exactly when the N x N matrix (Gbar G) X is scalar.  Otherwise it
-    holds exactly when P_13 Z = (N^-1 Tr_3(P_13 Z))_12, and X_3 commutes
-    with K_12, so Z is formed as (K X_2)_23 K_12, which embeds X on two
-    factors instead of three.  Only when the rule fails is a witness
-    built: the first nonzero residual T_1 KK - KK (X T Y)_3, KK = K_23 K_12,
-    over the matrix units e_ab in row-major order.  The witness needs
-    Y = X^-1, which xy-inverse establishes before the pipeline runs this
-    check.
+    K must have rank one; RankNotOne is raised otherwise.  Then
+    K = gbar g^T, and K_23 K_12 has the entry gbar_bc g_de M[a, f] at
+    ((a,b,c),(d,e,f)), where M[a, f] = sum_k K[(a,k),(k,f)] is (Gbar G)_af
+    for every gauge of the pairings.  So the rule reads T M X = M X T for
+    every T: it holds exactly when the N x N matrix M X is scalar.  Only
+    when the rule fails is a witness built: the first nonzero residual
+    T_1 KK - KK (X T Y)_3, KK = K_23 K_12, over the matrix units e_ab in
+    row-major order.  The witness needs Y = X^-1, which xy-inverse
+    establishes before the pipeline runs this check.
     """
+    if kappa.rank != 1:
+        raise RankNotOne(f"rank(K) = {kappa.rank}, expected 1")
     f = kappa.K.field
     n = kappa.K.N
     eq_text = "T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3 for all matrix units T"
-    if kappa.pairing is not None:
-        g, gbar = _pairing_matrices(kappa.pairing, f)
-        yx = gbar * g * xy.X
-        holds = yx == FieldMatrix.identity(n, f).scaled_by(yx.get(0, 0))
-    else:
-        kx = compose(kappa.K, embed(TensorOperator(n, 1, xy.X), (2,), 2))
-        k12 = embed(kappa.K, (1, 2), 3)
-        pz = compose(permutation_op(n, 3, 1, 3, f), compose(embed(kx, (2, 3), 3), k12))
-        holds = pz == embed(scale(f.one / f.from_int(n), partial_trace(pz, 3)), (1, 2), 3)
-    if holds:
+    m = []
+    for r, row in kappa.K.mat.rows.items():
+        a, k = divmod(r, n)
+        m.extend((a, c % n, v) for c, v in row.items() if c // n == k)
+    mx = FieldMatrix.from_entries(n, f, m) * xy.X
+    if mx == FieldMatrix.identity(n, f).scaled_by(mx.get(0, 0)):
         return Outcome("rtt-conjugation", eq_text, True)
     kk = compose(embed(kappa.K, (2, 3), 3), embed(kappa.K, (1, 2), 3))
     for a, b in product(range(n), repeat=2):

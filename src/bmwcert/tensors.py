@@ -8,16 +8,20 @@ An operator has a flat integer form exactly when every entry is a Laurent
 polynomial in s, which in the numeric field is every operator: one positive
 denominator shared by the whole operator, and rows of integer terms keyed
 by (exponent of s, column).  compose (Gustavson's row-by-row product), add,
-sub, scale, embed, partial_trace, restrict_rows, realign and == work on that
-form with int arithmetic only.  `TensorOperator.mat`, the FieldMatrix of canonical field
-elements, is a view built from the flat form on first read and kept;
-elimination, is_zero's witnesses and reports read it.  An operator with an
-entry whose denominator is not a power of s, as a file, a twist cell or a
-scaling by 1/lam can give, has no flat form and takes the FieldMatrix path.
+sub, scale and == work on that form with int arithmetic only; an operator
+with an entry whose denominator is not a power of s, as a file, a twist
+cell or a scaling by 1/lam can give, has none and takes the FieldMatrix
+path.  embed, partial_trace, realign, restrict_rows and row_supports have
+one key kernel each, over both forms: an operator without a flat form gives
+its FieldMatrix rows over a unit denominator, keyed by plain columns, and
+its result goes back through the constructor, flat if it is Laurent.
+`TensorOperator.mat`, the FieldMatrix of canonical field elements, is a view
+built from the flat form on first read and kept; elimination, is_zero's
+witnesses and reports read it.
 
 A FieldMatrix is stored row-major as nested dicts {row: {col: value}} of
 field elements holding no zeros.  It carries the N x N work, elimination and
-that fallback path.
+the operators without a flat form.
 
 Values are immutable by convention: an operator must not be mutated after
 construction.  Every operation returns a fresh object except `embed`, which
@@ -241,12 +245,12 @@ class _Flat:
 
 
 def _reduced(den, rows, bits):
-    """_Flat of den and rows, with zero coefficients and empty rows dropped
-    and everything divided by gcd(den, coefficients)."""
+    """_Flat of den and rows, with zero values and empty rows dropped and
+    everything divided by gcd(den, coefficients), which den = 1 skips."""
     out = {}
     g = den
     for r, row in rows.items():
-        if 0 in row.values():
+        if not all(row.values()):
             row = {k: v for k, v in row.items() if v}
         if not row:
             continue
@@ -358,9 +362,9 @@ def _flat_scale(cden, cterms, a):
 
 
 def _flat_embed(a, N, positions, n):
-    """Embedding of a flat arity-m operator: each index of a moves to its
-    place among n factors, and every label of the other factors adds the
-    same offset to row and column."""
+    """Embedding of the key rows of an arity-m operator: each index of a
+    moves to its place among n factors, and every label of the other factors
+    adds the same offset to row and column."""
 
     def offsets(factors):
         # Offset of every label tuple of `factors`, first factor most
@@ -386,7 +390,7 @@ def _flat_embed(a, N, positions, n):
 
 
 def _flat_trace(a, N, n, k):
-    """Contraction of factor k (0-based) of a flat arity-n operator."""
+    """Contraction of factor k (0-based) of arity-n key rows."""
     w = N ** (n - 1 - k)
     digit = [(x // w) % N for x in range(N**n)]
     rest = [(x // (w * N)) * w + x % w for x in range(N**n)]
@@ -402,7 +406,8 @@ def _flat_trace(a, N, n, k):
             c = key & mask
             if digit[c] == dr:
                 kk = ((key >> bits) << nbits) + rest[c]
-                acc[kk] = get(kk, 0) + v
+                cur = get(kk)
+                acc[kk] = v if cur is None else cur + v
     return _reduced(a.den, rows, nbits)
 
 
@@ -415,7 +420,8 @@ class TensorOperator:
 
     Held in the flat integer form exactly when every entry is a Laurent
     polynomial, else as a FieldMatrix; `mat`, the FieldMatrix view, is built
-    from the flat form on first read and kept.
+    from the flat form on first read and kept.  The index-moving operations
+    run one key kernel over either form (see _key_rows).
     """
 
     __slots__ = ("N", "arity", "field", "_mat", "_flat", "_embedded")
@@ -500,6 +506,23 @@ def _like(a, flat):
     return TensorOperator._of_flat(a.N, a.arity, a.field, flat)
 
 
+def _key_rows(op):
+    """The input of the key kernels: op's flat form, or, when op has none,
+    its FieldMatrix rows over a unit denominator, keyed by plain columns,
+    which are keys of exponent 0."""
+    flat = op._flat
+    return flat if flat is not None else _Flat(1, op.mat.rows, op.mat.dim.bit_length())
+
+
+def _of_key_rows(op, arity, out):
+    """The operator on `arity` factors whose key rows a kernel gave as out
+    from op's.  When op has no flat form they hold field elements and go
+    through the constructor, which flattens them if they are Laurent."""
+    if op._flat is not None:
+        return TensorOperator._of_flat(op.N, arity, op.field, out)
+    return TensorOperator(op.N, arity, FieldMatrix(op.N**arity, op.field, out.rows))
+
+
 def compose(a, b):
     """Operator product a then-after b (matrix product a * b)."""
     _check_same_shape(a, b)
@@ -564,34 +587,9 @@ def embed(op, positions, n):
         raise BadPositions(f"repeated positions {positions}")
     if not all(1 <= p <= n for p in positions):
         raise BadPositions(f"positions {positions} outside 1..{n}")
-    N = op.N
-    flat = op._flat
-    if flat is not None:
-        result = TensorOperator._of_flat(N, n, op.field, _flat_embed(flat, N, positions, n))
-    else:
-        result = TensorOperator(N, n, _embed_entries(op, positions, n))
+    result = _of_key_rows(op, n, _flat_embed(_key_rows(op), op.N, positions, n))
     op._embedded[(positions, n)] = result
     return result
-
-
-def _embed_entries(op, positions, n):
-    """embed's FieldMatrix, entry by entry."""
-    N = op.N
-    others = [p for p in range(1, n + 1) if p not in positions]
-    out_m = FieldMatrix(N**n, op.field)
-    labels = list(range(1, N + 1))
-    for (out_p, in_p), v in op.items():
-        base_out = [0] * n
-        base_in = [0] * n
-        for k, p in enumerate(positions):
-            base_out[p - 1] = out_p[k]
-            base_in[p - 1] = in_p[k]
-        for combo in product(labels, repeat=len(others)):
-            for p, lab in zip(others, combo):
-                base_out[p - 1] = lab
-                base_in[p - 1] = lab
-            out_m._add_entry(multi_to_linear(base_out, N), multi_to_linear(base_in, N), v)
-    return out_m
 
 
 def partial_trace(op, space):
@@ -601,44 +599,21 @@ def partial_trace(op, space):
         raise BadPositions("partial trace needs arity >= 2")
     if not 1 <= space <= n:
         raise BadPositions(f"space {space} outside 1..{n}")
-    N = op.N
-    flat = op._flat
-    if flat is not None:
-        return TensorOperator._of_flat(N, n - 1, op.field, _flat_trace(flat, N, n, space - 1))
-    return TensorOperator(N, n - 1, _trace_entries(op, space - 1))
-
-
-def _trace_entries(op, k):
-    """partial_trace's FieldMatrix, entry by entry; k is 0-based."""
-    N, n = op.N, op.arity
-    out_m = FieldMatrix(N ** (n - 1), op.field)
-    for (out_p, in_p), v in op.items():
-        if out_p[k] != in_p[k]:
-            continue
-        ro = out_p[:k] + out_p[k + 1 :]
-        ri = in_p[:k] + in_p[k + 1 :]
-        out_m._add_entry(multi_to_linear(ro, N), multi_to_linear(ri, N), v)
-    return out_m
+    return _of_key_rows(op, n - 1, _flat_trace(_key_rows(op), op.N, n, space - 1))
 
 
 def restrict_rows(op, rows):
     """op with every row outside `rows` set to zero.  compose works row by
     row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
-    flat = op._flat
-    if flat is not None:
-        kept = {r: flat.rows[r] for r in rows if r in flat.rows}
-        return _like(op, _reduced(flat.den, kept, flat.bits))
-    m = op.mat
-    kept = {r: m.rows[r] for r in rows if r in m.rows}
-    return TensorOperator(op.N, op.arity, FieldMatrix(m.dim, op.field, kept))
+    flat = _key_rows(op)
+    kept = {r: flat.rows[r] for r in rows if r in flat.rows}
+    return _of_key_rows(op, op.arity, _reduced(flat.den, kept, flat.bits))
 
 
 def row_supports(op):
     """{row: frozenset of its nonzero columns} for every nonzero row, read
-    off the flat form when there is one, so no field element is built."""
-    flat = op._flat
-    if flat is None:
-        return {r: frozenset(row) for r, row in op.mat.rows.items()}
+    off the keys, so a flat operator builds no field element."""
+    flat = _key_rows(op)
     mask = (1 << flat.bits) - 1
     return {r: frozenset(k & mask for k in row) for r, row in flat.rows.items()}
 
@@ -651,24 +626,16 @@ def realign(op):
     N = op.N
     if op.arity != 2:
         raise ShapeMismatch(f"realign needs arity 2, got {op.arity}")
-    flat = op._flat
-    if flat is not None:
-        mask = (1 << flat.bits) - 1
-        rows = {}
-        for r, row in flat.rows.items():
-            i, j = divmod(r, N)
-            for key, v in row.items():
-                c = key & mask
-                k, l = divmod(c, N)
-                rows.setdefault(i * N + k, {})[key - c + j * N + l] = v
-        return _like(op, _Flat(flat.den, rows, flat.bits))
-    entries = []
-    for r, row in op.mat.rows.items():
+    flat = _key_rows(op)
+    mask = (1 << flat.bits) - 1
+    rows = {}
+    for r, row in flat.rows.items():
         i, j = divmod(r, N)
-        for c, v in row.items():
+        for key, v in row.items():
+            c = key & mask
             k, l = divmod(c, N)
-            entries.append((i * N + k, j * N + l, v))
-    return TensorOperator(N, 2, FieldMatrix.from_entries(N * N, op.field, entries))
+            rows.setdefault(i * N + k, {})[key - c + j * N + l] = v
+    return _of_key_rows(op, 2, _Flat(flat.den, rows, flat.bits))
 
 
 def permutation_op(N, n, k, l, field):

@@ -614,7 +614,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
     import bmwcert.cli
     import bmwcert.core
 
-    calls = {"detect_nu": 0, "rank": 0, "compose": 0}
+    calls = {"detect_nu": 0, "rank": 0, "compose": 0, "_pivot_pairing": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -629,7 +629,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     assert main(["verify", *source(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"detect_nu": 1, "rank": 0, "compose": 40}
+    assert calls == {"detect_nu": 1, "rank": 0, "compose": 40, "_pivot_pairing": 1}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
@@ -727,6 +727,22 @@ def test_negative_controls_reach_the_elimination_fallbacks(
     assert main(["verify", "--input", *_control_file(tmp_path, control)]) == 1
     capsys.readouterr()
     assert calls == expected
+
+
+def test_solved_psi_failing_its_check_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # The bump's K has rank 2, so Psi is solved for; a solution that fails
+    # M_R S_Psi = P is a bug, never an aborted verdict.
+    import bmwcert.core
+
+    solve = bmwcert.core.solve_multi_rhs
+
+    def wrong(a, b):
+        x = solve(a, b)
+        return x + FieldMatrix.identity(x.dim, x.field)
+
+    monkeypatch.setattr(bmwcert.core, "solve_multi_rhs", wrong)
+    assert main(["verify", "--input", _so3_file(tmp_path, entry="q^2")]) == 3
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_negative_at_s_needs_no_equals_sign(capsys):

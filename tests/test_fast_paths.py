@@ -22,8 +22,10 @@ from bmwcert import (
     SYMBOLIC,
     TensorOperator,
     full_verification,
+    rtt_lemma,
 )
-from bmwcert.errors import BmwError
+from bmwcert.core import XYPair
+from bmwcert.errors import BmwError, RankNotOne
 from bmwcert.families import family_nu, standard_matrix
 
 from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, change_of_basis, twist_from_text
@@ -150,3 +152,33 @@ def test_flip_keeps_k_rank_one_and_fails_bordered_relations():
     assert aborted is None
     assert {"bmw-k2rk2", "bmw-kk-rinv", "bmw-kk-rr", "bmw-k1rk1"} <= failed
     assert not failed & {"kappa-rank-one", "bmw-rk", "bmw-kkk", "skew-left", "skew-right"}
+
+
+SKEW_CHECKS = ("skew-left", "skew-right", "c-contraction", "d-contraction")
+
+
+@pytest.mark.parametrize("path", ["fast", "reference"])
+@pytest.mark.parametrize("field", FIELDS, ids=list(FIELDS))
+def test_skew_checks_pass_wherever_reached(monkeypatch, field, path):
+    # skew_inverse returns only a Psi with M_R S_Psi = P, which gives both
+    # defining equalities, and the two contractions follow from them; so
+    # every input that gets past the skew system passes all four checks.
+    if path == "reference":
+        _force_reference_path(monkeypatch)
+    reached = set()
+    for case, build in CASES.items():
+        verdict = _verdict(build, FIELDS[field])
+        passed = {i: ok for i, ok, _ in verdict[0]} if len(verdict) == 3 else {}
+        if "skew-left" in passed:
+            reached.add(case)
+            assert [passed[i] for i in SKEW_CHECKS] == [True] * 4, case
+    assert set(CASES) - reached == {"identity", "singular"}
+
+
+def test_rtt_lemma_needs_a_rank_one_k():
+    r, nu = CASES["bump-so3"](SYMBOLIC)
+    kappa, _ = core._kappa_raw(RMatrixSystem(r, nu))
+    assert kappa.rank == 2
+    ident = FieldMatrix.identity(3, SYMBOLIC)
+    with pytest.raises(RankNotOne, match=r"rank\(K\) = 2"):
+        rtt_lemma(kappa, XYPair(ident, ident, 1))

@@ -2,16 +2,17 @@
 
 Every operation on operators is checked on random sparse operators, in Q(s)
 and at s = 3/2, against the same operation done entry by entry on the
-materialised matrices: FieldMatrix products, sums and scalings, and the
-entry-wise embedding and partial trace.  The draws cover negative
-exponents, Fraction coefficients, cancellation, exponents of any size, and
-entries with a non-monomial denominator, which have no flat form, mixed
-with operands that have one.
+materialised matrices: FieldMatrix products, sums and scalings, and, for
+the index-moving operations, the entry-wise references below, which share
+no code with the key kernels.  The draws cover negative exponents, Fraction
+coefficients, cancellation, exponents of any size, and entries with a
+non-monomial denominator, which have no flat form, mixed with operands
+that have one.
 """
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from bmwcert import (
     FieldMatrix,
@@ -24,10 +25,11 @@ from bmwcert import (
     embed,
     is_zero,
     linear_to_multi,
+    multi_to_linear,
     partial_trace,
     scale,
 )
-from bmwcert.tensors import _embed_entries, _trace_entries, sub
+from bmwcert.tensors import realign, restrict_rows, row_supports, sub
 
 F = SYMBOLIC
 NUMERIC = RationalField(Fraction(3, 2))
@@ -71,6 +73,45 @@ def _operator(rng, N, n, kind, density=0.3):
     elif kind == "rational":
         m._add_entry(r, c, _element(rng, kind) / (F.q + F.one))
     return TensorOperator(N, n, m)
+
+
+def _embed_entries(op, positions, n):
+    """embed's matrix, entry by entry: factor k of op acts on positions[k]
+    and every other factor carries the identity."""
+    N = op.N
+    others = [p for p in range(1, n + 1) if p not in positions]
+    out_m = FieldMatrix(N**n, op.field)
+    for (out_p, in_p), v in op.items():
+        out, inp = [0] * n, [0] * n
+        for k, p in enumerate(positions):
+            out[p - 1], inp[p - 1] = out_p[k], in_p[k]
+        for labels in product(range(1, N + 1), repeat=len(others)):
+            for p, lab in zip(others, labels):
+                out[p - 1] = inp[p - 1] = lab
+            out_m._add_entry(multi_to_linear(out, N), multi_to_linear(inp, N), v)
+    return out_m
+
+
+def _trace_entries(op, k):
+    """partial_trace's matrix, entry by entry; k is 0-based."""
+    N, n = op.N, op.arity
+    out_m = FieldMatrix(N ** (n - 1), op.field)
+    for (out_p, in_p), v in op.items():
+        if out_p[k] == in_p[k]:
+            ro = out_p[:k] + out_p[k + 1 :]
+            ri = in_p[:k] + in_p[k + 1 :]
+            out_m._add_entry(multi_to_linear(ro, N), multi_to_linear(ri, N), v)
+    return out_m
+
+
+def _realign_entries(op):
+    """realign's matrix, entry by entry: S[(i,k),(j,l)] = op[(i,j),(k,l)]."""
+    N = op.N
+    entries = [
+        (multi_to_linear((i, k), N), multi_to_linear((j, l), N), v)
+        for ((i, j), (k, l)), v in op.items()
+    ]
+    return FieldMatrix.from_entries(N * N, op.field, entries)
 
 
 def _check(op, ref):
@@ -173,6 +214,38 @@ def test_embed_and_trace_agree_with_entrywise_reference():
                     _check(embed(fresh, positions, n), _embed_entries(op, positions, n))
             for k in range(m if m > 1 else 0):
                 _check(partial_trace(op, k + 1), _trace_entries(op, k))
+
+
+def test_realign_and_row_restriction_agree_with_entrywise_reference():
+    rng = random.Random(13)
+    for kind in KINDS:
+        for N, n in ((2, 1), (2, 2), (3, 2), (2, 3)):
+            op = _operator(rng, N, n, kind)
+            m = op.mat
+            if n == 2:
+                _check(realign(op), _realign_entries(op))
+                assert realign(realign(op)) == op
+            assert row_supports(op) == {r: frozenset(row) for r, row in m.rows.items()}
+            for _ in range(3):
+                rows = rng.sample(range(N**n), rng.randint(0, N**n))
+                kept = {r: row for r, row in m.rows.items() if r in rows}
+                _check(restrict_rows(op, rows), FieldMatrix(m.dim, op.field, kept))
+
+
+def test_laurent_results_of_a_non_laurent_operator_are_flat():
+    # 1/(q + 1) and q/(q + 1) on the diagonal of row block 1: the trace over
+    # factor 2 adds them to 1, and the rows of block 2 are Laurent.
+    inv = F.one / (F.q + F.one)
+    op = TensorOperator.from_entries(
+        2, 2, F, [((1, 1), (1, 1), inv), ((1, 2), (1, 2), F.q * inv), ((2, 1), (2, 2), F.q**2)]
+    )
+    assert op._flat is None
+    traced = partial_trace(op, 2)
+    assert traced._flat is not None
+    assert traced == TensorOperator.from_entries(2, 1, F, [((1,), (1,), F.one)])
+    kept = restrict_rows(op, [multi_to_linear((2, 1), 2)])
+    assert kept._flat is not None
+    assert kept == TensorOperator.from_entries(2, 2, F, [((2, 1), (2, 2), F.q**2)])
 
 
 def test_is_zero_witness_agrees_with_field_matrices():
