@@ -173,7 +173,7 @@ class XYPair:
 
     X: FieldMatrix
     Y: FieldMatrix
-    epsilon: Optional[int]
+    epsilon: int
     char_coeffs: list = dc_field(default_factory=list)
 
 
@@ -193,20 +193,40 @@ class Outcome:
 
 @dataclass
 class VerificationResult:
-    """Ordered outcomes plus derived values; aborted carries the reason when
-    a structural error cut the pipeline short, and system is the
-    RMatrixSystem the outcomes were verified against."""
+    """The record of one verdict: the ordered outcomes, the RMatrixSystem
+    they were verified against, and the K, skew inverse, pairings and X/Y
+    the pipeline formed, each None when the pipeline stopped before it.
+    aborted carries the reason when a structural error cut it short."""
 
     outcomes: list
-    derived: dict
+    system: RMatrixSystem
     aborted: Optional[str] = None
-    system: Optional[RMatrixSystem] = None
+    kappa: Optional[KappaData] = None
+    skew: Optional[SkewData] = None
+    pairing: Optional[PairingPair] = None
+    xy: Optional[XYPair] = None
 
     @property
     def status(self):
         if self.aborted:
             return "aborted"
         return "pass" if all(o.passed for o in self.outcomes) else "fail"
+
+    @property
+    def derived(self):
+        """The values a report prints, read off the record.  rank_K is set
+        with the skew inverse, since theorem_suite runs right after it."""
+        skew, xy = self.skew, self.xy
+        return {
+            "N": self.system.N,
+            "nu": self.system.nu,
+            "mu": None if self.kappa is None else self.kappa.mu,
+            "trace_C": None if skew is None else skew.C.mat.trace(),
+            "trace_D": None if skew is None else skew.D.mat.trace(),
+            "epsilon": None if xy is None else xy.epsilon,
+            "rank_K": None if skew is None else self.kappa.rank,
+            "X_diag": None if xy is None else _diagonal_of(xy.X),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +620,7 @@ def theorem_suite(sys, skew, kappa):
     D, C and D are inverse to each other up to nu^2, and Tr C = Tr D = nu mu.
 
     The computed rank is substituted as-is, so a rank != 1 input yields
-    informative failures rather than crashes.  Returns (outcomes, rank_K).
+    informative failures rather than crashes.
     """
     f = sys.field
     n = sys.N
@@ -612,7 +632,7 @@ def theorem_suite(sys, skew, kappa):
     c, d = skew.C.mat, skew.D.mat
     d2 = embed(skew.D, (2,), 2)
     d2k = compose(d2, kappa.K)
-    outcomes = [
+    return [
         Outcome(
             "kappa-rank-one",
             "rank(K) = 1",
@@ -658,7 +678,6 @@ def theorem_suite(sys, skew, kappa):
             [(c.trace(), nu * kappa.mu), (d.trace(), nu * kappa.mu)],
         ),
     ]
-    return outcomes, rank_k
 
 
 def factor_pairings(kappa):
@@ -760,22 +779,16 @@ def _xy_outcomes(pair, field):
     inv_ok = _outcome("xy-inverse", "X Y = I", [(x * y, ident)])
     if not inv_ok.passed:
         return None, [inv_ok]
+    # XY = I gives (det X)(det Y) = 1, and det X = det(G Gbar) =
+    # det(Gbar G) = det Y, so C_N = det X is +-1 here.
     coeffs = char_poly(x)
     eps = is_unit_sign(coeffs[n])
-    if eps is None:
-        recip = Outcome(
-            "charpoly-reciprocity",
-            "C_k = eps C_{N-k} with eps = C_N = +-1",
-            False,
-            ((), (), coeffs[n]),
-        )
-    else:
-        eps_el = field.from_int(eps)
-        recip = _outcome(
-            "charpoly-reciprocity",
-            "C_k = eps C_{N-k} with eps = C_N = +-1",
-            [(coeffs[k], eps_el * coeffs[n - k]) for k in range(n + 1)],
-        )
+    eps_el = field.from_int(eps)
+    recip = _outcome(
+        "charpoly-reciprocity",
+        "C_k = eps C_{N-k} with eps = C_N = +-1",
+        [(coeffs[k], eps_el * coeffs[n - k]) for k in range(n + 1)],
+    )
     palin = _outcome(
         "charpoly-palindrome",
         "C_N C_k = C_{N-k}",
@@ -845,10 +858,11 @@ def full_verification(sys_or_r):
     K are read off, K with its rank, R^-1, and Psi, C, D with
     Tr_2(D_2 R^-1).  R^-1 is kept on the system: the closed form when
     R K = nu K, else eliminated on first read.
-    Structural errors (no skew inverse, rank != 1, XY != I) short-circuit
-    into a partial result whose `aborted` field names the reason; ordinary
-    failures, including a failed K^2 = mu K, are reported as failed
-    outcomes and the pipeline continues.
+    The result records K, the skew inverse, the pairings and X/Y as each
+    is formed.  Structural errors (no skew inverse, rank != 1, XY != I)
+    short-circuit into a partial result whose `aborted` field names the
+    reason; ordinary failures, including a failed K^2 = mu K, are reported
+    as failed outcomes and the pipeline continues.
     """
     if isinstance(sys_or_r, RMatrixSystem):
         sys = sys_or_r
@@ -861,80 +875,54 @@ def full_verification(sys_or_r):
         w_op = _w_operator(sys_or_r)
         detected = detect_nu(sys_or_r, w_op)
         sys = RMatrixSystem(sys_or_r, detected)
-    f = sys.field
-    derived = {
-        "N": sys.N,
-        "nu": sys.nu,
-        "mu": None,
-        "trace_C": None,
-        "trace_D": None,
-        "epsilon": None,
-        "rank_K": None,
-        "X_diag": None,
-    }
     yang_baxter = check_yang_baxter(sys)
-    outcomes = [yang_baxter]
-
-    def result(reason=None):
-        return VerificationResult(outcomes, derived, reason, sys)
-
     passed = detected is not None and detected == sys.nu
-    outcomes.append(
-        Outcome(
-            "nu-detect",
-            "detected contraction eigenvalue equals the supplied nu",
-            passed,
-            None if passed or detected is None else ((), (), detected),
-        )
+    nu_outcome = Outcome(
+        "nu-detect",
+        "detected contraction eigenvalue equals the supplied nu",
+        passed,
+        None if passed or detected is None else ((), (), detected),
     )
-
     kappa, kappa_outcome = _kappa_raw(sys, w_op)
     del w_op  # W, and the view detect_nu read, are not needed past K
-    outcomes.append(kappa_outcome)
+    result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa=kappa)
+    outcomes = result.outcomes
     if sys._r_inv is None:
         sys._r_inv = _closed_form_r_inv(sys, kappa)
     outcomes.append(check_kappa_inverse_form(sys, kappa))
-    derived["mu"] = kappa.mu
 
     outcomes.extend(check_bmw_relations(sys, kappa, yang_baxter))
     outcomes.append(check_minimal_cubic(sys, kappa))
 
     try:
-        skew = skew_inverse(sys, kappa)
+        result.skew = skew = skew_inverse(sys, kappa)
     except NotSkewInvertible as exc:
-        return result(f"NotSkewInvertible: {exc}")
+        result.aborted = f"NotSkewInvertible: {exc}"
+        return result
     outcomes.extend(skew.outcomes)
-    derived["trace_C"] = skew.C.mat.trace()
-    derived["trace_D"] = skew.D.mat.trace()
-
     outcomes.extend(check_prop1(sys, skew))
-
-    theorem_outcomes, rank_k = theorem_suite(sys, skew, kappa)
-    outcomes.extend(theorem_outcomes)
-    derived["rank_K"] = rank_k
+    outcomes.extend(theorem_suite(sys, skew, kappa))
 
     try:
-        pair = factor_pairings(kappa)
+        result.pairing = pair = factor_pairings(kappa)
     except RankNotOne as exc:
-        return result(f"RankNotOne: {exc}")
+        result.aborted = f"RankNotOne: {exc}"
+        return result
     outcomes.append(check_pairing_factorization(kappa, pair))
 
-    xy, xy_outcomes = _xy_outcomes(pair, f)
+    xy, xy_outcomes = _xy_outcomes(pair, sys.field)
     outcomes.extend(xy_outcomes)
     if xy is None:
-        return result("ReciprocityViolation: XY differs from the identity")
-    derived["epsilon"] = xy.epsilon
-    diag = _diagonal_of(xy.X, f)
-    derived["X_diag"] = diag
+        result.aborted = "ReciprocityViolation: XY differs from the identity"
+        return result
+    result.xy = xy
 
     outcomes.append(rtt_lemma(kappa, xy))
-    return result()
+    return result
 
 
-def _diagonal_of(x, f):
+def _diagonal_of(x):
     """Diagonal entries when the matrix is diagonal, else None."""
-    for r, row in x.rows.items():
-        for c in row:
-            if r != c:
-                return None
+    if any(c != r for r, row in x.rows.items() for c in row):
+        return None
     return [x.get(i, i) for i in range(x.dim)]

@@ -26,7 +26,6 @@ from .tensors import (
     TensorOperator,
     compose,
     embed,
-    permutation_op,
 )
 
 # Flag carried into reports for symplectic families: the eigenvalue exponent
@@ -233,21 +232,17 @@ def twisted_matrix(r, f_op):
     """The generic twist (P F) R (F^-1 P) of an arity-2 operator R, F as
     build_F builds it.
 
-    P F is diagonal, so F has one entry per row and column, and F^-1 is F
-    transposed with every entry inverted.  A missing entry, a zero d_ij,
-    makes F singular and raises Singular as elimination would.
+    P F is the diagonal D whose entry at (i, j) is d_ij, the one entry in
+    column (i, j) of F, so the twist is D R D^-1: entry (out, in) of R
+    scaled by D[out] / D[in].  A missing entry, a zero d_ij, makes F
+    singular and raises Singular as elimination would.
     """
-    n = r.N
-    field = r.field
-    p = permutation_op(n, 2, 1, 2, field)
     fm = f_op.mat
     if fm.nnz() < fm.dim:
         raise Singular(f"rank {fm.nnz()} < dim {fm.dim}")
-    f_inv = FieldMatrix.from_entries(
-        fm.dim, field, [(j, i, field.one / v) for (i, j), v in fm.items()]
-    )
-    f_inv_p = compose(TensorOperator(n, 2, f_inv), p)
-    return compose(compose(compose(p, f_op), r), f_inv_p)
+    d = {col: v for (_, col), v in fm.items()}
+    entries = [(o, i, d[o] * v / d[i]) for (o, i), v in r.mat.items()]
+    return TensorOperator(r.N, 2, FieldMatrix.from_entries(fm.dim, r.field, entries))
 
 
 def twist_r(sys, f_op):

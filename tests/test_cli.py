@@ -632,6 +632,39 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
     assert calls == {"detect_nu": 1, "rank": 0, "compose": 40, "_pivot_pairing": 1}
 
 
+@pytest.mark.parametrize("mode", [[], ["--at-s", "3/2"]], ids=["symbolic", "at-s"])
+@pytest.mark.parametrize(
+    "family, text", [("so 4", SO4_TWIST_TEXT), ("sp 2", SP2_TWIST_TEXT)], ids=["so4", "sp2"]
+)
+def test_twisted_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, family, text, mode):
+    # twisted-x-match reads X and the pairings off the verdict's record, so
+    # K, the rank-one comparison K == gbar g^T and X are formed once, and the
+    # twist D R D^-1 composes nothing: the 40 composes of a plain verdict
+    # plus the 6 of twist-compat.
+    import bmwcert.cli
+    import bmwcert.core
+    import bmwcert.families
+
+    calls = {"_kappa_raw": 0, "_rank_one_pairing": 0, "_build_xy": 0, "compose": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        for mod in (bmwcert.core, bmwcert.cli, bmwcert.families):
+            if name in vars(mod):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    series, dim = family.split()
+    twist = write_twist(tmp_path / "d.json", text)
+    assert main(["verify", "--family", series, "--dim", dim, "--twist", twist, *mode]) == 0
+    assert "[pass] twisted-x-match" in capsys.readouterr().out
+    assert calls == {"_kappa_raw": 1, "_rank_one_pairing": 1, "_build_xy": 1, "compose": 46}
+
+
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):
     import bmwcert.cli
     import bmwcert.families
@@ -752,6 +785,16 @@ def test_negative_at_s_needs_no_equals_sign(capsys):
         reports.append((code, *capsys.readouterr()))
     assert reports[0] == reports[1]
     assert reports[0][0] == 0 and '"mode": "numeric(s=-5/3)"' in reports[0][1]
+
+
+def test_negative_nu_needs_no_equals_sign(capsys):
+    # Every sp family's nu is negative.
+    reports = []
+    for nu in (["--nu", "-q^-3"], ["--nu=-q^-3"]):
+        code = main(["verify", "--family", "sp", "--dim", "2", *nu])
+        reports.append((code, *capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0
 
 
 def test_numeric_pass_says_it_is_not_a_certificate(capsys):

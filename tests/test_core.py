@@ -197,8 +197,9 @@ def test_prop1_families_and_permutation():
 def test_theorem_suite_families():
     for series, dim in (("so", 3), ("so", 4), ("so", 5)):
         sys = build_standard(series, dim)
-        outs, rank_k = theorem_suite(sys, skew_inverse(sys), kappa_of(sys))
-        assert rank_k == 1
+        kappa = kappa_of(sys)
+        outs = theorem_suite(sys, skew_inverse(sys), kappa)
+        assert kappa.rank == 1
         for out in outs:
             assert out.passed, (series, dim, out.id)
 
@@ -348,8 +349,9 @@ def test_x_moves_with_a_change_of_basis():
 
 @pytest.mark.parametrize("field", [F, RationalField(Fraction(3, 2))], ids=["Q(s)", "s=3/2"])
 def test_rtt_lemma_matches_the_oracle_on_gauged_inverse_pairs(field):
-    # (X G, G^-1 Y) and (G X, Y G^-1) are inverse pairs, so the commutant
-    # identity must give the oracle's verdict, and its witness when it fails.
+    # (X G, G^-1 Y) and (G X, Y G^-1) are inverse pairs, so the N x N test
+    # that M X is scalar must give the oracle's verdict, and its witness
+    # when it fails.
     # A scalar G keeps the pass verdict among the cases.
     twist = twist_from_text(SP2_TWIST_TEXT).d
     systems = [("so", 3, None), ("so", 4, None), ("sp", 2, None), ("sp", 4, None), ("sp", 2, twist)]
@@ -430,8 +432,9 @@ def test_kappa_inverse_form():
 def test_theorem_d_kappa_trace1_value():
     # Tr_1(D_2 K_12) = nu rank(K) I with rank 1 for so_3
     sys = so3_system()
-    outs, rank_k = theorem_suite(sys, skew_inverse(sys), kappa_of(sys))
-    assert rank_k == 1
+    kappa = kappa_of(sys)
+    outs = theorem_suite(sys, skew_inverse(sys), kappa)
+    assert kappa.rank == 1
     by_id = {o.id: o for o in outs}
     assert by_id["d-kappa-trace1"].passed
 

@@ -1,4 +1,4 @@
-"""Golden reports: the full stdout of three verify runs, compared byte for byte.
+"""Golden reports: the full stdout of four verify runs, compared byte for byte.
 
 test_report_determinism runs one config twice, so it cannot see a change
 that moves where a derived value comes from; these files can.  File paths
@@ -50,3 +50,15 @@ def test_report_matches_golden(tmp_path, name):
     code, out = run_golden(name, tmp_path)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_failing_twisted_report_matches_golden(tmp_path):
+    # sp_2's nu is -q^-3, so with q^-3 K^2 = mu K fails, while XY = I still
+    # holds and the pipeline runs to its end: twisted-x-match fails on a
+    # record whose K is not of BMW type.
+    argv = ["verify", "--family", "sp", "--dim", "2", "--twist", _sp2_twist(tmp_path), "--nu", "q^-3"]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    assert code == 1
+    assert buf.getvalue() == (GOLDEN / "sp2_twist_wrong_nu.txt").read_text(encoding="utf-8")
