@@ -11,14 +11,11 @@ from bmwcert import (
     build_multiparametric,
     build_standard,
     check_twist_compat,
-    factor_pairings,
     full_verification,
-    kappa_of,
     parse,
-    twist_r,
     twisted_expected,
+    twisted_matrix,
     validate_twist,
-    xy_matrices,
 )
 
 F = SYMBOLIC
@@ -40,16 +37,16 @@ print("compatibility with sp_2:", check_twist_compat(sp2.R, f_op).passed)
 # Two independent routes to the twisted matrix: conjugation by the twisting
 # operator, and the closed-form entry pattern.  They must agree exactly;
 # build_multiparametric builds the closed form only, so compare here.
-generic = twist_r(sp2, f_op)
+generic = twisted_matrix(sp2.R, f_op)
 closed = build_multiparametric("sp", 2, spec)
-print("closed form equals the generic twist:", closed.R == generic.R)
+print("closed form equals the generic twist:", closed.R == generic)
 print("nu is preserved:", closed.nu == sp2.nu)
 
 result = full_verification(closed)
 print("twisted sp_2 certification:", result.status)
 
 # The pairings now carry the twist parameters and X is no longer scalar.
-xy = xy_matrices(factor_pairings(kappa_of(closed)), F)
+xy = result.xy
 print("X diagonal:", [str(xy.X.get(i, i)) for i in range(2)])
 print("epsilon:", xy.epsilon)
 pair, x_expected = twisted_expected("sp", 2, spec)

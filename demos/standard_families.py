@@ -8,10 +8,11 @@ Run with:  python demos/standard_families.py
 from bmwcert import (
     FieldMatrix,
     SYMBOLIC,
+    TwistSpec,
     build_standard,
-    expected_pairings,
     kappa_of,
     skew_inverse,
+    twisted_expected,
 )
 
 F = SYMBOLIC
@@ -38,8 +39,9 @@ print("Tr D =", skew.D.mat.trace())
 
 print()
 # The closed-form pairings are antidiagonal with q^-rho weights; the induced
-# X matrix is the identity for every untwisted family.
-pair, x = expected_pairings("so", 3)
+# X matrix is the identity for every untwisted family, the twist with every
+# d_ij = 1.
+pair, x = twisted_expected("so", 3, TwistSpec(((F.one,) * 3,) * 3))
 print("closed-form pairings for so_3:")
 print("  g    =", {k: str(v) for k, v in sorted(pair.g.items())})
 print("  gbar =", {k: str(v) for k, v in sorted(pair.gbar.items())})

@@ -48,7 +48,6 @@ from .core import (
     rtt_lemma,
     skew_inverse,
     theorem_suite,
-    xy_matrices,
 )
 from .families import (
     TwistSpec,
@@ -56,12 +55,11 @@ from .families import (
     build_multiparametric,
     build_standard,
     check_twist_compat,
-    expected_pairings,
     family_spec,
     pairings_match_up_to_gauge,
     standard_matrix,
-    twist_r,
     twisted_expected,
+    twisted_matrix,
     validate_twist,
 )
 from .report import import_rmatrix

@@ -40,7 +40,6 @@ from .errors import (
     NotBMWSpectralType,
     NotSkewInvertible,
     RankNotOne,
-    ReciprocityViolation,
     ShapeMismatch,
     Singular,
 )
@@ -286,10 +285,8 @@ def detect_nu(R, w_op=None):
     v = w_op.mat.column(col0)
     rv = R.mat.apply_to_column(v)
     r0 = min(v)
-    if r0 not in rv:
-        raise NotBMWSpectralType("candidate column is not an eigenvector")
-    nu = rv[r0] / v[r0]
-    if rv != {k: nu * x for k, x in v.items()}:
+    nu = rv[r0] / v[r0] if r0 in rv else f.zero
+    if rv != {k: nu * x for k, x in v.items() if nu}:
         raise NotBMWSpectralType("candidate column is not an eigenvector")
     if nu == f.zero or nu == q or nu == f.zero - f.one / q:
         raise NotBMWSpectralType(f"eigenvalue {nu} lies in the excluded set")
@@ -693,13 +690,14 @@ def factor_pairings(kappa):
     """
     if kappa.rank != 1:
         raise RankNotOne(f"rank(K) = {kappa.rank}, expected 1")
-    pair = kappa.pairing
-    return _pivot_pairing(kappa.K) if pair is None else pair
+    # A rank-one K equals the gbar g^T read off its pivot, so kappa.rank is
+    # 1 only when that comparison set kappa.pairing.
+    return kappa.pairing
 
 
 def _pivot_pairing(k_op):
-    """g and gbar as factor_pairings reads them off a nonzero K, whatever
-    its rank."""
+    """g and gbar read off a nonzero K at its first nonzero entry, as
+    factor_pairings describes, whatever the rank of K."""
     m = k_op.mat
     n = k_op.N
     (r0, c0), pivot_val = next(iter(m.items()))
@@ -795,16 +793,6 @@ def _xy_outcomes(pair, field):
         [(coeffs[n] * coeffs[k], coeffs[n - k]) for k in range(n + 1)],
     )
     return XYPair(x, y, eps, coeffs), [inv_ok, recip, palin]
-
-
-def xy_matrices(pair, field):
-    """X and Y as in _xy_outcomes; raises ReciprocityViolation naming the
-    first check that fails."""
-    xy, outcomes = _xy_outcomes(pair, field)
-    for outcome in outcomes:
-        if not outcome.passed:
-            raise ReciprocityViolation(f"{outcome.id} fails: {outcome.equation}")
-    return xy
 
 
 def rtt_lemma(kappa, xy):

@@ -64,21 +64,12 @@ class RankNotOne(BmwError):
     """The contraction operator does not have rank one."""
 
 
-class ReciprocityViolation(BmwError):
-    """The pairing matrices violate XY = I or the palindromic
-    symmetry of the characteristic polynomial."""
-
-
 class BadDimension(BmwError):
     """Unsupported dimension for a standard family."""
 
 
 class InvalidTwistParameters(BmwError):
     """The twist parameter array violates the compatibility conditions."""
-
-
-class TwistIncompatible(BmwError):
-    """The twisting operator is not compatible with the R-matrix."""
 
 
 class DimensionMismatch(BmwError):

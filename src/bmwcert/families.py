@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import RMatrixSystem, PairingPair, _outcome
-from .errors import BadDimension, InvalidTwistParameters, Singular, TwistIncompatible
+from .errors import BadDimension, InvalidTwistParameters, Singular
 from .scalars import SYMBOLIC, Scalar
 from .tensors import (
     FieldMatrix,
@@ -149,15 +149,6 @@ def build_standard(series, N):
     return RMatrixSystem(standard_matrix(series, N), family_nu(series, N))
 
 
-def expected_pairings(series, N):
-    """Closed-form pairings gbar_ij = delta_ij' eps_i q^-rho_i and
-    g^ij = delta^ij' eps_i' q^-rho_i, and the X they induce (the identity):
-    the twisted forms of twisted_expected with every d_ij = 1.
-    """
-    one = SYMBOLIC.one
-    return twisted_expected(series, N, TwistSpec(((one,) * N,) * N))
-
-
 # ---------------------------------------------------------------------------
 # Twists
 
@@ -166,8 +157,10 @@ def validate_twist(spec):
     """Check the compatibility conditions of a diagonal twist.
 
     u_j := d_1j d_1'j and w_i := d_i1 d_i1' must reproduce every product
-    d_ij d_i'j and d_ij d_ij', and u_i u_i' = w_i w_i' must be one constant.
-    Raises InvalidTwistParameters naming the first violated condition.
+    d_ij d_i'j and d_ij d_ij'.  Then u_i u_i' = (d_1i d_1i')(d_Ni d_Ni') =
+    w_1 w_N and w_i w_i' = (d_i1 d_i'1)(d_iN d_i'N) = u_1 u_N, so both are
+    the one constant u_1 u_N, which needs no check of its own.  Raises
+    InvalidTwistParameters naming the first violated condition.
     """
     d = spec.d
     n = len(d)
@@ -189,13 +182,7 @@ def validate_twist(spec):
                 raise InvalidTwistParameters(
                     f"d[{i + 1}][{j + 1}] d[{i + 1}][{n - j}] != w[{i + 1}]"
                 )
-    constant = u[0] * u[n - 1]
-    for i in range(n):
-        if u[i] * u[n - 1 - i] != constant:
-            raise InvalidTwistParameters(f"u[{i + 1}] u[{n - i}] is not constant")
-        if w[i] * w[n - 1 - i] != constant:
-            raise InvalidTwistParameters(f"w[{i + 1}] w[{n - i}] != u[1] u[{n}]")
-    return TwistValidity(u, w, constant)
+    return TwistValidity(u, w, u[0] * u[n - 1])
 
 
 def build_F(spec, field=SYMBOLIC):
@@ -230,7 +217,8 @@ def check_twist_compat(r, f_op):
 
 def twisted_matrix(r, f_op):
     """The generic twist (P F) R (F^-1 P) of an arity-2 operator R, F as
-    build_F builds it.
+    build_F builds it; check_twist_compat decides whether F and R are
+    compatible, which is not checked here.
 
     P F is the diagonal D whose entry at (i, j) is d_ij, the one entry in
     column (i, j) of F, so the twist is D R D^-1: entry (out, in) of R
@@ -243,14 +231,6 @@ def twisted_matrix(r, f_op):
     d = {col: v for (_, col), v in fm.items()}
     entries = [(o, i, d[o] * v / d[i]) for (o, i), v in r.mat.items()]
     return TensorOperator(r.N, 2, FieldMatrix.from_entries(fm.dim, r.field, entries))
-
-
-def twist_r(sys, f_op):
-    """The twisted system (P F) R (F^-1 P) with the same nu."""
-    compat = check_twist_compat(sys.R, f_op)
-    if not compat.passed:
-        raise TwistIncompatible("R and F fail the compatibility equalities")
-    return RMatrixSystem(twisted_matrix(sys.R, f_op), sys.nu)
 
 
 def build_multiparametric(series, N, spec):

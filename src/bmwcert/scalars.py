@@ -790,10 +790,9 @@ class ScalarField:
         """Clear a row of denominators, then divide it by its common content.
 
         Removes the shared s-power, rational content and any common
-        polynomial factor; keeps elimination intermediates small.
+        polynomial factor; keeps elimination intermediates small.  row is
+        never empty: both callers in tensors.py skip empty rows.
         """
-        if not row:
-            return row
         if any(v.den.terms != {0: 1} for v in row.values()):
             row = _clear_row_denominators(row)
         vals = list(row.values())
@@ -844,8 +843,7 @@ class RationalField:
         return Fraction(terms[0], den)
 
     def strip_row_content(self, row):
-        if not row:
-            return row
+        # Never called with an empty row: both callers skip empty rows.
         num_gcd = 0
         den_lcm = 1
         for v in row.values():

@@ -205,18 +205,6 @@ class FieldMatrix:
                 out[r] = acc
         return out
 
-    def map_entries(self, fn, field):
-        out = {}
-        for r, row in self.rows.items():
-            new = {}
-            for c, v in row.items():
-                w = fn(v)
-                if w:
-                    new[c] = w
-            if new:
-                out[r] = new
-        return FieldMatrix(self.dim, field, out)
-
 
 def _minus_one(field):
     return field.zero - field.one
@@ -490,9 +478,6 @@ class TensorOperator:
             # Only one has all entries Laurent.
             return False
         return self._mat == other._mat
-
-    def map_entries(self, fn, field):
-        return TensorOperator(self.N, self.arity, self.mat.map_entries(fn, field))
 
 
 def _check_same_shape(a, b):

@@ -24,18 +24,15 @@ from bmwcert import (
     check_twist_compat,
     check_yang_baxter,
     detect_nu,
-    expected_pairings,
-    factor_pairings,
     full_verification,
     kappa_of,
     pairings_match_up_to_gauge,
     permutation_op,
     run_job,
     skew_inverse,
-    twist_r,
     twisted_expected,
+    twisted_matrix,
     validate_twist,
-    xy_matrices,
 )
 from bmwcert.core import _kappa_raw
 from bmwcert.errors import (
@@ -155,12 +152,12 @@ def test_criterion_3_closed_form_spot_values():
 
 def test_criterion_4_standard_pairings():
     for series, dim in FAMILIES:
-        sys = build_standard(series, dim)
-        found = factor_pairings(kappa_of(sys))
-        closed, x_closed = expected_pairings(series, dim)
-        assert pairings_match_up_to_gauge(found, closed), (series, dim)
+        res = full_verification(build_standard(series, dim))
+        assert res.status == "pass", (series, dim)
+        closed, x_closed = twisted_expected(series, dim, TwistSpec(((one,) * dim,) * dim))
+        assert pairings_match_up_to_gauge(res.pairing, closed), (series, dim)
         assert x_closed == FieldMatrix.identity(dim, F)
-        assert xy_matrices(found, F).X == FieldMatrix.identity(dim, F), (series, dim)
+        assert res.xy.X == FieldMatrix.identity(dim, F), (series, dim)
     print("criterion-4 PASS: pipeline pairings match the closed forms; X = I")
 
 
@@ -174,14 +171,13 @@ def test_criterion_5_twist_suite():
         assert check_twist_compat(sys.R, f_op).passed, (series, dim)
         # (b) closed form equals the generic twist exactly
         closed = build_multiparametric(series, dim, spec)
-        generic = twist_r(sys, f_op)
-        assert closed.R == generic.R
+        assert closed.R == twisted_matrix(sys.R, f_op)
         # (c) full certification of the twisted system
         res = full_verification(closed)
         assert res.status == "pass", (series, dim, res.aborted)
         # (d) X = diag(d_i'i / d_ii'), non-scalar, eps = +1, det X = 1
         pair_exp, x_exp = twisted_expected(series, dim, spec)
-        xy = xy_matrices(factor_pairings(kappa_of(closed)), F)
+        xy = res.xy
         assert xy.X == x_exp
         diag = [xy.X.get(i, i) for i in range(dim)]
         assert len({str(v) for v in diag}) > 1, "X must be non-scalar"
@@ -190,7 +186,7 @@ def test_criterion_5_twist_suite():
         for v in diag:
             det = det * v
         assert det == one
-        assert pairings_match_up_to_gauge(factor_pairings(kappa_of(closed)), pair_exp)
+        assert pairings_match_up_to_gauge(res.pairing, pair_exp)
     print("criterion-5 PASS: twist compatibility, closed form, certification, non-scalar X")
 
 

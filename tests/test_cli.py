@@ -72,22 +72,26 @@ ENTRY = {"out": [1, 1], "in": [1, 1], "coeff": "q"}
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc, message",
     [
-        {"dim": 2, "entries": [1]},
-        {"dim": True, "entries": [ENTRY]},
-        {"dim": 1, "entries": [dict(ENTRY, out=[True, 1])]},
-        {"dim": 1, "entries": [dict(ENTRY, coeff=DEEP)]},
-        {"dim": 1, "nu": DEEP, "entries": [ENTRY]},
+        ({"dim": 2, "entries": [1]}, "entry 0: must be an object with out, in and coeff"),
+        ({"dim": True, "entries": [ENTRY]}, "bad dim True"),
+        ({"dim": 1, "entries": [dict(ENTRY, out=[True, 1])]}, "entry 0: indices must be pairs of integers"),
+        ({"dim": 1, "entries": [dict(ENTRY, coeff=DEEP)]}, "entry 0: nesting deeper than"),
+        ({"dim": 1, "nu": DEEP, "entries": [ENTRY]}, "nesting deeper than"),
+        ([1], "top level must be an object"),
+        ({"dim": 2}, "missing entries list"),
+        ({"dim": 1, "entries": [dict(ENTRY, coeff=1)]}, "entry 0: coeff must be grammar text"),
     ],
-    ids=["non-object-entry", "bool-dim", "bool-index", "deep-coeff", "deep-nu"],
+    ids=["non-object-entry", "bool-dim", "bool-index", "deep-coeff", "deep-nu",
+         "top-level-list", "no-entries", "numeric-coeff"],
 )
-def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, doc):
+def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("bmwcert: error: ") and err.count("\n") == 1
+    assert err.startswith(f"bmwcert: error: {message}") and err.count("\n") == 1
 
 
 def test_deep_nu_option_exits_2_without_traceback():
@@ -273,6 +277,27 @@ def test_detect_nu_flag(capsys):
     assert doc["derived"]["nu"] == "-q^-3"
 
 
+@pytest.mark.parametrize(
+    "cells, nu",
+    [
+        # R = diag(0, 1, 1, 1): v_1 (x) v_1 spans the image of W and R maps
+        # it to zero, an eigenvector with eigenvalue 0.
+        ([((1, 2), (1, 2), "1"), ((2, 1), (2, 1), "1"), ((2, 2), (2, 2), "1")], "0"),
+        # R = q I + e_(1,1),(1,2), a Jordan block at q: W is a multiple of
+        # its nilpotent part, whose image is spanned by a q-eigenvector.
+        ([((1, 1), (1, 1), "q"), ((1, 1), (1, 2), "1"), ((1, 2), (1, 2), "q"),
+          ((2, 1), (2, 1), "q"), ((2, 2), (2, 2), "q")], "q"),
+    ],
+    ids=["singular", "jordan-block-at-q"],
+)
+def test_detected_eigenvalue_in_the_excluded_set_exits_2(tmp_path, capsys, cells, nu):
+    path = tmp_path / "r.json"
+    entries = [{"out": list(o), "in": list(i), "coeff": c} for o, i, c in cells]
+    path.write_text(json.dumps({"dim": 2, "entries": entries}))
+    assert main(["verify", "--input", str(path), "--detect-nu"]) == 2
+    assert capsys.readouterr().err == f"bmwcert: error: eigenvalue {nu} lies in the excluded set\n"
+
+
 def test_report_to_file(tmp_path):
     out = tmp_path / "report.json"
     code = main(
@@ -374,8 +399,10 @@ def test_non_text_nu_in_file_exits_2(tmp_path, capsys, nu):
         ([[1, "q"], ["1", "1"]], "twist d[1][1]: must be grammar text, got 1"),
         ([["1", None], ["1", "1"]], "twist d[1][2]: must be grammar text, got null"),
         ([["1", "q"], ["1", "q +"]], "twist d[2][2]: expected a number, q, s or '(' (at position 3)"),
+        ([], "twist file needs a nonempty 'd' array"),
+        ([["1", "q"], ["1"]], "twist row 1 is not a list of 2 entries"),
     ],
-    ids=["number-cell", "null-cell", "grammar-error"],
+    ids=["number-cell", "null-cell", "grammar-error", "empty-d", "ragged-row"],
 )
 def test_malformed_twist_cell_exits_2_naming_the_cell(tmp_path, capsys, rows, message):
     twist = write_twist(tmp_path / "d.json", rows)

@@ -27,9 +27,8 @@ from bmwcert import (
     skew_inverse,
     standard_matrix,
     theorem_suite,
-    xy_matrices,
 )
-from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw
+from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw, _xy_outcomes
 from bmwcert.families import family_nu
 from bmwcert.tensors import compose, embed, is_zero, sub
 from bmwcert.errors import (
@@ -244,24 +243,26 @@ def test_factor_pairings_rank_two_rejected():
 
 
 def test_xy_so3_identity():
-    pair = factor_pairings(kappa_of(so3_system()))
-    xy = xy_matrices(pair, F)
+    res = full_verification(so3_system())
+    assert res.status == "pass"
+    xy = res.xy
     assert xy.X == FieldMatrix.identity(3, F)
     assert xy.epsilon == 1
     assert xy.char_coeffs == [one, F.from_int(3), F.from_int(3), one]
 
 
 def test_xy_twisted_sp2_diagonal():
-    sys = build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT))
-    pair = factor_pairings(kappa_of(sys))
-    xy = xy_matrices(pair, F)
+    res = full_verification(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
+    assert res.status == "pass"
+    xy = res.xy
     assert xy.X == FieldMatrix.from_entries(2, F, [(0, 0, q**-1), (1, 1, q)])
     assert xy.epsilon == 1
 
 
 def test_xy_gauge_invariance_spot():
-    pair = factor_pairings(kappa_of(so3_system()))
-    xy = xy_matrices(pair, F)
+    res = full_verification(so3_system())
+    assert res.status == "pass"
+    pair, xy = res.pairing, res.xy
     c = F.s**3
     from bmwcert import PairingPair
 
@@ -271,19 +272,19 @@ def test_xy_gauge_invariance_spot():
         gbar={k: v / c for k, v in pair.gbar.items()},
         pivot=pair.pivot,
     )
-    xy2 = xy_matrices(rescaled, F)
+    xy2, outcomes = _xy_outcomes(rescaled, F)
+    assert all(o.passed for o in outcomes)
     assert xy2.X == xy.X and xy2.Y == xy.Y and xy2.epsilon == xy.epsilon
 
 
 def test_rtt_lemma_so3_and_twisted():
-    kappa = kappa_of(so3_system())
-    xy = xy_matrices(factor_pairings(kappa), F)
-    assert rtt_lemma(kappa, xy).passed
-    sys = build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT))
-    kappa_t = kappa_of(sys)
-    xy_t = xy_matrices(factor_pairings(kappa_t), F)
-    assert xy_t.X != FieldMatrix.identity(2, F)  # genuinely non-scalar case
-    assert rtt_lemma(kappa_t, xy_t).passed
+    res = full_verification(so3_system())
+    assert res.status == "pass"
+    assert rtt_lemma(res.kappa, res.xy).passed
+    res_t = full_verification(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
+    assert res_t.status == "pass"
+    assert res_t.xy.X != FieldMatrix.identity(2, F)  # genuinely non-scalar case
+    assert rtt_lemma(res_t.kappa, res_t.xy).passed
 
 
 def rtt_oracle(kappa, xy):
@@ -313,8 +314,9 @@ def diagonal(entries, f):
 
 
 def test_rtt_lemma_negative_controls_match_the_oracle():
-    twisted = kappa_of(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
-    xy = xy_matrices(factor_pairings(twisted), F)
+    res = full_verification(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
+    assert res.status == "pass"
+    twisted, xy = res.kappa, res.xy
     swapped = XYPair(xy.Y, xy.X, xy.epsilon)
     sp4 = kappa_of(build_standard("sp", 4))
     gauged = XYPair(unipotent(4, q), unipotent(4, F.zero - q), 1)
@@ -335,9 +337,10 @@ def test_x_moves_with_a_change_of_basis():
     # rule holds with X and fails with X^T.
     twisted = build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT))
     a, a_inv = unipotent(2, one), unipotent(2, F.zero - one)
-    kappa = kappa_of(RMatrixSystem(change_of_basis(twisted.R, a), twisted.nu))
-    xy = xy_matrices(factor_pairings(kappa), F)
-    x0 = xy_matrices(factor_pairings(kappa_of(twisted)), F).X
+    res = full_verification(RMatrixSystem(change_of_basis(twisted.R, a), twisted.nu))
+    res0 = full_verification(twisted)
+    assert res.status == res0.status == "pass"
+    kappa, xy, x0 = res.kappa, res.xy, res0.xy.X
     assert xy.X == a * x0 * a_inv
     assert xy.X.get(0, 1) != F.zero
     x_t = FieldMatrix.from_entries(2, F, [(c, r, v) for (r, c), v in xy.X.items()])
@@ -360,8 +363,9 @@ def test_rtt_lemma_matches_the_oracle_on_gauged_inverse_pairs(field):
     for series, n, d in systems:
         d_f = d and [[field.lift(v) for v in row] for row in d]
         r = standard_matrix(series, n, field, d_f)
-        kappa = kappa_of(RMatrixSystem(r, family_nu(series, n, field)))
-        xy = xy_matrices(factor_pairings(kappa), field)
+        res = full_verification(RMatrixSystem(r, family_nu(series, n, field)))
+        assert res.status == "pass"
+        kappa, xy = res.kappa, res.xy
         powers = [q_f**i for i in range(n)]
         gauges = [
             (unipotent(n, q_f, field), unipotent(n, field.zero - q_f, field)),
@@ -414,7 +418,9 @@ def test_trace_symmetry_of_xy_powers():
         build_standard("sp", 4),
         build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)),
     ):
-        xy = xy_matrices(factor_pairings(kappa_of(sys)), F)
+        res = full_verification(sys)
+        assert res.status == "pass"
+        xy = res.xy
         xk, yk = xy.X, xy.Y
         for _ in range(sys.N):
             assert xk.trace() == yk.trace()
@@ -472,16 +478,6 @@ def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
     assert full_verification(build_standard("sp", 4)).status == "pass"
     (skew,) = skews
     assert sorted(p for op, p in built if op is skew.C or op is skew.D) == [(1,), (1,), (2,), (2,)]
-
-
-def test_xy_matrices_raises_naming_the_failed_check():
-    from bmwcert import PairingPair
-    from bmwcert.errors import ReciprocityViolation
-
-    two = F.from_int(2)
-    pair = PairingPair(N=2, g={(1, 2): two, (2, 1): one}, gbar={(1, 2): one, (2, 1): one})
-    with pytest.raises(ReciprocityViolation, match=r"^xy-inverse fails: X Y = I$"):
-        xy_matrices(pair, F)
 
 
 def test_pairing_factorization_entrywise_witness():

@@ -6,8 +6,10 @@ import pytest
 
 from bmwcert import (
     FieldMatrix,
+    RMatrixSystem,
     RationalField,
     SYMBOLIC,
+    TensorOperator,
     TwistSpec,
     build_F,
     build_multiparametric,
@@ -15,7 +17,6 @@ from bmwcert import (
     check_twist_compat,
     compose,
     detect_nu,
-    expected_pairings,
     factor_pairings,
     family_spec,
     full_verification,
@@ -23,10 +24,9 @@ from bmwcert import (
     pairings_match_up_to_gauge,
     permutation_op,
     standard_matrix,
-    twist_r,
     twisted_expected,
+    twisted_matrix,
     validate_twist,
-    xy_matrices,
 )
 from bmwcert.errors import BadDimension, InvalidTwistParameters
 
@@ -35,6 +35,11 @@ from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, twist_from_text
 F = SYMBOLIC
 q = F.q
 one = F.one
+
+
+def unit_twist(n):
+    """The twist with every d_ij = 1, which leaves a family as it is."""
+    return TwistSpec(((one,) * n,) * n)
 
 
 def test_family_spec_rho_vectors():
@@ -98,7 +103,7 @@ def test_expected_pairings_contract_to_mu():
         ("so", 3, q + one + q**-1),
         ("sp", 2, F.zero - (q**2 + q**-2)),
     ):
-        pair, x = expected_pairings(series, dim)
+        pair, x = twisted_expected(series, dim, unit_twist(dim))
         total = F.zero
         for key, gv in pair.g.items():
             total = total + gv * pair.gbar[key]
@@ -108,7 +113,7 @@ def test_expected_pairings_contract_to_mu():
 
 def test_expected_pairings_x_identity_all_families():
     for series, dim in (("so", 3), ("so", 4), ("so", 5), ("sp", 2), ("sp", 4)):
-        _, x = expected_pairings(series, dim)
+        _, x = twisted_expected(series, dim, unit_twist(dim))
         assert x == FieldMatrix.identity(dim, F)
 
 
@@ -116,7 +121,7 @@ def test_pipeline_pairings_match_closed_forms():
     for series, dim in (("so", 3), ("so", 4), ("so", 5), ("sp", 2), ("sp", 4)):
         sys = build_standard(series, dim)
         found = factor_pairings(kappa_of(sys))
-        closed, _ = expected_pairings(series, dim)
+        closed, _ = twisted_expected(series, dim, unit_twist(dim))
         assert pairings_match_up_to_gauge(found, closed), (series, dim)
 
 
@@ -187,26 +192,24 @@ def test_twist_compat_invalid_d_fails():
     for i in range(1, 4):
         for j in range(1, 4):
             f_entries.append(((j, i), (i, j), d.d[i - 1][j - 1]))
-    from bmwcert import TensorOperator
-
     f_op = TensorOperator.from_entries(3, 2, F, f_entries)
     assert not check_twist_compat(build_standard("so", 3).R, f_op).passed
 
 
 def test_twist_r_identity_twist_is_noop():
-    ident_twist = TwistSpec(((one, one), (one, one)))
-    sys = build_standard("sp", 2)
-    twisted = twist_r(sys, build_F(ident_twist))
-    assert twisted.R == sys.R
-    assert twisted.nu == sys.nu
+    f_op = build_F(unit_twist(2))
+    r = build_standard("sp", 2).R
+    assert check_twist_compat(r, f_op).passed
+    assert twisted_matrix(r, f_op) == r
 
 
 def test_twist_r_preserves_nu_and_certifies(so4_twist):
     sys = build_standard("so", 4)
-    twisted = twist_r(sys, build_F(so4_twist))
-    assert twisted.nu == sys.nu
-    assert detect_nu(twisted.R) == sys.nu
-    assert full_verification(twisted).status == "pass"
+    f_op = build_F(so4_twist)
+    assert check_twist_compat(sys.R, f_op).passed
+    twisted = twisted_matrix(sys.R, f_op)
+    assert detect_nu(twisted) == sys.nu
+    assert full_verification(RMatrixSystem(twisted, sys.nu)).status == "pass"
 
 
 def test_build_multiparametric_identity_equals_standard():
@@ -216,12 +219,10 @@ def test_build_multiparametric_identity_equals_standard():
 
 def test_build_multiparametric_equals_generic(sp2_twist, so4_twist):
     # the closed form and the generic twist are two routes to one matrix
-    t1 = build_multiparametric("sp", 2, sp2_twist)
-    g1 = twist_r(build_standard("sp", 2), build_F(sp2_twist))
-    assert t1.R == g1.R
-    t2 = build_multiparametric("so", 4, so4_twist)
-    g2 = twist_r(build_standard("so", 4), build_F(so4_twist))
-    assert t2.R == g2.R
+    for series, dim, spec in (("sp", 2, sp2_twist), ("so", 4, so4_twist)):
+        r, f_op = build_standard(series, dim).R, build_F(spec)
+        assert check_twist_compat(r, f_op).passed
+        assert build_multiparametric(series, dim, spec).R == twisted_matrix(r, f_op)
 
 
 def test_builders_do_not_certify(monkeypatch, so4_twist):
@@ -246,10 +247,10 @@ def test_builders_do_not_certify(monkeypatch, so4_twist):
 def test_twisted_expected_sp2(sp2_twist):
     pair, x = twisted_expected("sp", 2, sp2_twist)
     assert x == FieldMatrix.from_entries(2, F, [(0, 0, q**-1), (1, 1, q)])
-    sys = build_multiparametric("sp", 2, sp2_twist)
-    found = factor_pairings(kappa_of(sys))
-    assert pairings_match_up_to_gauge(found, pair)
-    assert xy_matrices(found, F).X == x
+    res = full_verification(build_multiparametric("sp", 2, sp2_twist))
+    assert res.status == "pass"
+    assert pairings_match_up_to_gauge(res.pairing, pair)
+    assert res.xy.X == x
 
 
 def test_twisted_expected_identity_twist():
@@ -306,11 +307,14 @@ def test_builders_are_field_generic(s0):
         d_sym, d = (spec_sym.d, spec.d) if rows else (None, None)
         numeric = standard_matrix(series, n, field, d)
         assert numeric.field is field
-        assert numeric == standard_matrix(series, n, d=d_sym).map_entries(field.lift, field), (
+        symbolic = standard_matrix(series, n, d=d_sym)
+        lifted = [(o, i, field.lift(v)) for (o, i), v in symbolic.items()]
+        assert numeric == TensorOperator.from_entries(n, 2, field, lifted), (
             series, n, rows is not None,
         )
         pair_sym, x_sym = twisted_expected(series, n, spec_sym)
         pair, x = twisted_expected(series, n, spec, field)
-        assert x == x_sym.map_entries(field.lift, field)
+        lifted = [(r, c, field.lift(v)) for (r, c), v in x_sym.items()]
+        assert x == FieldMatrix.from_entries(n, field, lifted)
         assert pair.g == {k: field.lift(v) for k, v in pair_sym.g.items()}
         assert pair.gbar == {k: field.lift(v) for k, v in pair_sym.gbar.items()}

@@ -41,7 +41,10 @@ FIELDS = {
 
 
 def _lifted(op, field):
-    return op if field is SYMBOLIC else op.map_entries(field.lift, field)
+    if field is SYMBOLIC:
+        return op
+    lifted = [(o, i, field.lift(v)) for (o, i), v in op.items()]
+    return TensorOperator.from_entries(op.N, 2, field, lifted)
 
 
 def _family(series, n):
@@ -130,7 +133,15 @@ def _verdict(build, field):
 
 
 def _force_reference_path(monkeypatch):
+    # With the comparison K == gbar g^T turned off, rank(K) is eliminated,
+    # and a K of rank one is factored at its pivot.
+    factor_pairings = core.factor_pairings
     monkeypatch.setattr(core, "_rank_one_pairing", lambda k_op: None)
+    monkeypatch.setattr(
+        core,
+        "factor_pairings",
+        lambda kappa: core._pivot_pairing(kappa.K) if kappa.rank == 1 else factor_pairings(kappa),
+    )
     monkeypatch.setattr(core, "_closed_form_r_inv", lambda sys, kappa: None)
     monkeypatch.setattr(core, "_psi_candidate", lambda sys, kappa: None)
 

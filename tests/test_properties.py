@@ -16,14 +16,13 @@ from bmwcert import (
     TensorOperator,
     build_multiparametric,
     build_standard,
-    factor_pairings,
-    kappa_of,
+    full_verification,
     permutation_op,
     rank,
     skew_inverse,
     solve_multi_rhs,
-    xy_matrices,
 )
+from bmwcert.core import _xy_outcomes
 
 from conftest import twist_from_text, SP2_TWIST_TEXT
 from test_scalars import random_scalar
@@ -94,8 +93,9 @@ def run_gauge_invariance(cases=100, seed=1004):
     rng = random.Random(seed)
     prepared = []
     for sys in _gauge_systems():
-        pair = factor_pairings(kappa_of(sys))
-        prepared.append((pair, xy_matrices(pair, F)))
+        res = full_verification(sys)
+        assert res.status == "pass"
+        prepared.append((res.pairing, res.xy))
     for k in range(cases):
         pair, xy = prepared[k % len(prepared)]
         c = Scalar.from_fraction(
@@ -109,7 +109,8 @@ def run_gauge_invariance(cases=100, seed=1004):
             gbar={key: v / c for key, v in pair.gbar.items()},
             pivot=pair.pivot,
         )
-        xy2 = xy_matrices(rescaled, F)
+        xy2, outcomes = _xy_outcomes(rescaled, F)
+        assert all(o.passed for o in outcomes)
         assert xy2.X == xy.X
         assert xy2.Y == xy.Y
         assert xy2.epsilon == xy.epsilon

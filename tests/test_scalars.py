@@ -70,6 +70,20 @@ def test_parse_errors_carry_position():
         parse("q +")
     with pytest.raises(ParseError):
         parse("")
+    for text, message, position in (
+        ("q q", "trailing input", 2),
+        ("(q", "expected ')'", 2),
+        ("q^(3 2)", "expected '/' in half-integer exponent", 5),
+        ("q^(3/2", "expected ')'", 6),
+        ("q^(q/2)", "expected an integer numerator", 3),
+        ("q^q", "expected an integer exponent", 2),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} (at position {position})", text
+        assert err.value.position == position, text
+    with pytest.raises(DivisionByZero, match=r"^zero base with negative exponent at position 1$"):
+        parse("0^-1")
 
 
 def test_parse_literal_zero_denominator():

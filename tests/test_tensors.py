@@ -226,7 +226,8 @@ def test_char_poly_numeric_crosscheck():
             )
         m = FieldMatrix.from_entries(dim, F, entries)
         sym = [c.evaluate(Fraction(3, 2)) for c in char_poly(m)]
-        num = char_poly(m.map_entries(lambda v: v.evaluate(Fraction(3, 2)), nf))
+        lifted = [(r, c, nf.lift(v)) for (r, c), v in m.items()]
+        num = char_poly(FieldMatrix.from_entries(dim, nf, lifted))
         assert sym == num
 
 
@@ -301,8 +302,10 @@ def test_solve_numeric_shadow():
     )
     b = FieldMatrix.identity(3, F)
     x = solve_multi_rhs(a, b)
-    x_eval = x.map_entries(lambda v: v.evaluate(Fr(3, 2)), nf)
-    a_eval = a.map_entries(lambda v: v.evaluate(Fr(3, 2)), nf)
+    x_eval, a_eval = (
+        FieldMatrix.from_entries(3, nf, [(r, c, nf.lift(v)) for (r, c), v in m.items()])
+        for m in (x, a)
+    )
     assert solve_multi_rhs(a_eval, FieldMatrix.identity(3, nf)) == x_eval
 
 
