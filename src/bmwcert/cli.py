@@ -12,7 +12,9 @@ internal error.
 Numeric mode (--at-s) evaluates every matrix entry at the given rational
 value of s before any operator is composed, then runs the same residual
 checks in exact rational arithmetic; it is a fast smoke-test, not the source
-of truth.
+of truth.  An R with entries that are not all Laurent is decided first on a
+Laurent diagonal gauge of it (core.diagonal_gauge), on the integer kernel;
+that verdict is kept only when it passes, else R is decided as given.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Outcome, RMatrixSystem, full_verification
+from .core import Outcome, RMatrixSystem, diagonal_gauge, full_verification
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) wraps these
 # names in this module and fails when they are missing.
@@ -201,17 +203,31 @@ def run_job(config):
             r_op = generic
 
     nu = _resolve_nu(config, r_op, field, file_nu, series)
-    try:
-        result = full_verification(r_op if nu is None else RMatrixSystem(r_op, nu))
-    except Singular:
-        # A family R is invertible at every admissible s0; a file's R may
-        # be singular at s0 only, which rank in Q(s) tells apart.
-        if file_r is not None and config.at_s is not None and rank(file_r.mat) == file_r.mat.dim:
-            raise UnluckyPoint(
-                f"R is singular at s = {config.at_s} but invertible in Q(s), "
-                "an unlucky point; choose another --at-s"
-            ) from None
-        raise
+    # A pass prints only values a diagonal gauge keeps; twisted-x-match
+    # reads the pairings too, so a twisted family is decided as given.
+    result = None
+    r0 = diagonal_gauge(r_op) if expected_x is None else None
+    if r0 is not None:
+        try:
+            result = full_verification(r0 if nu is None else RMatrixSystem(r0, nu))
+        except (BmwError, ValueError):
+            pass
+    if result is None or result.status != "pass":
+        try:
+            result = full_verification(r_op if nu is None else RMatrixSystem(r_op, nu))
+        except Singular as exc:
+            detail = exc
+            # A family R is invertible at every admissible s0; a file's R
+            # may be singular at s0 only, which rank in Q(s) tells apart.
+            if file_r is not None and config.at_s is not None:
+                k, dim = rank(file_r.mat), file_r.mat.dim
+                if k == dim:
+                    raise UnluckyPoint(
+                        f"R is singular at s = {config.at_s} but invertible in Q(s), "
+                        "an unlucky point; choose another --at-s"
+                    ) from None
+                detail = f"rank {k} < dim {dim}"
+            raise Singular(f"R is singular in Q(s): {detail}") from None
     outcomes = pre_outcomes + result.outcomes
 
     if expected_x is not None and result.aborted is None:
@@ -304,7 +320,8 @@ def _config_from_args(args):
         try:
             at_s = Fraction(args.at_s)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad --at-s value {args.at_s!r}: {exc}") from exc
+            reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+            raise ValueError(f"bad --at-s value {args.at_s!r}: {reason}") from exc
     return JobConfig(
         source=source,
         twist=args.twist,

@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .scalars import is_unit_sign
+from .scalars import Scalar, is_unit_sign
 from .tensors import (
     FieldMatrix,
     TensorOperator,
@@ -914,3 +914,57 @@ def _diagonal_of(x):
     if any(c != r for r, row in x.rows.items() for c in row):
         return None
     return [x.get(i, i) for i in range(x.dim)]
+
+
+# ---------------------------------------------------------------------------
+# Transport
+
+
+def _clear_denominators(cells, N, field):
+    """The rounds of diagonal_gauge on [out, inp, value] cells, in place;
+    True when every cell is Laurent within 4N rounds."""
+    to_flat = field.to_flat
+    for _ in range(4 * N):
+        bad = next((cell for cell in cells if to_flat(cell[2]) is None), None)
+        if bad is None:
+            return True
+        out, inp, v = bad
+        x = next((x for x in inp if inp.count(x) > out.count(x)), None)
+        if x is None:  # no diagonal gauge moves this entry
+            return False
+        den = Scalar(v.den, field.one.num)
+        for cell in cells:
+            k = cell[1].count(x) - cell[0].count(x)
+            if k:
+                cell[2] = cell[2] * den**k
+    return all(to_flat(cell[2]) is not None for cell in cells)
+
+
+def diagonal_gauge(R):
+    """A Laurent R0 = (D (x) D)^-1 R (D (x) D) with D diagonal, or None,
+    found from the entries alone: R0[(k,l),(i,j)] = R[(k,l),(i,j)] d_i d_j
+    / (d_k d_l), and each of at most 4N rounds multiplies d_x by the
+    denominator of the first entry (row-major) that is not Laurent, x an
+    index found more often among its input than its output labels.  A
+    second pass runs on R0 and W / lam, W = (q - R0)(q^-1 + R0), since lam
+    can cancel a denominator of R0 that K = W / (lam nu) keeps.  None at
+    once for an operator with a flat form: every numeric operator and family.
+
+    A verdict on R0 is a verdict on R: every identity is covariant under
+    R -> G R G^-1, G = D (x) D, and K, Psi, C, D and X move by diagonal
+    similarity.  So a report prints the same nu, mu (read off nu), tr C,
+    tr D, rank K, eps (from char X) and X_diag (a diagonal similarity keeps
+    the diagonal, and keeps X diagonal or not).  A residual entry scales by
+    d_out / d_in, so a caller keeps only a passing verdict on R0.
+    """
+    if R._flat is not None:
+        return None
+    N, f = R.N, R.field
+    cells = [[*cell, v] for cell, v in R.items()]
+    if not _clear_denominators(cells, N, f):
+        return None
+    r0 = TensorOperator.from_entries(N, 2, f, cells)
+    w = scale(f.one / f.lam, _w_operator(r0))
+    if w._flat is None and _clear_denominators(cells + [[*cell, v] for cell, v in w.items()], N, f):
+        r0 = TensorOperator.from_entries(N, 2, f, cells)
+    return r0

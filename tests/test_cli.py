@@ -584,7 +584,11 @@ def test_r_singular_only_at_s0_is_an_unlucky_point(tmp_path, capsys):
     doc["entries"][3]["coeff"] = "q"
     path.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(path), "--at-s", "2"]) == 2
-    assert capsys.readouterr().err == "bmwcert: error: rank 3 < dim 4\n"
+    assert capsys.readouterr().err == "bmwcert: error: R is singular in Q(s): rank 3 < dim 4\n"
+    # R = 0, symbolic: the message names R and keeps the rank.
+    path.write_text(json.dumps({"dim": 2, "nu": "q^-3", "entries": []}))
+    assert main(["verify", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "bmwcert: error: R is singular in Q(s): rank 0 < dim 4\n"
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -1004,7 +1008,8 @@ def test_export_command_writes_what_export_family_writes(tmp_path):
         (["verify", "--family", "so"], "need --family and --dim, or --input FILE"),
         (["verify", "--family", "so", "--dim", "3", "--nu", "q", "--detect-nu"],
          "--nu and --detect-nu are mutually exclusive"),
-        (["verify", "--family", "so", "--dim", "3", "--at-s", "1/0"], "bad --at-s value '1/0'"),
+        (["verify", "--family", "so", "--dim", "3", "--at-s", "1/0"],
+         "bad --at-s value '1/0': zero denominator\n"),
     ],
     ids=["no-source", "nu-and-detect", "bad-at-s"],
 )
