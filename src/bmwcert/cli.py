@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Outcome, RMatrixSystem, diagonal_gauge, full_verification
+from .core import Outcome, RMatrixSystem, diagonal_gauge, excluded_nus, full_verification
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) wraps these
 # names in this module and fails when they are missing.
@@ -110,16 +110,15 @@ def _lifted(name, v, field):
 
 def _lifted_nu(v, field):
     """nu lifted as by _lifted; a nu outside {0, q, -q^-1} in Q(s) that
-    equals q or -q^-1 at s0 is an unlucky point too."""
+    lands on one of them at s0 is an unlucky point too (_lifted reports one
+    that vanishes)."""
     w = _lifted("nu", v, field)
-    if field is not SYMBOLIC:
-        q = SYMBOLIC.q
-        for name, excluded in (("q", q), ("-q^-1", SYMBOLIC.zero - q.inverse())):
-            if v != excluded and w == field.lift(excluded):
-                raise UnluckyPoint(
-                    f"nu = {v} equals {name} at s = {field.at_s}, "
-                    "an unlucky point; choose another --at-s"
-                )
+    for name, excluded in excluded_nus(SYMBOLIC):
+        if v != excluded and w == field.lift(excluded):
+            raise UnluckyPoint(
+                f"nu = {v} equals {name} at s = {field.at_s}, "
+                "an unlucky point; choose another --at-s"
+            )
     return w
 
 

@@ -70,6 +70,11 @@ from .tensors import (
 # Data records
 
 
+def excluded_nus(field):
+    """The values nu must avoid, each with its name: 0, q and -q^-1."""
+    return (("0", field.zero), ("q", field.q), ("-q^-1", field.zero - field.one / field.q))
+
+
 class RMatrixSystem:
     """An invertible operator on V x V together with its contraction
     eigenvalue nu; the unit of verification.
@@ -85,8 +90,7 @@ class RMatrixSystem:
     def __init__(self, R, nu):
         if R.arity != 2:
             raise ShapeMismatch(f"an R-matrix has arity 2, got {R.arity}")
-        f = R.field
-        if nu == f.zero or nu == f.q or nu == f.zero - f.one / f.q:
+        if any(nu == e for _, e in excluded_nus(R.field)):
             raise ValueError(f"nu = {nu} lies in the excluded set {{0, q, -q^-1}}")
         self.N = R.N
         self.R = R
@@ -276,7 +280,6 @@ def detect_nu(R, w_op=None):
     or when the eigenvalue lies in the excluded set {0, q, -q^-1}.
     """
     f = R.field
-    q = f.q
     if w_op is None:
         w_op = _w_operator(R)
     if not w_op.mat.rows:
@@ -288,7 +291,7 @@ def detect_nu(R, w_op=None):
     nu = rv[r0] / v[r0] if r0 in rv else f.zero
     if rv != {k: nu * x for k, x in v.items() if nu}:
         raise NotBMWSpectralType("candidate column is not an eigenvector")
-    if nu == f.zero or nu == q or nu == f.zero - f.one / q:
+    if any(nu == e for _, e in excluded_nus(f)):
         raise NotBMWSpectralType(f"eigenvalue {nu} lies in the excluded set")
     return nu
 

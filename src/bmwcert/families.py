@@ -16,7 +16,6 @@ return, and the frozen tables of the test suite pin their index conventions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import RMatrixSystem, PairingPair, _outcome
 from .errors import BadDimension, InvalidTwistParameters, Singular
@@ -139,12 +138,12 @@ def family_nu(series, N, field=SYMBOLIC):
     return field.zero - field.q ** -(N + 1)
 
 
-@lru_cache(maxsize=None)
 def build_standard(series, N):
     """Standard family system with nu = family_nu(series, N), uncertified:
     full_verification certifies it.
 
-    Results are cached; systems are immutable, so sharing is safe.
+    Each call builds a fresh system: a verdict leaves R^-1 on the system it
+    decides and embeddings on its operators, so a shared one would keep them.
     """
     return RMatrixSystem(standard_matrix(series, N), family_nu(series, N))
 

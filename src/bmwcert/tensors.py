@@ -30,10 +30,12 @@ object on a repeated call, so one verdict embeds each operator only once.
 Concurrent callers stay safe: a race at worst computes one embedding or one
 view twice.
 
-Elimination uses a fraction-free scheme: rows are cleared of denominators up
-front, updates cross-multiply against the pivot, and every updated row is
-divided by its common content.  Pivots are chosen deterministically (fewest
-nonzeros, then lowest row index), so results never depend on scheduling.
+Elimination is one fraction-free Gauss-Jordan pass: rows are cleared of
+denominators up front, each pivot clears its column in every other row by
+cross-multiplying, and every updated row is divided by its common content.
+The rank counts the pivots; a solution row is its pivot row's right-hand part
+over the pivot.  Pivots are chosen deterministically (fewest nonzeros, then
+lowest row index), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -639,11 +641,16 @@ def permutation_op(N, n, k, l, field):
 # Elimination kernels
 
 
-def _prepare_rows(m, extra=None):
-    """Working rows for elimination: cleared of denominators and content.
+def _eliminate(m, extra=None):
+    """Fraction-free Gauss-Jordan elimination of m, or of [m | extra] with
+    the columns of extra shifted by m.dim.  The nonzero rows are cleared of
+    denominators and content; then each pivot clears its column in every
+    other row, above it as well as below.
 
-    extra, if given, is a second matrix whose columns ride along shifted by
-    m.dim (augmented system).
+    Returns the rows and the list of (pivot_col, row_index) in elimination
+    order.  Pivot choice: among the rows below the pivots so far with a
+    nonzero in the column, fewest nonzeros wins, ties broken by lowest
+    current position.
     """
     field = m.field
     rows = []
@@ -653,22 +660,11 @@ def _prepare_rows(m, extra=None):
             for c, v in extra.rows.get(r, {}).items():
                 row[m.dim + c] = v
         if row:
-            row = field.strip_row_content(row)
-        rows.append(row)
-    return rows
-
-
-def _eliminate(rows, pivot_cols, field):
-    """Fraction-free forward elimination in place.
-
-    Returns the list of (pivot_col, row_index) in elimination order.  Pivot
-    choice: among rows with a nonzero in the column, fewest nonzeros wins,
-    ties broken by lowest current position.
-    """
+            rows.append(field.strip_row_content(row))
     pivots = []
     nrows = len(rows)
     next_row = 0
-    for col in pivot_cols:
+    for col in range(m.dim):
         best = None
         for i in range(next_row, nrows):
             if col in rows[i]:
@@ -681,9 +677,9 @@ def _eliminate(rows, pivot_cols, field):
         rows[next_row], rows[piv_i] = rows[piv_i], rows[next_row]
         piv = rows[next_row]
         pv = piv[col]
-        for i in range(next_row + 1, nrows):
+        for i in range(nrows):
             row = rows[i]
-            if col not in row:
+            if i == next_row or col not in row:
                 continue
             f = row.pop(col)
             new = {}
@@ -705,55 +701,28 @@ def _eliminate(rows, pivot_cols, field):
             rows[i] = field.strip_row_content(new) if new else new
         pivots.append((col, next_row))
         next_row += 1
-    return pivots
+    return rows, pivots
 
 
 def rank(m):
     """Rank over the coefficient field, computed exactly."""
-    rows = [r for r in _prepare_rows(m) if r]
-    pivots = _eliminate(rows, range(m.dim), m.field)
-    return len(pivots)
+    return len(_eliminate(m)[1])
 
 
 def solve_multi_rhs(a, b):
-    """Solve a * x = b for square a, returning x; raises Singular."""
+    """Solve a * x = b for square a, returning x; raises Singular.  After
+    Gauss-Jordan on [a | b], pivot row k reads pv x[col] = its right-hand
+    part, so row col of x is that part over pv."""
     if a.dim != b.dim:
         raise ShapeMismatch(f"dim {a.dim} vs {b.dim}")
-    field = a.field
     dim = a.dim
-    rows = _prepare_rows(a, extra=b)
-    pivots = _eliminate(rows, range(dim), field)
+    rows, pivots = _eliminate(a, b)
     if len(pivots) != dim:
         raise Singular(f"rank {len(pivots)} < dim {dim}")
-    # Back substitution over the field; pivots[k] = (col k, row k).
-    x = FieldMatrix(dim, field)
-    for k in range(dim - 1, -1, -1):
-        col, _ = pivots[k]
-        row = rows[k]
-        pv = row[col]
-        rhs = {}
-
-        def acc(cc, delta):
-            cur = rhs.get(cc)
-            cur = delta if cur is None else cur + delta
-            if cur:
-                rhs[cc] = cur
-            else:
-                rhs.pop(cc, None)
-
-        for c, v in row.items():
-            if c >= dim:
-                acc(c - dim, v)
-            elif c != col:
-                xr = x.rows.get(c)
-                if xr:
-                    for cc, xv in xr.items():
-                        acc(cc, field.zero - v * xv)
-        sol = {}
-        for cc, v in rhs.items():
-            w = v / pv
-            if w:
-                sol[cc] = w
+    x = FieldMatrix(dim, a.field)
+    for col, k in pivots:
+        pv = rows[k][col]
+        sol = {c - dim: v / pv for c, v in rows[k].items() if c >= dim}
         if sol:
             x.rows[col] = sol
     return x

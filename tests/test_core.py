@@ -36,6 +36,7 @@ from bmwcert.errors import (
     NotBMWSpectralType,
     NotSkewInvertible,
     RankNotOne,
+    ShapeMismatch,
 )
 
 from conftest import (
@@ -97,6 +98,11 @@ def test_detect_nu_not_an_eigenvector():
     )
     with pytest.raises(NotBMWSpectralType):
         detect_nu(TensorOperator(2, 2, m))
+
+
+def test_r_matrix_system_needs_arity_2():
+    with pytest.raises(ShapeMismatch, match=r"^an R-matrix has arity 2, got 3$"):
+        RMatrixSystem(TensorOperator.identity(2, 3, F), q**5)
 
 
 def test_kappa_so3_mu():

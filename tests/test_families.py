@@ -6,6 +6,7 @@ import pytest
 
 from bmwcert import (
     FieldMatrix,
+    PairingPair,
     RMatrixSystem,
     RationalField,
     SYMBOLIC,
@@ -28,7 +29,7 @@ from bmwcert import (
     twisted_matrix,
     validate_twist,
 )
-from bmwcert.errors import BadDimension, InvalidTwistParameters
+from bmwcert.errors import BadDimension, InvalidTwistParameters, Singular
 
 from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, twist_from_text
 
@@ -85,6 +86,13 @@ def test_build_standard_nu_values():
 
 def test_build_standard_so5_certifies():
     assert full_verification(build_standard("so", 5)).status == "pass"
+
+
+def test_build_standard_keeps_nothing_a_verdict_leaves():
+    assert full_verification(build_standard("so", 4)).status == "pass"
+    sys = build_standard("so", 4)
+    assert sys._r_inv is None
+    assert sys.R._embedded == {}
 
 
 def test_detect_nu_on_so_families():
@@ -156,6 +164,29 @@ def test_validate_twist_violation_n3():
 def test_validate_twist_rejects_zero():
     with pytest.raises(InvalidTwistParameters):
         validate_twist(TwistSpec(((one, F.zero), (one, one))))
+
+
+def test_validate_twist_rejects_ragged_rows():
+    with pytest.raises(InvalidTwistParameters, match=r"^row 2 has 1 entries, expected 2$"):
+        validate_twist(TwistSpec(((one, one), (one,))))
+
+
+def test_twisted_matrix_with_a_zero_cell_is_singular():
+    f_op = build_F(TwistSpec(((one, F.zero), (one, one))))
+    with pytest.raises(Singular, match=r"^rank 3 < dim 4$"):
+        twisted_matrix(build_standard("sp", 2).R, f_op)
+
+
+def test_build_multiparametric_rejects_a_twist_of_the_wrong_size():
+    with pytest.raises(InvalidTwistParameters, match=r"^twist is 2 x 2, family needs 4$"):
+        build_multiparametric("so", 4, unit_twist(2))
+
+
+def test_pairings_without_the_closed_forms_first_key_do_not_match(sp2_twist):
+    closed, _ = twisted_expected("sp", 2, sp2_twist)
+    key = min(closed.g)
+    found = PairingPair(2, {k: v for k, v in closed.g.items() if k != key}, closed.gbar)
+    assert pairings_match_up_to_gauge(found, closed) is False
 
 
 def test_build_F_identity_twist_is_permutation():
@@ -238,7 +269,7 @@ def test_builders_do_not_certify(monkeypatch, so4_twist):
 
     monkeypatch.setattr(bmwcert.core, "compose", counting)
     monkeypatch.setattr(bmwcert.families, "compose", counting)
-    build_standard.__wrapped__("so", 4)
+    build_standard("so", 4)
     assert calls == []
     build_multiparametric("so", 4, so4_twist)
     assert calls == []

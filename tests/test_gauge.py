@@ -12,9 +12,10 @@ import pytest
 
 import bmwcert.cli
 from bmwcert import SYMBOLIC, FieldMatrix, RationalField, TensorOperator, main, parse
+from bmwcert.cli import JobConfig, run_job
 from bmwcert.core import diagonal_gauge
 from bmwcert.families import family_nu, standard_matrix
-from bmwcert.report import export_rmatrix
+from bmwcert.report import export_rmatrix, render_json, render_text
 
 from conftest import change_of_basis
 
@@ -51,11 +52,19 @@ PASSING = {
     for series, n in (("so", 3), ("so", 4), ("so", 5), ("so", 6), ("sp", 4), ("sp", 6))
     for kind, diag in (("permuted", _permuted), ("non-monic", _non_monic))
 }
+# Each nu mode as the JobConfig.nu it sets.
 NU_MODES = {
-    "file-nu": lambda series, n: [],
-    "nu-option": lambda series, n: ["--nu", str(family_nu(series, n))],
-    "detect-nu": lambda series, n: ["--detect-nu"],
+    "file-nu": lambda series, n: None,
+    "nu-option": lambda series, n: str(family_nu(series, n)),
+    "detect-nu": lambda series, n: "detect",
 }
+
+
+def _nu_argv(nu):
+    """The verify options that set JobConfig.nu to nu."""
+    if nu is None:
+        return []
+    return ["--detect-nu"] if nu == "detect" else ["--nu", nu]
 
 
 def _outputs(monkeypatch, capsys, argv, gauge):
@@ -74,18 +83,39 @@ def _same_both_ways(monkeypatch, capsys, argv):
     return gauged
 
 
+@pytest.fixture(scope="module")
+def decided(tmp_path_factory):
+    """decide(case, nu_mode) -> ({report: text}, exit code) with the gauge on,
+    then the same with it off.  Each side is one run_job per (case, nu mode),
+    rendered in both formats, so the json and text cases share it."""
+    seen = {}
+
+    def side(config, gauge):
+        with pytest.MonkeyPatch.context() as m:
+            if not gauge:
+                m.setattr(bmwcert.cli, "diagonal_gauge", lambda r: None)
+            report, code = run_job(config)
+        return {"json": render_json(report), "text": render_text(report)}, code
+
+    def decide(case, nu_mode):
+        if (case, nu_mode) not in seen:
+            series, n, diag = PASSING[case]
+            path = tmp_path_factory.mktemp("r") / "r.json"
+            export_rmatrix(_gauged(series, n, diag), family_nu(series, n), str(path))
+            config = JobConfig(source=("file", str(path)), nu=NU_MODES[nu_mode](series, n))
+            seen[case, nu_mode] = side(config, True), side(config, False)
+        return seen[case, nu_mode]
+
+    return decide
+
+
 @pytest.mark.parametrize("report", ["json", "text"])
 @pytest.mark.parametrize("nu_mode", NU_MODES)
 @pytest.mark.parametrize("case", PASSING)
-def test_passing_gauge_prints_the_report_as_given(
-    monkeypatch, capsys, tmp_path, case, nu_mode, report
-):
-    series, n, diag = PASSING[case]
-    path = tmp_path / "r.json"
-    export_rmatrix(_gauged(series, n, diag), family_nu(series, n), str(path))
-    argv = ["verify", "--input", str(path), "--report", report, *NU_MODES[nu_mode](series, n)]
-    code, out, err = _same_both_ways(monkeypatch, capsys, argv)
-    assert (code, err) == (0, "")
+def test_passing_gauge_prints_the_report_as_given(decided, case, nu_mode, report):
+    (gauged, code), (as_given, code_as_given) = decided(case, nu_mode)
+    assert (gauged[report], code) == (as_given[report], code_as_given)
+    assert code == 0
 
 
 FAILING = {
@@ -106,7 +136,8 @@ def test_failing_gauge_prints_the_report_as_given(monkeypatch, capsys, tmp_path,
     assert diagonal_gauge(r) is not None
     path = tmp_path / "r.json"
     export_rmatrix(r, family_nu(series, n), str(path))
-    argv = ["verify", "--input", str(path), "--report", "json", *NU_MODES[nu_mode](series, n)]
+    nu_argv = _nu_argv(NU_MODES[nu_mode](series, n))
+    argv = ["verify", "--input", str(path), "--report", "json", *nu_argv]
     code, out, err = _same_both_ways(monkeypatch, capsys, argv)
     # --detect-nu on a doubled entry finds no eigenvector: exit 2 both ways.
     assert (code, err) == (1, "") and '"pass": false' in out or (
