@@ -248,23 +248,17 @@ def run_job(config):
 def export_family(series, dim, twist_path, out_path):
     """Write a family (twisted if requested) in the file format, uncertified:
     `verify --input` certifies the file."""
-    if twist_path is not None:
-        d = TwistSpec(import_twist(twist_path))
-        if all(v == SYMBOLIC.one for row in d.d for v in row):
-            d = None
-    else:
-        d = None
-    if d is None:
+    provenance = {"source": "standard-family", "series": series, "dim": dim}
+    if twist_path is None:
         sys = build_standard(series, dim)
-        provenance = {"source": "standard-family", "series": series, "dim": dim}
     else:
+        # An all-ones twist is checked like any other, then exported as the
+        # plain family it equals.
+        d = TwistSpec(import_twist(twist_path))
         sys = build_multiparametric(series, dim, d)
-        provenance = {
-            "source": "multiparametric-family",
-            "series": series,
-            "dim": dim,
-            "d": [[str(v) for v in row] for row in d.d],
-        }
+        if any(v != SYMBOLIC.one for row in d.d for v in row):
+            provenance["source"] = "multiparametric-family"
+            provenance["d"] = [[str(v) for v in row] for row in d.d]
     export_rmatrix(
         sys.R,
         sys.nu,

@@ -725,26 +725,11 @@ def _apply_exponent(toks, base, base_is_q, caret_pos):
 
 # ---------------------------------------------------------------------------
 # Coefficient fields: the shared face of the symbolic and numeric paths.
-# A field object carries the distinguished constants, `lift` from Q(s) into
-# the field, `strip_row_content`, the one hook elimination needs, and the
-# pair `to_flat` / `from_flat` that moves a Laurent element in and out of the
-# integer form of tensors.py; elements themselves do the arithmetic, and
-# str() gives their grammar text.
-
-
-def _clear_row_denominators(row):
-    """Scale a {col: Scalar} row so every entry has denominator 1."""
-    dens = []
-    seen = set()
-    for v in row.values():
-        if v.den.terms != {0: 1}:
-            key = frozenset(v.den.terms.items())
-            if key not in seen:
-                seen.add(key)
-                dens.append(Scalar(v.den, _LP_ONE))
-    for d in dens:
-        row = {c: v * d for c, v in row.items()}
-    return row
+# A field object carries the distinguished constants, `from_int`, `lift`
+# from Q(s) into the field, and the pair `to_flat` / `from_flat` that moves a
+# Laurent element in and out of the integer form of tensors.py; elements
+# themselves do the arithmetic, elimination included, and str() gives their
+# grammar text.
 
 
 class ScalarField:
@@ -786,33 +771,6 @@ class ScalarField:
             return Scalar(LaurentPoly(terms), _LP_ONE)
         return Scalar(LaurentPoly({e: _ratio(c, den) for e, c in terms.items()}), _LP_ONE)
 
-    def strip_row_content(self, row):
-        """Clear a row of denominators, then divide it by its common content.
-
-        Removes the shared s-power, rational content and any common
-        polynomial factor; keeps elimination intermediates small.  row is
-        never empty: both callers in tensors.py skip empty rows.
-        """
-        if any(v.den.terms != {0: 1} for v in row.values()):
-            row = _clear_row_denominators(row)
-        vals = list(row.values())
-        shift = min(v.num.min_exp() for v in vals)
-        polys = []
-        for v in vals:
-            p = v.num.shift(-shift) if shift else v.num
-            polys.append(p.int_form())
-        g = polys[0][1]
-        for _, coeffs in polys[1:]:
-            if len(g) == 1:
-                break
-            g = _ip_gcd(g, coeffs)
-        out = {}
-        for (c, _), (cont, coeffs) in zip(row.items(), polys):
-            if len(g) > 1:
-                coeffs = _ip_exact_div(coeffs, g)
-            out[c] = Scalar(LaurentPoly.from_int_list(coeffs, cont), _LP_ONE)
-        return out
-
 
 class RationalField:
     """Plain rational arithmetic at a fixed admissible value of s."""
@@ -841,16 +799,6 @@ class RationalField:
 
     def from_flat(self, terms, den):
         return Fraction(terms[0], den)
-
-    def strip_row_content(self, row):
-        # Never called with an empty row: both callers skip empty rows.
-        num_gcd = 0
-        den_lcm = 1
-        for v in row.values():
-            num_gcd = _int_gcd(num_gcd, abs(v.numerator))
-            den_lcm = den_lcm // _int_gcd(den_lcm, v.denominator) * v.denominator
-        factor = Fraction(num_gcd, den_lcm)
-        return {c: v / factor for c, v in row.items()}
 
 
 SYMBOLIC = ScalarField()

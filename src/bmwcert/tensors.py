@@ -30,12 +30,12 @@ object on a repeated call, so one verdict embeds each operator only once.
 Concurrent callers stay safe: a race at worst computes one embedding or one
 view twice.
 
-Elimination is one fraction-free Gauss-Jordan pass: rows are cleared of
-denominators up front, each pivot clears its column in every other row by
-cross-multiplying, and every updated row is divided by its common content.
-The rank counts the pivots; a solution row is its pivot row's right-hand part
-over the pivot.  Pivots are chosen deterministically (fewest nonzeros, then
-lowest row index), so results never depend on scheduling.
+Elimination is one Gauss-Jordan pass over the coefficient field: each pivot
+row is divided by its pivot, then clears its column in every other row.
+Field arithmetic keeps every entry reduced, so rows need no clearing of
+denominators or content.  The rank counts the pivots; a solution row is its
+pivot row's right-hand part.  Pivots are chosen deterministically (fewest
+nonzeros, then lowest row index), so results never depend on scheduling.
 """
 
 from __future__ import annotations
@@ -642,17 +642,16 @@ def permutation_op(N, n, k, l, field):
 
 
 def _eliminate(m, extra=None):
-    """Fraction-free Gauss-Jordan elimination of m, or of [m | extra] with
-    the columns of extra shifted by m.dim.  The nonzero rows are cleared of
-    denominators and content; then each pivot clears its column in every
-    other row, above it as well as below.
+    """Gauss-Jordan elimination of m, or of [m | extra] with the columns of
+    extra shifted by m.dim, over the coefficient field.  Each pivot row is
+    multiplied by the inverse of its pivot, then clears its column from
+    every other row, above it as well as below.
 
     Returns the rows and the list of (pivot_col, row_index) in elimination
-    order.  Pivot choice: among the rows below the pivots so far with a
-    nonzero in the column, fewest nonzeros wins, ties broken by lowest
-    current position.
+    order; every pivot entry is one.  Pivot choice: among the rows below the
+    pivots so far with a nonzero in the column, fewest nonzeros wins, ties
+    broken by lowest current position.
     """
-    field = m.field
     rows = []
     for r in range(m.dim):
         row = dict(m.rows.get(r, {}))
@@ -660,7 +659,7 @@ def _eliminate(m, extra=None):
             for c, v in extra.rows.get(r, {}).items():
                 row[m.dim + c] = v
         if row:
-            rows.append(field.strip_row_content(row))
+            rows.append(row)
     pivots = []
     nrows = len(rows)
     next_row = 0
@@ -675,30 +674,24 @@ def _eliminate(m, extra=None):
             continue
         piv_i = best[0]
         rows[next_row], rows[piv_i] = rows[piv_i], rows[next_row]
-        piv = rows[next_row]
-        pv = piv[col]
+        inv = m.field.one / rows[next_row][col]
+        piv = rows[next_row] = {c: v * inv for c, v in rows[next_row].items()}
         for i in range(nrows):
             row = rows[i]
             if i == next_row or col not in row:
                 continue
-            f = row.pop(col)
-            new = {}
-            for c, v in row.items():
-                new[c] = v * pv
+            # piv[col] is one, so the loop also drops col from the row.
+            f = row[col]
             for c, v in piv.items():
-                if c == col:
-                    continue
-                t = f * v
-                cur = new.get(c)
+                cur = row.get(c)
                 if cur is None:
-                    new[c] = field.zero - t
+                    row[c] = -(f * v)
                 else:
-                    cur = cur - t
+                    cur = cur - f * v
                     if cur:
-                        new[c] = cur
+                        row[c] = cur
                     else:
-                        del new[c]
-            rows[i] = field.strip_row_content(new) if new else new
+                        del row[c]
         pivots.append((col, next_row))
         next_row += 1
     return rows, pivots
@@ -711,8 +704,8 @@ def rank(m):
 
 def solve_multi_rhs(a, b):
     """Solve a * x = b for square a, returning x; raises Singular.  After
-    Gauss-Jordan on [a | b], pivot row k reads pv x[col] = its right-hand
-    part, so row col of x is that part over pv."""
+    Gauss-Jordan on [a | b], pivot row k reads x[col] = its right-hand part,
+    so row col of x is that part."""
     if a.dim != b.dim:
         raise ShapeMismatch(f"dim {a.dim} vs {b.dim}")
     dim = a.dim
@@ -721,8 +714,7 @@ def solve_multi_rhs(a, b):
         raise Singular(f"rank {len(pivots)} < dim {dim}")
     x = FieldMatrix(dim, a.field)
     for col, k in pivots:
-        pv = rows[k][col]
-        sol = {c - dim: v / pv for c, v in rows[k].items() if c >= dim}
+        sol = {c - dim: v for c, v in rows[k].items() if c >= dim}
         if sol:
             x.rows[col] = sol
     return x

@@ -144,6 +144,16 @@ def test_export_identity_twist_equals_plain(tmp_path):
     assert plain.read_text() == twisted.read_text()
 
 
+def test_export_rejects_wrong_size_identity_twist(tmp_path, capsys):
+    # An all-ones twist is size-checked like any other, as verify does.
+    ident = write_twist(tmp_path / "ident.json", [["1"] * 3] * 3)
+    out = tmp_path / "so4.json"
+    code = main(["export", "--family", "so", "--dim", "4", "--twist", ident, "--out", str(out)])
+    assert code == 2
+    assert "twist is 3 x 3, family needs 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_import_rejects_zero_index(tmp_path):
     bad = tmp_path / "zero.json"
     bad.write_text(

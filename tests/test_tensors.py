@@ -334,19 +334,20 @@ def test_trace_permutation_sandwich():
 _ORACLE_ENTRIES = ("1", "-2", "q", "q^-1", "s", "q - 1", "1/(q + 1)", "3/2*s - 1", "(q^2 + 1)/(q - 2)")
 
 
-def _random_matrix(rng, dim, field):
-    """A random dim x dim matrix over field; about a third are singular,
-    with the last row a combination of the first two."""
+def _random_matrix(rng, dim, field, deps=0, zero_corner=False):
+    """A random dim x dim matrix over field.  Its last deps rows are
+    combinations of the first two, so its rank is at most dim - deps; with
+    zero_corner its (0, 0) entry is zero, so the first pivot is not row 0's."""
     m = FieldMatrix(dim, field)
     for r in range(dim):
         for c in range(dim):
-            if rng.random() < 0.6:
+            if rng.random() < 0.6 and not (zero_corner and r == c == 0):
                 m._add_entry(r, c, field.lift(parse(rng.choice(_ORACLE_ENTRIES))))
-    if dim >= 3 and rng.random() < 0.35:
+    for r in range(dim - deps, dim):
         a, b = (field.lift(parse(rng.choice(_ORACLE_ENTRIES))) for _ in range(2))
-        m.rows.pop(dim - 1, None)
+        m.rows.pop(r, None)
         for c in range(dim):
-            m._add_entry(dim - 1, c, a * m.get(0, c) + b * m.get(1, c))
+            m._add_entry(r, c, a * m.get(0, c) + b * m.get(1, c))
     return m
 
 
@@ -354,37 +355,47 @@ def test_kernels_agree_with_sympy():
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
-    s = sympy.Symbol("s")
-    fields = [(SYMBOLIC, sympy.QQ.frac_field(s)), (RationalField(Fraction(3, 2)), sympy.QQ)]
+    QQ = sympy.QQ
+    qs = QQ.frac_field(sympy.Symbol("s"))
+    fields = [(SYMBOLIC, qs), (RationalField(Fraction(3, 2)), QQ)]
 
-    def to_sympy(x):
-        if isinstance(x, Fraction):
-            return sympy.Rational(x.numerator, x.denominator)
+    def to_dom(x, dom):
+        if dom is QQ:
+            return QQ(x.numerator, x.denominator)
+        # x = num / den with Laurent num and den: shift both by s^-low.
+        low = min(min(p.terms) for p in (x.num, x.den)) if x else 0
 
         def poly(p):
-            return sum(sympy.Rational(Fraction(c)) * s**e for e, c in p.terms.items())
+            return qs.field.ring.from_dict({(e - low,): QQ(c) for e, c in p.terms.items()})
 
-        return poly(x.num) / poly(x.den)
+        return qs.field.new(poly(x.num), poly(x.den))
 
     def to_domain(m, dom):
-        rows = [[to_sympy(m.get(r, c)) for c in range(m.dim)] for r in range(m.dim)]
-        return DomainMatrix.from_list_sympy(m.dim, m.dim, rows).convert_to(dom)
+        rows = [[to_dom(m.get(r, c), dom) for c in range(m.dim)] for r in range(m.dim)]
+        return DomainMatrix(rows, (m.dim, m.dim), dom)
 
     rng = random.Random(20261018)
     for field, dom in fields:
-        for _ in range(12):
-            dim = rng.randint(2, 4)
-            a, b = _random_matrix(rng, dim, field), _random_matrix(rng, dim, field)
+        deficiencies = set()
+        # Every (deps, zero_corner) pair comes up twice.
+        for i in range(12):
+            deps = i % 3
+            dim = rng.randint(2 + deps, 6)
+            a = _random_matrix(rng, dim, field, deps, zero_corner=i % 2 == 1)
+            b = _random_matrix(rng, dim, field)
             sa, sb = to_domain(a, dom), to_domain(b, dom)
             assert to_domain(a * b, dom) == sa * sb
-            assert rank(a) == sa.rank()
-            assert [dom.from_sympy(to_sympy(c)) for c in char_poly(a)] == [
+            sa_rank = sa.rank()
+            assert rank(a) == sa_rank
+            deficiencies.add(dim - sa_rank)
+            assert [to_dom(c, dom) for c in char_poly(a)] == [
                 (-1) ** k * c for k, c in enumerate(sa.charpoly())
             ]
-            if sa.rank() < dim:
+            if sa_rank < dim:
                 with pytest.raises(Singular):
                     inverse(a)
                 continue
             sa_inv = sa.inv()
             assert to_domain(inverse(a), dom) == sa_inv
             assert to_domain(solve_multi_rhs(a, b), dom) == sa_inv * sb
+        assert deficiencies >= {0, 1, 2}
