@@ -8,7 +8,9 @@ An operator has a flat integer form exactly when every entry is a Laurent
 polynomial in s, which in the numeric field is every operator: one positive
 denominator shared by the whole operator, and rows of integer terms keyed
 by (exponent of s, column).  compose (Gustavson's row-by-row product), add,
-sub, scale and == work on that form with int arithmetic only; an operator
+sub, scale and == work on that form with int arithmetic only, and none of
+them reduces it to lowest terms: == cross-multiplies when the denominators
+differ, and the `mat` view reduces each entry.  An operator
 with an entry whose denominator is not a power of s, as a file, a twist
 cell or a scaling by 1/lam can give, has none and takes the FieldMatrix
 path.  embed, partial_trace, realign, restrict_rows and row_supports have
@@ -221,8 +223,9 @@ def _minus_one(field):
 # length of the operator's dimension.  So col = key & ((1 << bits) - 1) and
 # exp = key >> bits, of any size and sign, and adding e << bits to a key
 # multiplies its term by s^e.  In the numeric field every exponent is 0 and
-# a key is its column.  den > 0 and gcd(den, every coefficient) = 1, and no
-# zero is stored, so equal operators have equal flat forms.
+# a key is its column.  den > 0 and no zero is stored, so equal operators
+# have equal keys.  The form is not kept in lowest terms, which would cost a
+# gcd over every coefficient per operation; _flat_equal compares values.
 
 
 class _Flat:
@@ -234,22 +237,14 @@ class _Flat:
         self.bits = bits
 
 
-def _reduced(den, rows, bits):
-    """_Flat of den and rows, with zero values and empty rows dropped and
-    everything divided by gcd(den, coefficients), which den = 1 skips."""
+def _pruned(den, rows, bits):
+    """_Flat of den and rows, with zero values and empty rows dropped."""
     out = {}
-    g = den
     for r, row in rows.items():
         if not all(row.values()):
             row = {k: v for k, v in row.items() if v}
-        if not row:
-            continue
-        out[r] = row
-        if g != 1:
-            g = gcd(g, *row.values())
-    if g != 1:
-        den //= g
-        out = {r: {k: v // g for k, v in row.items()} for r, row in out.items()}
+        if row:
+            out[r] = row
     return _Flat(den, out, bits)
 
 
@@ -315,7 +310,7 @@ def _flat_product(a, b):
                 acc[k] = get(k, 0) + x * y
         if acc:
             out[r] = acc
-    return _reduced(a.den * b.den, out, a.bits)
+    return _pruned(a.den * b.den, out, a.bits)
 
 
 def _flat_sum(a, b, sign):
@@ -332,7 +327,29 @@ def _flat_sum(a, b, sign):
         get = acc.get
         for k, v in row.items():
             acc[k] = get(k, 0) + v * fb
-    return _reduced(a.den * fa, rows, a.bits)
+    return _pruned(a.den * fa, rows, a.bits)
+
+
+def _flat_equal(a, b):
+    """Whether a and b stand for one operator.  Over one den equal values
+    have equal terms; otherwise each term is compared cross-multiplied by
+    the other den over gcd(a.den, b.den)."""
+    if a.den == b.den:
+        return a.rows == b.rows
+    brows = b.rows
+    if a.rows.keys() != brows.keys():
+        return False
+    g = gcd(a.den, b.den)
+    fa = b.den // g
+    fb = a.den // g
+    for r, row in a.rows.items():
+        brow = brows[r]
+        if row.keys() != brow.keys():
+            return False
+        for k, v in row.items():
+            if v * fa != brow[k] * fb:
+                return False
+    return True
 
 
 def _flat_scale(cden, cterms, a):
@@ -348,7 +365,7 @@ def _flat_scale(cden, cterms, a):
                 k += e
                 acc[k] = get(k, 0) + x * v
         rows[r] = acc
-    return _reduced(a.den * cden, rows, bits)
+    return _pruned(a.den * cden, rows, bits)
 
 
 def _flat_embed(a, N, positions, n):
@@ -398,7 +415,7 @@ def _flat_trace(a, N, n, k):
                 kk = ((key >> bits) << nbits) + rest[c]
                 cur = get(kk)
                 acc[kk] = v if cur is None else cur + v
-    return _reduced(a.den, rows, nbits)
+    return _pruned(a.den, rows, nbits)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +492,7 @@ class TensorOperator:
             return False
         a, b = self._flat, other._flat
         if a is not None and b is not None:
-            return a.den == b.den and a.rows == b.rows
+            return _flat_equal(a, b)
         if a is not None or b is not None:
             # Only one has all entries Laurent.
             return False
@@ -594,7 +611,7 @@ def restrict_rows(op, rows):
     row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
     flat = _key_rows(op)
     kept = {r: flat.rows[r] for r in rows if r in flat.rows}
-    return _of_key_rows(op, op.arity, _reduced(flat.den, kept, flat.bits))
+    return _of_key_rows(op, op.arity, _Flat(flat.den, kept, flat.bits))
 
 
 def row_supports(op):

@@ -505,3 +505,26 @@ def test_nu_detect_fails_without_witness_for_scalar_r():
     res = full_verification(RMatrixSystem(r, q**-2))
     nu_detect = next(o for o in res.outcomes if o.id == "nu-detect")
     assert not nu_detect.passed and nu_detect.witness is None
+
+
+@pytest.mark.parametrize("series, ns", [("so", (3, 4, 5, 6)), ("sp", (2, 4, 6))])
+def test_numeric_derived_values_are_the_symbolic_ones_at_s0(series, ns):
+    # nu, mu, tr C, tr D and the diagonal of X are formed from flat operators
+    # whose denominators are not kept in lowest terms; at s0 they must be the
+    # Q(s) values evaluated there, and the per-check vector the Q(s) one.
+    for n in ns:
+        sym = full_verification(RMatrixSystem(standard_matrix(series, n), family_nu(series, n)))
+        want = sym.derived
+        assert want["X_diag"] is not None
+        for s0 in (Fraction(3, 2), Fraction(-5, 3), Fraction(101, 97)):
+            field = RationalField(s0)
+            num = full_verification(
+                RMatrixSystem(standard_matrix(series, n, field), family_nu(series, n, field))
+            )
+            assert [(o.id, o.passed) for o in num.outcomes] == [
+                (o.id, o.passed) for o in sym.outcomes
+            ]
+            got = num.derived
+            for key in ("nu", "mu", "trace_C", "trace_D"):
+                assert got[key] == want[key].evaluate(s0), (series, n, s0, key)
+            assert got["X_diag"] == [x.evaluate(s0) for x in want["X_diag"]]

@@ -1,13 +1,14 @@
 """The flat integer kernel of TensorOperator against the FieldMatrix reference.
 
 Every operation on operators is checked on random sparse operators, in Q(s)
-and at s = 3/2, against the same operation done entry by entry on the
-materialised matrices: FieldMatrix products, sums and scalings, and, for
-the index-moving operations, the entry-wise references below, which share
-no code with the key kernels.  The draws cover negative exponents, Fraction
+and at s = 3/2 and s = 101/97, against the same operation done entry by
+entry on the materialised matrices: FieldMatrix products, sums and
+scalings, and, for the index-moving operations, the entry-wise references
+below, which share no code with the key kernels.  The draws cover negative exponents, Fraction
 coefficients, cancellation, exponents of any size, and entries with a
 non-monomial denominator, which have no flat form, mixed with operands
-that have one.
+that have one.  Flat forms are not kept in lowest terms, so == is also
+checked across operators whose denominators differ.
 """
 
 import random
@@ -33,10 +34,13 @@ from bmwcert.tensors import realign, restrict_rows, row_supports, sub
 
 F = SYMBOLIC
 NUMERIC = RationalField(Fraction(3, 2))
+# A point of large height: numerators and denominators grow fastest there.
+HIGH = RationalField(Fraction(101, 97))
+POINTS = {"numeric": NUMERIC, "high": HIGH}
 COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
 # Far from 0: a key's exponent part has no bound.
 FAR = 1 << 20
-KINDS = ("laurent", "far", "rational", "numeric")
+KINDS = ("laurent", "far", "rational", "numeric", "high")
 
 
 def _laurent(rng, lo=-4, hi=4):
@@ -50,8 +54,8 @@ def _element(rng, kind):
     """A nonzero element of the field that `kind` draws from."""
     while True:
         v = _laurent(rng)
-        if kind == "numeric":
-            v = NUMERIC.lift(v)
+        if kind in POINTS:
+            v = POINTS[kind].lift(v)
         if v:
             return v
 
@@ -59,8 +63,9 @@ def _element(rng, kind):
 def _operator(rng, N, n, kind, density=0.3):
     """A random operator of `kind`: Laurent entries; one entry with an
     exponent of size 2^20 ("far"); one entry with the denominator
-    q + 1 ("rational"); or constants at s = 3/2 ("numeric")."""
-    field = NUMERIC if kind == "numeric" else F
+    q + 1 ("rational"); or constants at s = 3/2 ("numeric") or at
+    s = 101/97 ("high")."""
+    field = POINTS.get(kind, F)
     dim = N**n
     m = FieldMatrix(dim, field)
     for r in range(dim):
@@ -115,9 +120,9 @@ def _realign_entries(op):
 
 
 def _check(op, ref):
-    """op is the operator whose matrix is ref, and has the flat form that
-    ref gives, if any: == then compares flat forms, which are equal only
-    when both are fully reduced."""
+    """op is the operator whose matrix is ref, and has a flat form exactly
+    when ref gives one: == then compares op's flat form, which is not kept in
+    lowest terms, with the reduced one that ref gives."""
     assert op.mat == ref
     fresh = TensorOperator(op.N, op.arity, ref)
     assert (op._flat is None) == (fresh._flat is None)
@@ -132,7 +137,7 @@ def _pairs(rng):
             if N**n > 9 and rng.random() < 0.5:
                 continue
             for ka, kb in (
-                ("laurent", "laurent"), ("numeric", "numeric"), ("far", "far"),
+                ("laurent", "laurent"), ("numeric", "numeric"), ("high", "high"), ("far", "far"),
                 ("laurent", "rational"), ("rational", "laurent"), ("laurent", "far"),
                 ("rational", "rational"),
             ):
@@ -141,7 +146,9 @@ def _pairs(rng):
 
 def test_flat_form_exists_exactly_for_laurent_entries_that_fit():
     rng = random.Random(1)
-    for kind, flat in (("laurent", True), ("numeric", True), ("far", True), ("rational", False)):
+    for kind, flat in (
+        ("laurent", True), ("numeric", True), ("high", True), ("far", True), ("rational", False),
+    ):
         op = _operator(rng, 2, 2, kind)
         assert (op._flat is not None) is flat
 
@@ -157,6 +164,60 @@ def test_products_sums_and_equality_agree_with_field_matrices():
         assert add(a, b) == add(b, a)
         assert is_zero(sub(a, a)) == (True, None)
         assert is_zero(add(a, scale(a.field.zero - a.field.one, a))) == (True, None)
+
+
+def _bumped(op):
+    """op with one coefficient c of its first entry raised by 1 (by 2 if c
+    is -1), which keeps that entry's denominator and support, so op's flat
+    den and keys stay."""
+    (out, inp), v = next(op.items())
+    if op.field is F:
+        e, c = next(iter(v.num.terms.items()))
+        v = v + Scalar.s_power(e) * F.from_int(2 if c == -1 else 1)
+    else:
+        v = v + (2 if v == -1 else 1)
+    entries = [(o, i, v if (o, i) == (out, inp) else w) for (o, i), w in op.items()]
+    return TensorOperator.from_entries(op.N, op.arity, op.field, entries)
+
+
+def test_equality_across_denominators_agrees_with_field_matrices():
+    rng = random.Random(20)
+    for kind in ("laurent", "numeric", "high"):
+        for N, n in ((2, 1), (2, 2), (3, 2)):
+            a = _operator(rng, N, n, kind, density=0.5)
+            while not a.mat.rows:
+                a = _operator(rng, N, n, kind, density=0.5)
+            field = a.field
+            c = field.from_int(2) / field.from_int(3)
+            c_inv = field.one / c
+            ident = TensorOperator.identity(N, n, field)
+            rescaled = scale(c_inv, scale(c, a))
+            assert rescaled._flat.den != a._flat.den
+            bumped = _bumped(a)
+            assert bumped._flat.den == a._flat.den
+            first, *rest = sorted(a.mat.rows)
+            col = min(a.mat.rows[first])
+            cell = (linear_to_multi(first, N, n), linear_to_multi(col, N, n))
+            holed = TensorOperator.from_entries(
+                N, n, field, [(o, i, v) for (o, i), v in a.items() if (o, i) != cell]
+            )
+            cases = [
+                # Equal values over different dens.
+                (a, rescaled, True),
+                (a, compose(compose(a, scale(c, ident)), scale(c_inv, ident)), True),
+                # One den, one support, one coefficient changed; and the same
+                # over different dens.
+                (a, bumped, False),
+                (rescaled, bumped, False),
+                # Different dens and different keys: a row dropped, and one
+                # entry dropped.
+                (a, scale(c, scale(c_inv, restrict_rows(a, rest))), False),
+                (rescaled, holed, False),
+            ]
+            for x, y, equal in cases:
+                assert x._flat is not None and y._flat is not None
+                assert (x == y) is equal and (y == x) is equal
+                assert (x.mat == y.mat) is equal
 
 
 def test_exponents_past_a_packed_key_take_the_matrix_path():
@@ -195,6 +256,7 @@ def test_scaling_agrees_with_field_matrices():
         # gcds on dense polynomials of degree FAR.
         "far": laurent,
         "numeric": [Fraction(1, 2), Fraction(-9, 4), NUMERIC.lam, NUMERIC.zero],
+        "high": [Fraction(1, 2), Fraction(-9, 4), HIGH.lam, HIGH.zero],
     }
     for kind in KINDS:
         for n in (1, 2):
