@@ -10,7 +10,7 @@ from bmwcert import (
     SYMBOLIC,
     TwistSpec,
     build_standard,
-    kappa_of,
+    full_verification,
     skew_inverse,
     twisted_expected,
 )
@@ -28,8 +28,8 @@ print()
 print("nu =", so3.nu)
 
 # K = lambda^-1 nu^-1 (q - R)(q^-1 + R) squares to mu K; mu is the loop
-# value of the associated link invariant.
-kappa = kappa_of(so3)
+# value of the associated link invariant.  The verdict records K.
+kappa = full_verification(so3).kappa
 print("mu =", kappa.mu)
 
 # The skew inverse Psi gives the C and D matrices; their traces equal nu mu.
@@ -50,4 +50,4 @@ print("  X is the identity:", x == FieldMatrix.identity(3, F))
 print()
 # Same story for sp_2, where the signs make mu negative.
 sp2 = build_standard("sp", 2)
-print("sp_2: nu =", sp2.nu, " mu =", kappa_of(sp2).mu)
+print("sp_2: nu =", sp2.nu, " mu =", full_verification(sp2).kappa.mu)

@@ -44,7 +44,6 @@ from .core import (
     detect_nu,
     factor_pairings,
     full_verification,
-    kappa_of,
     rtt_lemma,
     skew_inverse,
     theorem_suite,

@@ -31,8 +31,9 @@ from typing import Optional
 from .core import Outcome, RMatrixSystem, diagonal_gauge, excluded_nus, full_verification
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) wraps these
-# names in this module and fails when they are missing.
-from .core import _build_xy, factor_pairings, kappa_of  # noqa: F401
+# names in this module and fails when they are missing.  Its name for K is
+# bound to _kappa_raw until the tracer stops binding names in this module.
+from .core import _build_xy, factor_pairings, _kappa_raw as kappa_of  # noqa: F401
 from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, Singular, UnluckyPoint
 from .families import (
     SP_NU_NOTE,
@@ -204,29 +205,28 @@ def run_job(config):
     nu = _resolve_nu(config, r_op, field, file_nu, series)
     # A pass prints only values a diagonal gauge keeps; twisted-x-match
     # reads the pairings too, so a twisted family is decided as given.
-    result = None
+    # R0's verdict stands only when it passes.  An error it raises, R's
+    # would raise with the same text: a diagonal similarity keeps the rank
+    # of R, the column of W that nu is read from, and nu.
     r0 = diagonal_gauge(r_op) if expected_x is None else None
-    if r0 is not None:
-        try:
-            result = full_verification(r0 if nu is None else RMatrixSystem(r0, nu))
-        except (BmwError, ValueError):
-            pass
-    if result is None or result.status != "pass":
-        try:
-            result = full_verification(r_op if nu is None else RMatrixSystem(r_op, nu))
-        except Singular as exc:
-            detail = exc
-            # A family R is invertible at every admissible s0; a file's R
-            # may be singular at s0 only, which rank in Q(s) tells apart.
-            if file_r is not None and config.at_s is not None:
-                k, dim = rank(file_r.mat), file_r.mat.dim
-                if k == dim:
-                    raise UnluckyPoint(
-                        f"R is singular at s = {config.at_s} but invertible in Q(s), "
-                        "an unlucky point; choose another --at-s"
-                    ) from None
-                detail = f"rank {k} < dim {dim}"
-            raise Singular(f"R is singular in Q(s): {detail}") from None
+    try:
+        for r in (r_op,) if r0 is None else (r0, r_op):
+            result = full_verification(r if nu is None else RMatrixSystem(r, nu))
+            if result.status == "pass":
+                break
+    except Singular as exc:
+        detail = exc
+        # A family R is invertible at every admissible s0; a file's R
+        # may be singular at s0 only, which rank in Q(s) tells apart.
+        if file_r is not None and config.at_s is not None:
+            k, dim = rank(file_r.mat), file_r.mat.dim
+            if k == dim:
+                raise UnluckyPoint(
+                    f"R is singular at s = {config.at_s} but invertible in Q(s), "
+                    "an unlucky point; choose another --at-s"
+                ) from None
+            detail = f"rank {k} < dim {dim}"
+        raise Singular(f"R is singular in Q(s): {detail}") from None
     outcomes = pre_outcomes + result.outcomes
 
     if expected_x is not None and result.aborted is None:

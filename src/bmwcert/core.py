@@ -36,7 +36,6 @@ from itertools import product
 from typing import Optional
 
 from .errors import (
-    KappaNotIdempotentScaled,
     NotBMWSpectralType,
     NotSkewInvertible,
     RankNotOne,
@@ -309,18 +308,6 @@ def _kappa_raw(sys, w_op=None):
         "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
     )
     return KappaData(kappa, mu, sys.R), outcome
-
-
-def kappa_of(sys):
-    """Build K = lambda^-1 nu^-1 (q - R)(q^-1 + R) and verify K^2 = mu K."""
-    kappa, outcome = _kappa_raw(sys)
-    if not outcome.passed:
-        exc = KappaNotIdempotentScaled(
-            "K^2 differs from mu K; the operator is not of BMW type"
-        )
-        exc.witness = outcome.witness
-        raise exc
-    return kappa
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,6 @@ class NotBMWSpectralType(BmwError):
     needed to read off the contraction eigenvalue."""
 
 
-class KappaNotIdempotentScaled(BmwError):
-    """The contraction operator K built from R fails K^2 = mu*K."""
-
-
 class NotSkewInvertible(BmwError):
     """No skew inverse exists for the given operator."""
 

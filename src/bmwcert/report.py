@@ -16,6 +16,7 @@ configurations produce byte-identical JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -38,24 +39,34 @@ class Report:
 
 
 def build_report(result, config_echo, notes=()):
-    """Assemble a Report from a VerificationResult; values print as str()."""
-    derived = dict(result.derived)
-    for key in ("nu", "mu", "trace_C", "trace_D"):
-        if derived.get(key) is not None:
-            derived[key] = str(derived[key])
-    if derived.get("X_diag") is not None:
-        derived["X_diag"] = [str(x) for x in derived["X_diag"]]
-    checks = []
-    for o in result.outcomes:
-        entry = {"id": o.id, "equation": o.equation, "pass": o.passed}
-        if o.witness is not None:
-            out, inp, value = o.witness
-            entry["witness"] = {
-                "out": list(out),
-                "in": list(inp),
-                "value": str(value),
-            }
-        checks.append(entry)
+    """Assemble a Report from a VerificationResult; values print as str().
+    A legal value may have more digits than the interpreter's limit on
+    int-to-text conversion (3.10.7 and later), so the limit is lifted while
+    values print; input text keeps it."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        derived = dict(result.derived)
+        for key in ("nu", "mu", "trace_C", "trace_D"):
+            if derived.get(key) is not None:
+                derived[key] = str(derived[key])
+        if derived.get("X_diag") is not None:
+            derived["X_diag"] = [str(x) for x in derived["X_diag"]]
+        checks = []
+        for o in result.outcomes:
+            entry = {"id": o.id, "equation": o.equation, "pass": o.passed}
+            if o.witness is not None:
+                out, inp, value = o.witness
+                entry["witness"] = {
+                    "out": list(out),
+                    "in": list(inp),
+                    "value": str(value),
+                }
+            checks.append(entry)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return Report(
         status=result.status,
         metadata={"tool": "bmwcert", "version": __version__, "config": config_echo},

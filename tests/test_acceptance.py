@@ -25,7 +25,6 @@ from bmwcert import (
     check_yang_baxter,
     detect_nu,
     full_verification,
-    kappa_of,
     pairings_match_up_to_gauge,
     permutation_op,
     run_job,
@@ -37,7 +36,6 @@ from bmwcert import (
 from bmwcert.core import _kappa_raw
 from bmwcert.errors import (
     InvalidTwistParameters,
-    KappaNotIdempotentScaled,
     NotSkewInvertible,
 )
 
@@ -134,14 +132,16 @@ def test_criterion_2_nu_values():
 
 def test_criterion_3_closed_form_spot_values():
     so3 = build_standard("so", 3)
-    kappa3 = kappa_of(so3)
+    kappa3, outcome = _kappa_raw(so3)
+    assert outcome.passed
     skew3 = skew_inverse(so3)
     assert kappa3.mu == q + one + q**-1
     assert skew3.C.mat.trace() == q**-1 + q**-2 + q**-3
     assert skew3.D.mat.trace() == q**-1 + q**-2 + q**-3
 
     sp2 = build_standard("sp", 2)
-    kappa2 = kappa_of(sp2)
+    kappa2, outcome = _kappa_raw(sp2)
+    assert outcome.passed
     skew2 = skew_inverse(sp2)
     assert kappa2.mu == F.zero - (q**2 + q**-2)
     assert skew2.D.mat.trace() == q**-1 + q**-5
@@ -208,8 +208,8 @@ def test_criterion_7_negative_controls():
         skew_inverse(RMatrixSystem(ident, q**5))
 
     p = permutation_op(2, 2, 1, 2, F)
-    with pytest.raises(KappaNotIdempotentScaled):
-        kappa_of(RMatrixSystem(p, detect_nu(p)))
+    _, outcome = _kappa_raw(RMatrixSystem(p, detect_nu(p)))
+    assert outcome.id == "kappa-idempotent" and not outcome.passed
 
     wrong = RMatrixSystem(build_standard("sp", 2).R, q**-3)
     kappa, _ = _kappa_raw(wrong)

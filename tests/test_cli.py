@@ -1081,3 +1081,17 @@ def test_change_of_basis_passes_every_check(tmp_path, capsys, mode):
         assert code == 0 and doc["status"] == "pass", path.name
         assert len(doc["checks"]) == 35 and all(chk["pass"] for chk in doc["checks"])
         assert doc["derived"]["X_diag"] is None
+
+
+def test_values_past_the_int_digit_limit_print_but_input_keeps_it(capsys):
+    # At s = 2^4000, nu = s^-4 has 4,817 digits, past the interpreter's
+    # default limit (4,300) on int-to-text conversion.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    argv = ["verify", "--family", "so", "--dim", "3", "--report", "json"]
+    assert main([*argv, "--at-s", str(2**4000)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "pass"
+    assert len(doc["derived"]["nu"]) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert main([*argv, "--at-s", "1" + "0" * 4999]) == 2
+    assert capsys.readouterr().err.startswith("bmwcert: error: bad --at-s value '1000")

@@ -21,7 +21,6 @@ from bmwcert import (
     factor_pairings,
     full_verification,
     inverse,
-    kappa_of,
     permutation_op,
     rtt_lemma,
     skew_inverse,
@@ -32,7 +31,6 @@ from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw, _xy_ou
 from bmwcert.families import family_nu
 from bmwcert.tensors import compose, embed, is_zero, sub
 from bmwcert.errors import (
-    KappaNotIdempotentScaled,
     NotBMWSpectralType,
     NotSkewInvertible,
     RankNotOne,
@@ -79,8 +77,8 @@ def test_detect_nu_permutation_then_kappa_rejects():
     P = permutation_op(2, 2, 1, 2, F)
     nu = detect_nu(P)
     assert nu == one
-    with pytest.raises(KappaNotIdempotentScaled):
-        kappa_of(RMatrixSystem(P, nu))
+    _, outcome = _kappa_raw(RMatrixSystem(P, nu))
+    assert outcome.id == "kappa-idempotent" and not outcome.passed
 
 
 def test_detect_nu_quadratic_spectrum():
@@ -106,12 +104,14 @@ def test_r_matrix_system_needs_arity_2():
 
 
 def test_kappa_so3_mu():
-    kappa = kappa_of(so3_system())
+    kappa, outcome = _kappa_raw(so3_system())
+    assert outcome.passed
     assert kappa.mu == q + one + q**-1
 
 
 def test_kappa_sp2_mu():
-    kappa = kappa_of(sp2_system())
+    kappa, outcome = _kappa_raw(sp2_system())
+    assert outcome.passed
     assert kappa.mu == F.zero - (q**2 + q**-2)
 
 
@@ -136,7 +136,9 @@ def test_yang_baxter_failure_with_witness():
 def test_bmw_relations_families():
     for series, dim in (("so", 3), ("so", 4), ("so", 5)):
         sys = build_standard(series, dim)
-        for out in check_bmw_relations(sys, kappa_of(sys), check_yang_baxter(sys)):
+        kappa, outcome = _kappa_raw(sys)
+        assert outcome.passed
+        for out in check_bmw_relations(sys, kappa, check_yang_baxter(sys)):
             assert out.passed, (series, dim, out.id)
 
 
@@ -202,7 +204,8 @@ def test_prop1_families_and_permutation():
 def test_theorem_suite_families():
     for series, dim in (("so", 3), ("so", 4), ("so", 5)):
         sys = build_standard(series, dim)
-        kappa = kappa_of(sys)
+        kappa, outcome = _kappa_raw(sys)
+        assert outcome.passed
         outs = theorem_suite(sys, skew_inverse(sys), kappa)
         assert kappa.rank == 1
         for out in outs:
@@ -220,7 +223,8 @@ def test_theorem_suite_sp2_values():
 
 
 def test_factor_pairings_so3_gauge():
-    kappa = kappa_of(so3_system())
+    kappa, outcome = _kappa_raw(so3_system())
+    assert outcome.passed
     pair = factor_pairings(kappa)
     # gbar proportional to the antidiagonal (q^-1/2, 1, q^1/2)
     expected = {(1, 3): F.s**-1, (2, 2): one, (3, 1): F.s}
@@ -233,7 +237,8 @@ def test_factor_pairings_so3_gauge():
 
 
 def test_factor_pairings_sp2_signs():
-    kappa = kappa_of(sp2_system())
+    kappa, outcome = _kappa_raw(sp2_system())
+    assert outcome.passed
     pair = factor_pairings(kappa)
     # gbar proportional to antidiag(q^-1, -q): opposite signs across the pair
     assert set(pair.gbar) == {(1, 2), (2, 1)}
@@ -324,7 +329,8 @@ def test_rtt_lemma_negative_controls_match_the_oracle():
     assert res.status == "pass"
     twisted, xy = res.kappa, res.xy
     swapped = XYPair(xy.Y, xy.X, xy.epsilon)
-    sp4 = kappa_of(build_standard("sp", 4))
+    sp4, outcome = _kappa_raw(build_standard("sp", 4))
+    assert outcome.passed
     gauged = XYPair(unipotent(4, q), unipotent(4, F.zero - q), 1)
     cases = [
         (twisted, swapped, ((1, 1, 2), (1, 2, 2), q - q**-3)),
@@ -438,13 +444,16 @@ def test_kappa_inverse_form():
     from bmwcert.core import check_kappa_inverse_form
 
     for sys in (so3_system(), sp2_system()):
-        assert check_kappa_inverse_form(sys, kappa_of(sys)).passed
+        kappa, outcome = _kappa_raw(sys)
+        assert outcome.passed
+        assert check_kappa_inverse_form(sys, kappa).passed
 
 
 def test_theorem_d_kappa_trace1_value():
     # Tr_1(D_2 K_12) = nu rank(K) I with rank 1 for so_3
     sys = so3_system()
-    kappa = kappa_of(sys)
+    kappa, outcome = _kappa_raw(sys)
+    assert outcome.passed
     outs = theorem_suite(sys, skew_inverse(sys), kappa)
     assert kappa.rank == 1
     by_id = {o.id: o for o in outs}
@@ -492,7 +501,8 @@ def test_pairing_factorization_entrywise_witness():
     # (rank != 1 aborts first).  Witness frozen from the sorted-union loop.
     from dataclasses import replace
 
-    kappa = kappa_of(so3_system())
+    kappa, outcome = _kappa_raw(so3_system())
+    assert outcome.passed
     pair = factor_pairings(kappa)
     outcome = check_pairing_factorization(kappa, replace(pair, g={**pair.g, (1, 1): one}))
     assert not outcome.passed

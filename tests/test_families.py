@@ -21,7 +21,6 @@ from bmwcert import (
     factor_pairings,
     family_spec,
     full_verification,
-    kappa_of,
     pairings_match_up_to_gauge,
     permutation_op,
     standard_matrix,
@@ -29,6 +28,7 @@ from bmwcert import (
     twisted_matrix,
     validate_twist,
 )
+from bmwcert.core import _kappa_raw
 from bmwcert.errors import BadDimension, InvalidTwistParameters, Singular
 
 from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, twist_from_text
@@ -128,7 +128,9 @@ def test_expected_pairings_x_identity_all_families():
 def test_pipeline_pairings_match_closed_forms():
     for series, dim in (("so", 3), ("so", 4), ("so", 5), ("sp", 2), ("sp", 4)):
         sys = build_standard(series, dim)
-        found = factor_pairings(kappa_of(sys))
+        kappa, outcome = _kappa_raw(sys)
+        assert outcome.passed
+        found = factor_pairings(kappa)
         closed, _ = twisted_expected(series, dim, unit_twist(dim))
         assert pairings_match_up_to_gauge(found, closed), (series, dim)
 

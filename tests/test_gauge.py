@@ -14,6 +14,7 @@ import bmwcert.cli
 from bmwcert import SYMBOLIC, FieldMatrix, RationalField, TensorOperator, main, parse
 from bmwcert.cli import JobConfig, run_job
 from bmwcert.core import diagonal_gauge
+from bmwcert.errors import ShapeMismatch
 from bmwcert.families import family_nu, standard_matrix
 from bmwcert.report import export_rmatrix, render_json, render_text
 
@@ -192,3 +193,36 @@ def test_gauged_verdict_count(monkeypatch, capsys, tmp_path, edit, calls):
     assert main(["verify", "--input", str(path)]) == (0 if edit is None else 1)
     capsys.readouterr()
     assert seen == calls
+
+
+def test_error_raised_on_the_gauge_reaches_main(monkeypatch, capsys, tmp_path):
+    # An error R0's verdict raises is not retried on R as given: R's verdict
+    # would raise it with the same text, so only a bug could be hidden.
+    path = tmp_path / "r.json"
+    export_rmatrix(_gauged("so", 3, _permuted(3)), family_nu("so", 3), str(path))
+    seen = []
+    full_verification = bmwcert.cli.full_verification
+
+    def failing_on_r0(sys_or_r):
+        seen.append(sys_or_r)
+        if getattr(sys_or_r, "R", sys_or_r)._flat is not None:
+            raise ShapeMismatch("injected")
+        return full_verification(sys_or_r)
+
+    monkeypatch.setattr(bmwcert.cli, "full_verification", failing_on_r0)
+    assert main(["verify", "--input", str(path)]) != 0
+    assert "injected" in capsys.readouterr().err
+    assert len(seen) == 1
+
+
+def test_singular_gauged_input_exits_2_both_ways(monkeypatch, capsys, tmp_path):
+    # Without its row out = (1, 1), R has rank 8; the gauge keeps the rank.
+    r = _gauged("so", 3, ["q + 2", "q + 3", "q + 1"])
+    cells = [(o, i, v) for (o, i), v in r.items() if o != (1, 1)]
+    r = TensorOperator.from_entries(3, 2, F, cells)
+    assert diagonal_gauge(r) is not None
+    path = tmp_path / "r.json"
+    export_rmatrix(r, family_nu("so", 3), str(path))
+    code, out, err = _same_both_ways(monkeypatch, capsys, ["verify", "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "bmwcert: error: R is singular in Q(s): rank 8 < dim 9\n"

@@ -27,7 +27,7 @@ from bmwcert import (
     scale,
     solve_multi_rhs,
 )
-from bmwcert.core import kappa_of, RMatrixSystem
+from bmwcert.core import RMatrixSystem, _kappa_raw
 from bmwcert.errors import BadPositions, ShapeMismatch, Singular
 
 from conftest import operator_from_table, SO3_TABLE
@@ -109,7 +109,8 @@ def test_partial_trace_errors():
 def test_full_trace_of_so3_contraction():
     # Tr_12 K = mu for the rank-one contraction of so_3
     R = operator_from_table(SO3_TABLE, 3)
-    kappa = kappa_of(RMatrixSystem(R, q**-2))
+    kappa, outcome = _kappa_raw(RMatrixSystem(R, q**-2))
+    assert outcome.passed
     mu_expected = q + F.one + q**-1
     assert partial_trace(kappa.K, 1).mat.trace() == mu_expected
     assert kappa.mu == mu_expected
@@ -145,7 +146,8 @@ def test_compose_add_scale_is_zero():
 
 def test_is_zero_witness_on_contraction():
     R = operator_from_table(SO3_TABLE, 3)
-    kappa = kappa_of(RMatrixSystem(R, q**-2))
+    kappa, outcome = _kappa_raw(RMatrixSystem(R, q**-2))
+    assert outcome.passed
     z, wit = is_zero(kappa.K)
     assert not z and wit is not None
 
@@ -154,7 +156,8 @@ def test_rank_basics():
     assert rank(FieldMatrix.identity(4, F)) == 4
     assert rank(FieldMatrix(4, F)) == 0
     R = operator_from_table(SO3_TABLE, 3)
-    kappa = kappa_of(RMatrixSystem(R, q**-2))
+    kappa, outcome = _kappa_raw(RMatrixSystem(R, q**-2))
+    assert outcome.passed
     assert rank(kappa.K.mat) == 1
 
 
@@ -187,7 +190,8 @@ def test_inverse_of_r_matrix():
 
 def test_inverse_singular():
     R = operator_from_table(SO3_TABLE, 3)
-    kappa = kappa_of(RMatrixSystem(R, q**-2))
+    kappa, outcome = _kappa_raw(RMatrixSystem(R, q**-2))
+    assert outcome.passed
     with pytest.raises(Singular):
         inverse(kappa.K.mat)
 
