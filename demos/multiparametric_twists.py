@@ -6,7 +6,6 @@ Run with:  python demos/multiparametric_twists.py
 
 from bmwcert import (
     SYMBOLIC,
-    TwistSpec,
     build_F,
     build_multiparametric,
     build_standard,
@@ -24,11 +23,15 @@ one = F.one
 
 # For N = 2 every nonzero parameter array is admissible.  This one rescales
 # the v1 (x) v2 leg by q.
-spec = TwistSpec(((one, q), (one, one)))
-validity = validate_twist(spec)
-print("twist conditions: u =", [str(v) for v in validity.u],
-      " w =", [str(v) for v in validity.w],
-      " constant =", validity.constant)
+# validate_twist raises unless u_j = d_1j d_Nj reproduces every d_ij d_i'j
+# and w_i = d_i1 d_iN every d_ij d_ij'; then u_i u_i' = w_i w_i' = u_1 u_N.
+spec = ((one, q), (one, one))
+validate_twist(spec)
+u = [spec[0][j] * spec[-1][j] for j in range(2)]
+w = [spec[i][0] * spec[i][-1] for i in range(2)]
+print("twist conditions: u =", [str(v) for v in u],
+      " w =", [str(v) for v in w],
+      " constant =", u[0] * u[-1])
 
 sp2 = build_standard("sp", 2)
 f_op = build_F(spec)
@@ -62,7 +65,7 @@ rows = [
     ["q^-1", "1", "q^-1", "1"],
     ["1", "1", "1", "1"],
 ]
-spec4 = TwistSpec(tuple(tuple(parse(c) for c in row) for row in rows))
+spec4 = tuple(tuple(parse(c) for c in row) for row in rows)
 so4 = build_multiparametric("so", 4, spec4)
 res4 = full_verification(so4)
 print("twisted so_4 certification:", res4.status)

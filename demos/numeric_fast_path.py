@@ -21,15 +21,15 @@ for dim in (4, 5):
     num_report, num_code = run_job(num_cfg)
     t2 = time.perf_counter()
 
-    sym_vec = [(c["id"], c["pass"]) for c in sym_report.checks]
-    num_vec = [(c["id"], c["pass"]) for c in num_report.checks]
+    sym_vec = [(c["id"], c["pass"]) for c in sym_report["checks"]]
+    num_vec = [(c["id"], c["pass"]) for c in num_report["checks"]]
     print(f"so_{dim}:")
-    print(f"  symbolic: {sym_report.status} in {t1 - t0:.3f}s")
-    print(f"  numeric:  {num_report.status} in {t2 - t1:.3f}s (s = 3/2, q = 9/4)")
+    print(f"  symbolic: {sym_report['status']} in {t1 - t0:.3f}s")
+    print(f"  numeric:  {num_report['status']} in {t2 - t1:.3f}s (s = 3/2, q = 9/4)")
     print(f"  identical pass/fail vectors: {sym_vec == num_vec}")
 
 # In numeric mode the derived values are plain fractions:
 report, _ = run_job(JobConfig(source=("family", "sp", 2), at_s=Fraction(3, 2)))
 print()
 print("sp_2 at s = 3/2:")
-print("  nu =", report.derived["nu"], " mu =", report.derived["mu"])
+print("  nu =", report["derived"]["nu"], " mu =", report["derived"]["mu"])

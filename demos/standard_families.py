@@ -8,7 +8,6 @@ Run with:  python demos/standard_families.py
 from bmwcert import (
     FieldMatrix,
     SYMBOLIC,
-    TwistSpec,
     build_standard,
     full_verification,
     skew_inverse,
@@ -41,7 +40,7 @@ print()
 # The closed-form pairings are antidiagonal with q^-rho weights; the induced
 # X matrix is the identity for every untwisted family, the twist with every
 # d_ij = 1.
-pair, x = twisted_expected("so", 3, TwistSpec(((F.one,) * 3,) * 3))
+pair, x = twisted_expected("so", 3, ((F.one,) * 3,) * 3)
 print("closed-form pairings for so_3:")
 print("  g    =", {k: str(v) for k, v in sorted(pair.g.items())})
 print("  gbar =", {k: str(v) for k, v in sorted(pair.gbar.items())})

@@ -49,7 +49,6 @@ from .core import (
     theorem_suite,
 )
 from .families import (
-    TwistSpec,
     build_F,
     build_multiparametric,
     build_standard,

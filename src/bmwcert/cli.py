@@ -20,13 +20,10 @@ that verdict is kept only when it passes, else R is decided as given.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import re
 import sys as _sys
-import traceback
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .core import Outcome, RMatrixSystem, diagonal_gauge, excluded_nus, full_verification
 
@@ -37,7 +34,6 @@ from .core import _build_xy, factor_pairings, _kappa_raw as kappa_of  # noqa: F4
 from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, Singular, UnluckyPoint
 from .families import (
     SP_NU_NOTE,
-    TwistSpec,
     build_F,
     build_multiparametric,
     build_standard,
@@ -72,11 +68,11 @@ class JobConfig:
     """One verification job: where the operator comes from and how to run."""
 
     source: tuple  # ("family", series, dim) | ("file", path)
-    twist: Optional[str] = None  # path of a twist parameter file
-    nu: Optional[str] = None  # grammar text, or "detect"
-    at_s: Optional[Fraction] = None  # numeric mode when set
+    twist: str | None = None  # path of a twist parameter file
+    nu: str | None = None  # grammar text, or "detect"
+    at_s: Fraction | None = None  # numeric mode when set
     report_format: str = "text"
-    out: Optional[str] = None
+    out: str | None = None
 
     def echo(self):
         if self.source[0] == "family":
@@ -138,7 +134,7 @@ def _resolve_nu(config, r_op, field, file_nu, series):
 
 
 def run_job(config):
-    """Execute one job; returns (Report, exit_code 0|1).
+    """Execute one job; returns (report document, exit_code 0|1).
 
     Input and configuration problems raise (BmwError subclasses, ValueError,
     OSError); the CLI maps those onto exit code 2.
@@ -166,29 +162,27 @@ def run_job(config):
 
     r_op = base
     if config.twist is not None:
-        d_sym = TwistSpec(import_twist(config.twist))
-        if d_sym.N != base.N:
+        d_sym = import_twist(config.twist)
+        if len(d_sym) != base.N:
             raise InvalidTwistParameters(
-                f"twist is {d_sym.N} x {d_sym.N}, operator needs {base.N} x {base.N}"
+                f"twist is {len(d_sym)} x {len(d_sym)}, operator needs {base.N} x {base.N}"
             )
-        d_spec = TwistSpec(
-            tuple(
-                tuple(_lifted(f"d[{i}][{j}]", v, field) for j, v in enumerate(row, 1))
-                for i, row in enumerate(d_sym.d, 1)
-            )
+        d = tuple(
+            tuple(_lifted(f"d[{i}][{j}]", v, field) for j, v in enumerate(row, 1))
+            for i, row in enumerate(d_sym, 1)
         )
         # Valid in Q(s), with no cell vanishing or having a pole at s0,
-        # implies valid at s0, so d_spec is not validated again.
+        # implies valid at s0, so d is not validated again.
         validate_twist(d_sym)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
         )
-        f_op = build_F(d_spec, field)
+        f_op = build_F(d, field)
         compat = check_twist_compat(base, f_op)
         pre_outcomes.append(compat)
         generic = twisted_matrix(base, f_op)
         if series is not None:
-            closed = standard_matrix(series, base.N, field, d_spec.d)
+            closed = standard_matrix(series, base.N, field, d)
             match = closed == generic
             pre_outcomes.append(
                 Outcome(
@@ -198,7 +192,7 @@ def run_job(config):
                 )
             )
             r_op = closed if match else generic
-            expected_pair, expected_x = twisted_expected(series, r_op.N, d_spec, field)
+            expected_pair, expected_x = twisted_expected(series, r_op.N, d, field)
         else:
             r_op = generic
 
@@ -227,12 +221,12 @@ def run_job(config):
                 ) from None
             detail = f"rank {k} < dim {dim}"
         raise Singular(f"R is singular in Q(s): {detail}") from None
-    outcomes = pre_outcomes + result.outcomes
+    result.outcomes = pre_outcomes + result.outcomes
 
     if expected_x is not None and result.aborted is None:
         found = result.pairing
         x_match = result.xy.X == expected_x and pairings_match_up_to_gauge(found, expected_pair)
-        outcomes.append(
+        result.outcomes.append(
             Outcome(
                 "twisted-x-match",
                 "pipeline X equals diag(d_i'i / d_ii') and pairings match up to gauge",
@@ -240,9 +234,7 @@ def run_job(config):
             )
         )
 
-    merged = dataclasses.replace(result, outcomes=outcomes)
-    report = build_report(merged, config.echo(), notes)
-    return report, (0 if report.status == "pass" else 1)
+    return build_report(result, config.echo(), notes), (0 if result.status == "pass" else 1)
 
 
 def export_family(series, dim, twist_path, out_path):
@@ -254,11 +246,11 @@ def export_family(series, dim, twist_path, out_path):
     else:
         # An all-ones twist is checked like any other, then exported as the
         # plain family it equals.
-        d = TwistSpec(import_twist(twist_path))
+        d = import_twist(twist_path)
         sys = build_multiparametric(series, dim, d)
-        if any(v != SYMBOLIC.one for row in d.d for v in row):
+        if any(v != SYMBOLIC.one for row in d for v in row):
             provenance["source"] = "multiparametric-family"
-            provenance["d"] = [[str(v) for v in row] for row in d.d]
+            provenance["d"] = [[str(v) for v in row] for row in d]
     export_rmatrix(
         sys.R,
         sys.nu,
@@ -361,6 +353,8 @@ def main(argv=None):
         print(f"bmwcert: error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
+
         print(f"bmwcert: internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         traceback.print_exc()
         return 3

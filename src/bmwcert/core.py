@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product
-from typing import Optional
 
 from .errors import (
     NotBMWSpectralType,
@@ -121,7 +120,7 @@ class KappaData:
 
     K: TensorOperator
     mu: object
-    R: Optional[TensorOperator] = None
+    R: TensorOperator | None = None
 
     @cached_property
     def pairing(self):
@@ -150,7 +149,7 @@ class SkewData:
     C: TensorOperator
     D: TensorOperator
     outcomes: list = dc_field(default_factory=list)
-    d_rinv_trace: Optional[FieldMatrix] = None
+    d_rinv_trace: FieldMatrix | None = None
 
 
 @dataclass
@@ -164,7 +163,7 @@ class PairingPair:
     N: int
     g: dict
     gbar: dict
-    pivot: Optional[tuple] = None
+    pivot: tuple | None = None
 
 
 @dataclass
@@ -190,7 +189,7 @@ class Outcome:
     id: str
     equation: str
     passed: bool
-    witness: Optional[tuple] = None
+    witness: tuple | None = None
 
 
 @dataclass
@@ -202,11 +201,11 @@ class VerificationResult:
 
     outcomes: list
     system: RMatrixSystem
-    aborted: Optional[str] = None
-    kappa: Optional[KappaData] = None
-    skew: Optional[SkewData] = None
-    pairing: Optional[PairingPair] = None
-    xy: Optional[XYPair] = None
+    aborted: str | None = None
+    kappa: KappaData | None = None
+    skew: SkewData | None = None
+    pairing: PairingPair | None = None
+    xy: XYPair | None = None
 
     @property
     def status(self):
@@ -819,7 +818,7 @@ def rtt_lemma(kappa, xy):
         outcome = _outcome("rtt-conjugation", eq_text, [(compose(t1, kk), compose(kk, m3))])
         if not outcome.passed:
             return outcome
-    raise ValueError("rtt-conjugation fails for X, but no matrix unit shows it: Y is not X^-1")
+    raise RuntimeError("rtt-conjugation fails for X, but no matrix unit shows it: Y is not X^-1")
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ return, and the frozen tables of the test suite pin their index conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import RMatrixSystem, PairingPair, _outcome
 from .errors import BadDimension, InvalidTwistParameters, Singular
 from .scalars import SYMBOLIC, Scalar
@@ -38,37 +36,6 @@ SP_NU_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Series data: rho as monomials q^rho_i, signs in {+1, -1}."""
-
-    series: str
-    N: int
-    rho: tuple
-    signs: tuple
-
-
-@dataclass(frozen=True)
-class TwistSpec:
-    """Diagonal twist parameters: an N x N array of nonzero scalars."""
-
-    d: tuple
-
-    @property
-    def N(self):
-        return len(self.d)
-
-
-@dataclass(frozen=True)
-class TwistValidity:
-    """The reduced twist data: d_ij d_i'j = u_j, d_ij d_ij' = w_i and
-    u_i u_i' = w_i w_i' = constant."""
-
-    u: tuple
-    w: tuple
-    constant: object
-
-
 def _rho_s_exponents(series, N):
     if series == "so":
         if N % 2:
@@ -81,7 +48,8 @@ def _rho_s_exponents(series, N):
 
 
 def family_spec(series, N):
-    """rho and sign vectors for so_N (N >= 2) or sp_N (N even >= 2)."""
+    """(rho, signs) for so_N (N >= 2) or sp_N (N even >= 2): rho as
+    monomials q^rho_i, signs in {+1, -1}."""
     if series not in ("so", "sp"):
         raise BadDimension(f"unknown series {series!r}, expected 'so' or 'sp'")
     if N < 2:
@@ -93,18 +61,18 @@ def family_spec(series, N):
         signs = (1,) * N
     else:
         signs = tuple(1 if i <= N // 2 else -1 for i in range(1, N + 1))
-    return FamilySpec(series, N, rho, signs)
+    return rho, signs
 
 
 def standard_matrix(series, N, field=SYMBOLIC, d=None):
     """The raw R-matrix over `field`, without any self-check.  Given d, the
-    N x N twist parameters in `field` (a TwistSpec's d), the closed-form
+    N x N tuple of twist parameters in `field`, the closed-form
     multiparametric matrix: the permutation part dressed with d_ij/d_ji and
     the projector part with d_i'i/d_jj'."""
-    spec = family_spec(series, N)
+    rho, signs = family_spec(series, N)
     lam = field.lam
     q = field.q
-    rho = [field.lift(r) for r in spec.rho]
+    rho = [field.lift(r) for r in rho]
     entries = []
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -124,7 +92,7 @@ def standard_matrix(series, N, field=SYMBOLIC, d=None):
             coeff = lam * (rho[i - 1] / rho[j - 1])
             if d is not None:
                 coeff = coeff * (d[ip - 1][i - 1] / d[j - 1][jp - 1])
-            if spec.signs[i - 1] * spec.signs[j - 1] == 1:
+            if signs[i - 1] * signs[j - 1] == 1:
                 coeff = field.zero - coeff
             entries.append(((ip, i), (j, jp), coeff))
     return TensorOperator.from_entries(N, 2, field, entries)
@@ -152,8 +120,9 @@ def build_standard(series, N):
 # Twists
 
 
-def validate_twist(spec):
-    """Check the compatibility conditions of a diagonal twist.
+def validate_twist(d):
+    """Check the compatibility conditions of a diagonal twist, the N x N
+    tuple of tuples d.
 
     u_j := d_1j d_1'j and w_i := d_i1 d_i1' must reproduce every product
     d_ij d_i'j and d_ij d_ij'.  Then u_i u_i' = (d_1i d_1i')(d_Ni d_Ni') =
@@ -161,7 +130,6 @@ def validate_twist(spec):
     the one constant u_1 u_N, which needs no check of its own.  Raises
     InvalidTwistParameters naming the first violated condition.
     """
-    d = spec.d
     n = len(d)
     for i in range(n):
         if len(d[i]) != n:
@@ -181,18 +149,17 @@ def validate_twist(spec):
                 raise InvalidTwistParameters(
                     f"d[{i + 1}][{j + 1}] d[{i + 1}][{n - j}] != w[{i + 1}]"
                 )
-    return TwistValidity(u, w, u[0] * u[n - 1])
 
 
-def build_F(spec, field=SYMBOLIC):
+def build_F(d, field=SYMBOLIC):
     """The twisting operator F with P F = sum d_ij e_ii (x) e_jj, i.e.
-    F(v_i (x) v_j) = d_ij v_j (x) v_i.  spec must have passed
+    F(v_i (x) v_j) = d_ij v_j (x) v_i.  d must have passed
     validate_twist."""
-    n = spec.N
+    n = len(d)
     entries = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            entries.append(((j, i), (i, j), spec.d[i - 1][j - 1]))
+            entries.append(((j, i), (i, j), d[i - 1][j - 1]))
     return TensorOperator.from_entries(n, 2, field, entries)
 
 
@@ -232,14 +199,14 @@ def twisted_matrix(r, f_op):
     return TensorOperator(r.N, 2, FieldMatrix.from_entries(fm.dim, r.field, entries))
 
 
-def build_multiparametric(series, N, spec):
+def build_multiparametric(series, N, d):
     """Closed-form multiparametric family (standard_matrix with d) with the
     family's nu, uncertified: full_verification certifies it.  Raises
-    InvalidTwistParameters unless spec is a valid N x N twist."""
-    if spec.N != N:
-        raise InvalidTwistParameters(f"twist is {spec.N} x {spec.N}, family needs {N}")
-    validate_twist(spec)
-    return RMatrixSystem(standard_matrix(series, N, d=spec.d), family_nu(series, N))
+    InvalidTwistParameters unless d is a valid N x N twist."""
+    if len(d) != N:
+        raise InvalidTwistParameters(f"twist is {len(d)} x {len(d)}, family needs {N}")
+    validate_twist(d)
+    return RMatrixSystem(standard_matrix(series, N, d=d), family_nu(series, N))
 
 
 def pairings_match_up_to_gauge(found, closed):
@@ -255,28 +222,27 @@ def pairings_match_up_to_gauge(found, closed):
     )
 
 
-def twisted_expected(series, N, spec, field=SYMBOLIC):
+def twisted_expected(series, N, d, field=SYMBOLIC):
     """Closed-form twisted pairings gbar_ij = delta_ij' eps_i q^-rho_i d_ii',
     g^ij = delta^ij' eps_i' q^-rho_i d_ii'^-1, and X = diag(d_i'i / d_ii'),
-    over `field`, which the twist parameters in spec belong to.
+    over `field`, which the twist parameters d belong to.
 
     Returns (PairingPair, X); the pipeline's factorization agrees up to one
-    gauge scalar and its X agrees exactly.  spec must have passed
+    gauge scalar and its X agrees exactly.  d must have passed
     validate_twist.
     """
-    fam = family_spec(series, N)
+    rho, signs = family_spec(series, N)
     f = field
-    d = spec.d
     g = {}
     gbar = {}
     x = FieldMatrix(N, f)
     for i in range(1, N + 1):
         ip = N + 1 - i
-        inv_rho = f.lift(fam.rho[i - 1].inverse())
+        inv_rho = f.lift(rho[i - 1].inverse())
         dv = d[i - 1][ip - 1]
         gb = inv_rho * dv
         gv = inv_rho / dv
-        gbar[(i, ip)] = gb if fam.signs[i - 1] == 1 else f.zero - gb
-        g[(i, ip)] = gv if fam.signs[ip - 1] == 1 else f.zero - gv
+        gbar[(i, ip)] = gb if signs[i - 1] == 1 else f.zero - gb
+        g[(i, ip)] = gv if signs[ip - 1] == 1 else f.zero - gv
         x._add_entry(i - 1, i - 1, d[ip - 1][i - 1] / d[i - 1][ip - 1])
     return PairingPair(N=N, g=g, gbar=gbar), x

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 from . import __version__
 from .errors import DimensionMismatch, ParseError
@@ -26,23 +24,11 @@ from .scalars import SYMBOLIC, parse as parse_scalar
 from .tensors import TensorOperator
 
 
-@dataclass
-class Report:
-    """One verification run: config echo, derived values, ordered checks."""
-
-    status: str
-    metadata: dict
-    derived: dict
-    checks: list
-    reason: Optional[str] = None
-    notes: list = dc_field(default_factory=list)
-
-
 def build_report(result, config_echo, notes=()):
-    """Assemble a Report from a VerificationResult; values print as str().
-    A legal value may have more digits than the interpreter's limit on
-    int-to-text conversion (3.10.7 and later), so the limit is lifted while
-    values print; input text keeps it."""
+    """The report document of a VerificationResult, a dict with its keys in
+    JSON order; values print as str().  A legal value may have more digits
+    than the interpreter's limit on int-to-text conversion (3.10.7 and
+    later), so the limit is lifted while values print; input text keeps it."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
@@ -67,39 +53,32 @@ def build_report(result, config_echo, notes=()):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return Report(
-        status=result.status,
-        metadata={"tool": "bmwcert", "version": __version__, "config": config_echo},
-        derived=derived,
-        checks=checks,
-        reason=result.aborted,
-        notes=list(notes),
-    )
+    report = {"status": result.status}
+    if result.aborted is not None:
+        report["reason"] = result.aborted
+    report["metadata"] = {"tool": "bmwcert", "version": __version__, "config": config_echo}
+    report["notes"] = list(notes)
+    report["derived"] = derived
+    report["checks"] = checks
+    return report
 
 
 def render_json(report):
-    doc = {"status": report.status}
-    if report.reason is not None:
-        doc["reason"] = report.reason
-    doc["metadata"] = report.metadata
-    doc["notes"] = report.notes
-    doc["derived"] = report.derived
-    doc["checks"] = report.checks
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(report, indent=2) + "\n"
 
 
 def render_text(report):
-    lines = [f"status: {report.status}"]
-    if report.reason is not None:
-        lines.append(f"reason: {report.reason}")
-    for note in report.notes:
+    lines = [f"status: {report['status']}"]
+    if "reason" in report:
+        lines.append(f"reason: {report['reason']}")
+    for note in report["notes"]:
         lines.append(f"note: {note}")
-    for key, value in report.derived.items():
+    for key, value in report["derived"].items():
         if key == "X_diag" and value is not None:
             value = "[" + ", ".join(value) + "]"
         lines.append(f"{key}: {value}")
     lines.append("checks:")
-    for chk in report.checks:
+    for chk in report["checks"]:
         flag = "pass" if chk["pass"] else "FAIL"
         line = f"  [{flag}] {chk['id']}: {chk['equation']}"
         if "witness" in chk:

@@ -15,7 +15,6 @@ from bmwcert import (
     SYMBOLIC,
     Scalar,
     TensorOperator,
-    TwistSpec,
     compose,
     embed,
     export_family,
@@ -74,7 +73,8 @@ def operator_from_table(table, n):
 
 
 def twist_from_text(rows):
-    return TwistSpec(tuple(tuple(parse(c) for c in row) for row in rows))
+    """The N x N twist tuple of the grammar text rows."""
+    return tuple(tuple(parse(c) for c in row) for row in rows)
 
 
 def change_of_basis(r, a):

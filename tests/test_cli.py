@@ -220,8 +220,8 @@ def test_numeric_mode_agrees_with_symbolic(capsys):
 
     sym, _ = run_job(JobConfig(source=("family", "so", 3)))
     num, _ = run_job(JobConfig(source=("family", "so", 3), at_s=Fraction(3, 2)))
-    sym_vec = [(chk["id"], chk["pass"]) for chk in sym.checks]
-    num_vec = [(chk["id"], chk["pass"]) for chk in num.checks]
+    sym_vec = [(chk["id"], chk["pass"]) for chk in sym["checks"]]
+    num_vec = [(chk["id"], chk["pass"]) for chk in num["checks"]]
     assert sym_vec == num_vec
 
 
@@ -337,8 +337,8 @@ def test_numeric_twist_vector_agrees(tmp_path):
     num, _ = run_job(
         JobConfig(source=("family", "sp", 2), twist=twist, at_s=Fraction(3, 2))
     )
-    assert [(c["id"], c["pass"]) for c in sym.checks] == [
-        (c["id"], c["pass"]) for c in num.checks
+    assert [(c["id"], c["pass"]) for c in sym["checks"]] == [
+        (c["id"], c["pass"]) for c in num["checks"]
     ]
 
 

@@ -27,7 +27,7 @@ from bmwcert import (
     standard_matrix,
     theorem_suite,
 )
-from bmwcert.core import XYPair, check_pairing_factorization, _kappa_raw, _xy_outcomes
+from bmwcert.core import Outcome, XYPair, check_pairing_factorization, _kappa_raw, _xy_outcomes
 from bmwcert.families import family_nu
 from bmwcert.tensors import compose, embed, is_zero, sub
 from bmwcert.errors import (
@@ -342,6 +342,20 @@ def test_rtt_lemma_negative_controls_match_the_oracle():
         assert outcome.witness == rtt_oracle(kappa, pair) == witness
 
 
+def test_rtt_lemma_without_a_witness_is_an_internal_error(monkeypatch):
+    # M X is not scalar for X = diag(1, q, 1), so the rule fails; with every
+    # matrix-unit residual forced to pass, no witness shows it.  That breaks
+    # an invariant of the code, not of the input, so main exits 3, not 2.
+    import bmwcert.core
+
+    res = full_verification(so3_system())
+    assert res.status == "pass"
+    xy = XYPair(diagonal([one, q, one], F), res.xy.Y, res.xy.epsilon)
+    monkeypatch.setattr(bmwcert.core, "_outcome", lambda check_id, eq, pairs: Outcome(check_id, eq, True))
+    with pytest.raises(RuntimeError, match="no matrix unit shows it"):
+        rtt_lemma(res.kappa, xy)
+
+
 def test_x_moves_with_a_change_of_basis():
     # (A (x) A) R (A (x) A)^-1 keeps the conjugation rule when X moves as
     # A X A^-1.  G Gbar moves as A^-T (G Gbar) A^T, so X is its transpose;
@@ -368,7 +382,7 @@ def test_rtt_lemma_matches_the_oracle_on_gauged_inverse_pairs(field):
     # that M X is scalar must give the oracle's verdict, and its witness
     # when it fails.
     # A scalar G keeps the pass verdict among the cases.
-    twist = twist_from_text(SP2_TWIST_TEXT).d
+    twist = twist_from_text(SP2_TWIST_TEXT)
     systems = [("so", 3, None), ("so", 4, None), ("sp", 2, None), ("sp", 4, None), ("sp", 2, twist)]
     q_f = field.q
     verdicts = []

@@ -11,7 +11,6 @@ from bmwcert import (
     RationalField,
     SYMBOLIC,
     TensorOperator,
-    TwistSpec,
     build_F,
     build_multiparametric,
     build_standard,
@@ -40,24 +39,24 @@ one = F.one
 
 def unit_twist(n):
     """The twist with every d_ij = 1, which leaves a family as it is."""
-    return TwistSpec(((one,) * n,) * n)
+    return ((one,) * n,) * n
 
 
 def test_family_spec_rho_vectors():
     # rho stored as monomials q^rho_i, i.e. integer powers of s
-    assert [r for r in family_spec("so", 3).rho] == [F.s, one, F.s**-1]
-    assert [r for r in family_spec("so", 4).rho] == [q, one, one, q**-1]
-    sp4 = family_spec("sp", 4)
-    assert [r for r in sp4.rho] == [q**2, q, q**-1, q**-2]
-    assert sp4.signs == (1, 1, -1, -1)
-    assert family_spec("so", 5).signs == (1,) * 5
+    assert list(family_spec("so", 3)[0]) == [F.s, one, F.s**-1]
+    assert list(family_spec("so", 4)[0]) == [q, one, one, q**-1]
+    rho, signs = family_spec("sp", 4)
+    assert list(rho) == [q**2, q, q**-1, q**-2]
+    assert signs == (1, 1, -1, -1)
+    assert family_spec("so", 5)[1] == (1,) * 5
 
 
 def test_family_spec_rho_antisymmetry():
     for series, dim in (("so", 3), ("so", 4), ("so", 5), ("so", 6), ("sp", 2), ("sp", 4), ("sp", 6)):
-        spec = family_spec(series, dim)
+        rho, _ = family_spec(series, dim)
         for i in range(dim):
-            assert spec.rho[i] * spec.rho[dim - 1 - i] == one
+            assert rho[i] * rho[dim - 1 - i] == one
 
 
 def test_family_spec_bad_dimensions():
@@ -144,15 +143,11 @@ def test_validate_twist_any_n2():
             tuple(q ** rng.randint(-2, 2) * F.from_int(rng.randint(1, 3)) for _ in range(2))
             for _ in range(2)
         )
-        validity = validate_twist(TwistSpec(d))
-        assert validity.u[0] * validity.u[1] == validity.constant
+        assert validate_twist(d) is None
 
 
 def test_validate_twist_identity():
-    validity = validate_twist(TwistSpec(((one, one), (one, one))))
-    assert validity.u == (one, one)
-    assert validity.w == (one, one)
-    assert validity.constant == one
+    assert validate_twist(((one, one), (one, one))) is None
 
 
 def test_validate_twist_violation_n3():
@@ -160,21 +155,21 @@ def test_validate_twist_violation_n3():
     rows = [[one] * 3 for _ in range(3)]
     rows[0][0] = q
     with pytest.raises(InvalidTwistParameters):
-        validate_twist(TwistSpec(tuple(tuple(r) for r in rows)))
+        validate_twist(tuple(tuple(r) for r in rows))
 
 
 def test_validate_twist_rejects_zero():
     with pytest.raises(InvalidTwistParameters):
-        validate_twist(TwistSpec(((one, F.zero), (one, one))))
+        validate_twist(((one, F.zero), (one, one)))
 
 
 def test_validate_twist_rejects_ragged_rows():
     with pytest.raises(InvalidTwistParameters, match=r"^row 2 has 1 entries, expected 2$"):
-        validate_twist(TwistSpec(((one, one), (one,))))
+        validate_twist(((one, one), (one,)))
 
 
 def test_twisted_matrix_with_a_zero_cell_is_singular():
-    f_op = build_F(TwistSpec(((one, F.zero), (one, one))))
+    f_op = build_F(((one, F.zero), (one, one)))
     with pytest.raises(Singular, match=r"^rank 3 < dim 4$"):
         twisted_matrix(build_standard("sp", 2).R, f_op)
 
@@ -192,7 +187,7 @@ def test_pairings_without_the_closed_forms_first_key_do_not_match(sp2_twist):
 
 
 def test_build_F_identity_twist_is_permutation():
-    ident_twist = TwistSpec(((one, one), (one, one)))
+    ident_twist = ((one, one), (one, one))
     assert build_F(ident_twist) == permutation_op(2, 2, 1, 2, F)
 
 
@@ -220,11 +215,10 @@ def test_twist_compat_permutation_f_with_any_braided_r():
 def test_twist_compat_invalid_d_fails():
     rows = [[one] * 3 for _ in range(3)]
     rows[0][0] = q  # violates the twist conditions for N = 3
-    d = TwistSpec(tuple(tuple(r) for r in rows))
     f_entries = []
     for i in range(1, 4):
         for j in range(1, 4):
-            f_entries.append(((j, i), (i, j), d.d[i - 1][j - 1]))
+            f_entries.append(((j, i), (i, j), rows[i - 1][j - 1]))
     f_op = TensorOperator.from_entries(3, 2, F, f_entries)
     assert not check_twist_compat(build_standard("so", 3).R, f_op).passed
 
@@ -246,7 +240,7 @@ def test_twist_r_preserves_nu_and_certifies(so4_twist):
 
 
 def test_build_multiparametric_identity_equals_standard():
-    ident_twist = TwistSpec(((one, one), (one, one)))
+    ident_twist = ((one, one), (one, one))
     assert build_multiparametric("sp", 2, ident_twist).R == build_standard("sp", 2).R
 
 
@@ -287,7 +281,7 @@ def test_twisted_expected_sp2(sp2_twist):
 
 
 def test_twisted_expected_identity_twist():
-    ident_twist = TwistSpec(((one, one), (one, one)))
+    ident_twist = ((one, one), (one, one))
     _, x = twisted_expected("sp", 2, ident_twist)
     assert x == FieldMatrix.identity(2, F)
 
@@ -335,9 +329,9 @@ def test_builders_are_field_generic(s0):
     # Building over Q at s = s0 equals building over Q(s) and evaluating.
     field = RationalField(s0)
     for series, n, rows in FIELD_GENERIC_CASES:
-        spec_sym = twist_from_text(rows) if rows else TwistSpec(((one,) * n,) * n)
-        spec = TwistSpec(tuple(tuple(field.lift(v) for v in row) for row in spec_sym.d))
-        d_sym, d = (spec_sym.d, spec.d) if rows else (None, None)
+        spec_sym = twist_from_text(rows) if rows else unit_twist(n)
+        spec = tuple(tuple(field.lift(v) for v in row) for row in spec_sym)
+        d_sym, d = (spec_sym, spec) if rows else (None, None)
         numeric = standard_matrix(series, n, field, d)
         assert numeric.field is field
         symbolic = standard_matrix(series, n, d=d_sym)

@@ -53,7 +53,7 @@ def _family(series, n):
 
 def _twisted(series, n, text):
     def build(f):
-        d = tuple(tuple(f.lift(v) for v in row) for row in twist_from_text(text).d)
+        d = tuple(tuple(f.lift(v) for v in row) for row in twist_from_text(text))
         return standard_matrix(series, n, f, d), family_nu(series, n, f)
 
     return build

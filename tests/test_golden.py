@@ -1,4 +1,4 @@
-"""Golden reports: the full stdout of four verify runs, compared byte for byte.
+"""Golden reports: the full stdout of six verify runs, compared byte for byte.
 
 test_report_determinism runs one config twice, so it cannot see a change
 that moves where a derived value comes from; these files can.  File paths
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bmwcert import main
+from bmwcert import export_family, main
 
 from conftest import SP2_TWIST_TEXT, so3_file_without_nu
 
@@ -23,6 +23,25 @@ GOLDEN = Path(__file__).parent / "golden"
 def _sp2_twist(tmp_path):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({"d": SP2_TWIST_TEXT}))
+    return str(path)
+
+
+def _ident2(tmp_path):
+    """The identity on V (x) V, N = 2, with nu = q^5: it has no skew inverse."""
+    path = tmp_path / "ident2.json"
+    entries = [{"out": [i, j], "in": [i, j], "coeff": "1"} for i in (1, 2) for j in (1, 2)]
+    path.write_text(json.dumps({"dim": 2, "nu": "q^5", "entries": entries}))
+    return str(path)
+
+
+def _bump_so3(tmp_path):
+    """so_3 with R[(1,1),(1,1)] raised from q to q^2: rank(K) = 2."""
+    path = tmp_path / "bump_so3.json"
+    export_family("so", 3, None, str(path))
+    doc = json.loads(path.read_text())
+    cell = next(e for e in doc["entries"] if e["out"] == [1, 1] and e["in"] == [1, 1])
+    cell["coeff"] = "q^2"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -36,9 +55,16 @@ RUNS = {
 }
 
 
+# Runs that abort: the reason key (JSON) and line (text) are pinned here.
+ABORTED = {
+    "ident2_aborted.json": lambda tmp: ["verify", "--input", _ident2(tmp), "--report", "json"],
+    "bump_so3_aborted.txt": lambda tmp: ["verify", "--input", _bump_so3(tmp), "--detect-nu"],
+}
+
+
 def run_golden(name, tmp_path):
     """(exit code, stdout with tmp_path written as <tmp>) of one run."""
-    argv = RUNS[name](tmp_path)
+    argv = {**RUNS, **ABORTED}[name](tmp_path)
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
@@ -62,3 +88,10 @@ def test_failing_twisted_report_matches_golden(tmp_path):
         code = main(argv)
     assert code == 1
     assert buf.getvalue() == (GOLDEN / "sp2_twist_wrong_nu.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ABORTED))
+def test_aborted_report_matches_golden(tmp_path, name):
+    code, out = run_golden(name, tmp_path)
+    assert code == 1
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
