@@ -17,12 +17,10 @@ Laurent diagonal gauge of it (core.diagonal_gauge), on the integer kernel;
 that verdict is kept only when it passes, else R is decided as given.
 """
 
-from __future__ import annotations
-
 import argparse
 import re
 import sys as _sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import Outcome, RMatrixSystem, diagonal_gauge, excluded_nus, full_verification
@@ -63,16 +61,19 @@ NUMERIC_NOTE = (
 )
 
 
-@dataclass
-class JobConfig:
-    """One verification job: where the operator comes from and how to run."""
+class JobConfig(
+    namedtuple(
+        "JobConfig", "source twist nu at_s report_format out", defaults=(None, None, None, "text", None)
+    )
+):
+    """One verification job: where the operator comes from and how to run.
 
-    source: tuple  # ("family", series, dim) | ("file", path)
-    twist: str | None = None  # path of a twist parameter file
-    nu: str | None = None  # grammar text, or "detect"
-    at_s: Fraction | None = None  # numeric mode when set
-    report_format: str = "text"
-    out: str | None = None
+    source is ("family", series, dim) or ("file", path); twist is the path
+    of a twist parameter file; nu is grammar text or "detect"; at_s, when
+    set, is the point of numeric mode; out is a path for the report.
+    """
+
+    __slots__ = ()
 
     def echo(self):
         if self.source[0] == "family":
@@ -167,13 +168,13 @@ def run_job(config):
             raise InvalidTwistParameters(
                 f"twist is {len(d_sym)} x {len(d_sym)}, operator needs {base.N} x {base.N}"
             )
+        # Valid in Q(s), with no cell vanishing or having a pole at s0,
+        # implies valid at s0, so d is not validated again.
+        validate_twist(d_sym)
         d = tuple(
             tuple(_lifted(f"d[{i}][{j}]", v, field) for j, v in enumerate(row, 1))
             for i, row in enumerate(d_sym, 1)
         )
-        # Valid in Q(s), with no cell vanishing or having a pole at s0,
-        # implies valid at s0, so d is not validated again.
-        validate_twist(d_sym)
         pre_outcomes.append(
             Outcome("twist-valid", "d_ij d_i'j = u_j, d_ij d_ij' = w_i, u_i u_i' = w_i w_i' = const", True)
         )

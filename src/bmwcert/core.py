@@ -28,9 +28,7 @@ a restricted check fails, and a failure's witness always comes from the
 full residual, so outcomes do not depend on which path decided them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
@@ -106,7 +104,6 @@ class RMatrixSystem:
         return self._r_inv
 
 
-@dataclass
 class KappaData:
     """The contraction operator K with its loop value mu (K^2 = mu K), and
     the operator R it was formed from.
@@ -118,9 +115,8 @@ class KappaData:
     minimal-cubic share.  Each is formed once, on first use.
     """
 
-    K: TensorOperator
-    mu: object
-    R: TensorOperator | None = None
+    def __init__(self, K, mu, R=None):
+        self.K, self.mu, self.R = K, mu, R
 
     @cached_property
     def pairing(self):
@@ -139,73 +135,37 @@ class KappaData:
         return compose(self.K, self.R)
 
 
-@dataclass
-class SkewData:
-    """Skew inverse Psi of R with its partial traces C and D, both arity-1
-    operators, so the checks that embed them share one embedding each, and
-    Tr_2(D_2 R_12^-1), which cd-commute and d-rinv-trace compare against."""
+# Skew inverse Psi of R with its partial traces C and D, both arity-1
+# operators, so the checks that embed them share one embedding each, the
+# outcomes of check_skew, and Tr_2(D_2 R_12^-1), which cd-commute and
+# d-rinv-trace compare against.
+SkewData = namedtuple("SkewData", "Psi C D outcomes d_rinv_trace")
 
-    Psi: TensorOperator
-    C: TensorOperator
-    D: TensorOperator
-    outcomes: list = dc_field(default_factory=list)
-    d_rinv_trace: FieldMatrix | None = None
+# Bilinear pairings read off the rank-one contraction operator: g and gbar
+# map 1-based index pairs to field elements; pivot records the (out, in)
+# entry of K that fixed the normalization.
+PairingPair = namedtuple("PairingPair", "N g gbar pivot", defaults=(None,))
 
+# The mutually inverse contractions of g with gbar, plus the sign of the
+# palindromic symmetry of char(X): row j, column i of X is
+# sum_k g^ik gbar_kj, and row i, column j of Y is sum_k gbar_ik g^kj.
+XYPair = namedtuple("XYPair", "X Y epsilon")
 
-@dataclass
-class PairingPair:
-    """Bilinear pairings read off the rank-one contraction operator.
-
-    g and gbar map 1-based index pairs to field elements; pivot records the
-    (out, in) entry of K that fixed the normalization.
-    """
-
-    N: int
-    g: dict
-    gbar: dict
-    pivot: tuple | None = None
+# Result of one identity check: passed is True iff the residual operator is
+# identically zero; witness is the first nonzero residual entry
+# (out_parts, in_parts, value).
+Outcome = namedtuple("Outcome", "id equation passed witness", defaults=(None,))
 
 
-@dataclass
-class XYPair:
-    """The mutually inverse contractions of g with gbar, plus the sign of
-    the palindromic symmetry of char(X): row j, column i of X is
-    sum_k g^ik gbar_kj, and row i, column j of Y is sum_k gbar_ik g^kj."""
-
-    X: FieldMatrix
-    Y: FieldMatrix
-    epsilon: int
-    char_coeffs: list = dc_field(default_factory=list)
-
-
-@dataclass
-class Outcome:
-    """Result of one identity check.
-
-    passed is True iff the residual operator is identically zero; witness
-    is the first nonzero residual entry (out_parts, in_parts, value).
-    """
-
-    id: str
-    equation: str
-    passed: bool
-    witness: tuple | None = None
-
-
-@dataclass
 class VerificationResult:
     """The record of one verdict: the ordered outcomes, the RMatrixSystem
     they were verified against, and the K, skew inverse, pairings and X/Y
     the pipeline formed, each None when the pipeline stopped before it.
     aborted carries the reason when a structural error cut it short."""
 
-    outcomes: list
-    system: RMatrixSystem
-    aborted: str | None = None
-    kappa: KappaData | None = None
-    skew: SkewData | None = None
-    pairing: PairingPair | None = None
-    xy: XYPair | None = None
+    def __init__(self, outcomes, system, kappa):
+        self.outcomes, self.system, self.kappa = outcomes, system, kappa
+        self.aborted = self.skew = self.pairing = self.xy = None
 
     @property
     def status(self):
@@ -378,11 +338,8 @@ def check_bmw_relations(sys, kappa, yang_baxter):
     nu_k = scale(nu, k)
     k1 = embed(k, (1, 2), 3)
     k2 = embed(k, (2, 3), 3)
-    braid = Outcome(
-        "bmw-braid", yang_baxter.equation, yang_baxter.passed, yang_baxter.witness
-    )
     head = [
-        braid,
+        yang_baxter._replace(id="bmw-braid"),
         _outcome(
             "bmw-cubic",
             "R^2 = I + lambda (R - nu K)",
@@ -518,13 +475,12 @@ def skew_inverse(sys, kappa=None):
         psi = realign(TensorOperator(n, 2, sol))
         if compose(m_r, realign(psi)) != swap:
             raise RuntimeError("the solved skew inverse fails M_R S_Psi = P")
-    skew = SkewData(psi, partial_trace(psi, 1), partial_trace(psi, 2))
-    skew.outcomes = check_skew(sys, skew)
-    skew.d_rinv_trace = partial_trace(compose(embed(skew.D, (2,), 2), sys.R_inv), 2).mat
-    return skew
+    c, d = partial_trace(psi, 1), partial_trace(psi, 2)
+    d_rinv_trace = partial_trace(compose(embed(d, (2,), 2), sys.R_inv), 2).mat
+    return SkewData(psi, c, d, check_skew(sys, c, d), d_rinv_trace)
 
 
-def check_skew(sys, skew):
+def check_skew(sys, c, d):
     """Outcomes for the defining equalities of Psi and the contractions of
     C = Tr_1 Psi and D = Tr_2 Psi against R.
 
@@ -541,8 +497,8 @@ def check_skew(sys, skew):
     """
     f = sys.field
     n = sys.N
-    c1 = embed(skew.C, (1,), 2)
-    d2 = embed(skew.D, (2,), 2)
+    c1 = embed(c, (1,), 2)
+    d2 = embed(d, (2,), 2)
     ident1 = TensorOperator.identity(n, 1, f)
     return [
         Outcome("skew-left", "Tr_2(R_12 Psi_23) = P_13", True),
@@ -781,7 +737,7 @@ def _xy_outcomes(pair, field):
         "C_N C_k = C_{N-k}",
         [(coeffs[n] * coeffs[k], coeffs[n - k]) for k in range(n + 1)],
     )
-    return XYPair(x, y, eps, coeffs), [inv_ok, recip, palin]
+    return XYPair(x, y, eps), [inv_ok, recip, palin]
 
 
 def rtt_lemma(kappa, xy):
@@ -862,7 +818,7 @@ def full_verification(sys_or_r):
     )
     kappa, kappa_outcome = _kappa_raw(sys, w_op)
     del w_op  # W, and the view detect_nu read, are not needed past K
-    result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa=kappa)
+    result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa)
     outcomes = result.outcomes
     if sys._r_inv is None:
         sys._r_inv = _closed_form_r_inv(sys, kappa)

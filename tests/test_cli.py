@@ -433,6 +433,17 @@ def test_twist_cell_vanishing_at_s0_is_an_unlucky_point(tmp_path, capsys):
     )
 
 
+def test_invalid_twist_is_reported_before_its_unlucky_cell(tmp_path, capsys):
+    # d[4][4] = q - 9/4 vanishes at s = 3/2, but the twist is invalid in
+    # Q(s), so that fault is reported, as it is symbolically.
+    rows = [["1"] * 4 for _ in range(4)]
+    rows[3][3] = "q - 9/4"
+    twist = write_twist(tmp_path / "d.json", rows)
+    for mode in ([], ["--at-s", "3/2"]):
+        assert main(["verify", "--family", "so", "--dim", "4", "--twist", twist, *mode]) == 2
+        assert capsys.readouterr().err == "bmwcert: error: d[2][4] d[3][4] != u[4]\n"
+
+
 def test_twist_cell_pole_at_s0_is_an_unlucky_point(tmp_path, capsys):
     # 1/(q - 4) is a twist parameter with a pole at s = 2, where q = 4.
     twist = write_twist(tmp_path / "d.json", [["1", "1/(q-4)"], ["1", "1"]])

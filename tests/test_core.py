@@ -29,7 +29,7 @@ from bmwcert import (
 )
 from bmwcert.core import Outcome, XYPair, check_pairing_factorization, _kappa_raw, _xy_outcomes
 from bmwcert.families import family_nu
-from bmwcert.tensors import compose, embed, is_zero, sub
+from bmwcert.tensors import char_poly, compose, embed, is_zero, sub
 from bmwcert.errors import (
     NotBMWSpectralType,
     NotSkewInvertible,
@@ -259,7 +259,7 @@ def test_xy_so3_identity():
     xy = res.xy
     assert xy.X == FieldMatrix.identity(3, F)
     assert xy.epsilon == 1
-    assert xy.char_coeffs == [one, F.from_int(3), F.from_int(3), one]
+    assert char_poly(xy.X) == [one, F.from_int(3), F.from_int(3), one]
 
 
 def test_xy_twisted_sp2_diagonal():
@@ -513,12 +513,10 @@ def test_pairing_factorization_entrywise_witness():
     # An extra g key outside gbar leaves sum g gbar = mu, so the check
     # reaches the entrywise comparison, which the pipeline never does
     # (rank != 1 aborts first).  Witness frozen from the sorted-union loop.
-    from dataclasses import replace
-
     kappa, outcome = _kappa_raw(so3_system())
     assert outcome.passed
     pair = factor_pairings(kappa)
-    outcome = check_pairing_factorization(kappa, replace(pair, g={**pair.g, (1, 1): one}))
+    outcome = check_pairing_factorization(kappa, pair._replace(g={**pair.g, (1, 1): one}))
     assert not outcome.passed
     assert outcome.witness == ((1, 3), (1, 1), F.zero - one)
 

@@ -10,6 +10,7 @@ both paths must give the same outcomes (id, passed, witness), the same
 derived values and the same abort reason.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -21,9 +22,13 @@ from bmwcert import (
     RationalField,
     SYMBOLIC,
     TensorOperator,
+    build_F,
+    build_multiparametric,
+    check_twist_compat,
     full_verification,
     rtt_lemma,
 )
+from bmwcert.cli import JobConfig, run_job
 from bmwcert.core import XYPair
 from bmwcert.errors import BmwError, RankNotOne
 from bmwcert.families import family_nu, standard_matrix
@@ -193,3 +198,69 @@ def test_rtt_lemma_needs_a_rank_one_k():
     ident = FieldMatrix.identity(3, SYMBOLIC)
     with pytest.raises(RankNotOne, match=r"rank\(K\) = 2"):
         rtt_lemma(kappa, XYPair(ident, ident, 1))
+
+
+# Every check id of a twisted-family report maps to a pinned input that fails
+# it, or, for the nine that cannot fail once reached, to the reason why; so a
+# check that stops failing on its input is noticed.
+FAILS_ON = {
+    **dict.fromkeys(
+        [
+            "yang-baxter", "nu-detect", "kappa-idempotent", "kappa-inverse-form",
+            "bmw-braid", "bmw-rk", "bmw-k2rk2", "bmw-kk-rinv", "bmw-kk-rr", "bmw-kkk",
+            "bmw-k1rk1", "minimal-cubic", "psi-c-left", "psi-c-right", "psi-d-left",
+            "psi-d-right", "cd-commute", "kappa-rank-one", "kappa-trace2", "kappa-trace1",
+            "d-rinv-trace", "cd-scalar", "d-kappa-trace1", "d-kappa-trace", "trace-c-d",
+        ],
+        "bump-so3",
+    ),
+    "pairing-factorization": "wrong-nu-so3",
+    "xy-inverse": "wrong-nu-so3",
+    "rtt-conjugation": "swapped-xy-sp2",
+    "twist-compat": "invalid-twist-so3",
+    "twisted-x-match": "twisted-sp2-wrong-nu",
+}
+CANNOT_FAIL = {
+    "bmw-cubic": "lam nu K = I + lam R - R^2 is the definition of K",
+    "skew-left": "skew_inverse returns only a Psi with M_R S_Psi = P",
+    "skew-right": "M_R S_Psi = P gives S_Psi P S_R = P, the right-hand equality",
+    "c-contraction": "it is skew-right summed over a = e",
+    "d-contraction": "it is skew-left summed over c = g",
+    "charpoly-reciprocity": "XY = I makes Y = X^-1 = Gbar G similar to G Gbar = X^T",
+    "charpoly-palindrome": "it is charpoly-reciprocity times C_N = eps, with eps^2 = 1",
+    "twist-valid": "an invalid twist exits 2 before any check runs",
+    "twist-closed-form": "the closed form differs from the generic twist only by a builder bug",
+}
+
+
+def _failed_ids(twist_path):
+    """The ids each input of FAILS_ON fails."""
+    failed = {}
+    for case in ("bump-so3", "wrong-nu-so3"):
+        r, nu = CASES[case](SYMBOLIC)
+        failed[case] = full_verification(RMatrixSystem(r, nu)).outcomes
+    # Y and X swapped on the twisted sp_2, as in test_core's negative controls.
+    res = full_verification(build_multiparametric("sp", 2, twist_from_text(SP2_TWIST_TEXT)))
+    failed["swapped-xy-sp2"] = [rtt_lemma(res.kappa, XYPair(res.xy.Y, res.xy.X, 1))]
+    # d_11 = q breaks the twist conditions for N = 3.
+    d = ((q, one, one), (one, one, one), (one, one, one))
+    failed["invalid-twist-so3"] = [check_twist_compat(standard_matrix("so", 3), build_F(d))]
+    failed = {case: {o.id for o in outcomes if not o.passed} for case, outcomes in failed.items()}
+    # sp_2's nu is -q^-3; with q^-3, XY = I still holds, so the run reaches
+    # twisted-x-match.
+    report, _ = run_job(JobConfig(source=("family", "sp", 2), twist=twist_path, nu="q^-3"))
+    failed["twisted-sp2-wrong-nu"] = {c["id"] for c in report["checks"] if not c["pass"]}
+    return failed
+
+
+def test_every_check_id_fails_on_a_pinned_input_or_says_why_it_cannot(tmp_path):
+    twist_path = tmp_path / "d.json"
+    twist_path.write_text(json.dumps({"d": SP2_TWIST_TEXT}))
+    report, code = run_job(JobConfig(source=("family", "sp", 2), twist=str(twist_path)))
+    assert code == 0
+    ids = [c["id"] for c in report["checks"]]
+    assert len(set(ids)) == len(ids) == len(FAILS_ON) + len(CANNOT_FAIL) == 39
+    assert set(ids) == FAILS_ON.keys() | CANNOT_FAIL.keys()
+    failed = _failed_ids(str(twist_path))
+    assert {i for i, case in FAILS_ON.items() if i not in failed[case]} == set()
+    assert CANNOT_FAIL.keys() & set().union(*failed.values()) == set()
