@@ -13,8 +13,6 @@ one.  Builders only build: the verification pipeline certifies what they
 return, and the frozen tables of the test suite pin their index conventions.
 """
 
-from __future__ import annotations
-
 from .core import RMatrixSystem, PairingPair, _outcome
 from .errors import BadDimension, InvalidTwistParameters, Singular
 from .scalars import SYMBOLIC, Scalar

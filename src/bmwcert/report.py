@@ -13,8 +13,6 @@ serialize with a fixed key order and canonical scalar text, so identical
 configurations produce byte-identical JSON.
 """
 
-from __future__ import annotations
-
 import json
 import sys
 
@@ -147,13 +145,19 @@ def import_rmatrix(path):
 
 
 def _read_json(path):
-    """The parsed JSON document in `path`; ParseError when it is not JSON."""
+    """The parsed JSON document in `path`; ParseError when it is not UTF-8
+    JSON that the interpreter can read."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        try:
+            return json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise ParseError("invalid JSON: integer literal too long") from exc
 
 
 def _is_int(x):

@@ -45,8 +45,7 @@ constant terms are such polynomials again (Gauss), and so are their exact
 quotients, so every denominator stays in canonical form.
 """
 
-from __future__ import annotations
-
+import re
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -563,55 +562,17 @@ def is_unit_sign(a):
 #   atom   := INT | 'q' | 's' | '(' expr ')'
 #   exponent := ['-'] INT | '(' ['-'] INT '/' '2' ')'
 #
-# Half-integer exponents require an odd numerator and apply to q only;
-# `s` is shorthand for q^(1/2).  Parentheses and unary signs nest at most
-# _MAX_DEPTH deep, which keeps the recursive descent far from the
-# interpreter's recursion limit.
+# INT is a run of ASCII digits.  Half-integer exponents require an odd
+# numerator and apply to q only; `s` is shorthand for q^(1/2).  Parentheses
+# and unary signs nest at most _MAX_DEPTH deep, which keeps the recursive
+# descent far from the interpreter's recursion limit.
+#
+# The whole text is lexed first, so an unexpected character is reported
+# ahead of any syntax error.  The tokens (kind, value, position) form a stack,
+# the next token last, on an "end" token that is popped only to raise.
 
 _MAX_DEPTH = 100
-
-
-class _Tokens:
-    def __init__(self, text):
-        self.text = text
-        self.toks = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", int(text[i:j]), i))
-                i = j
-                continue
-            if ch in "qs":
-                self.toks.append(("sym", ch, i))
-                i += 1
-                continue
-            if ch in "+-*/^()":
-                self.toks.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", i)
-        self.pos = 0
-        self.depth = 0
-
-    def descend(self, pos):
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("end", None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([qs+\-*/^()])|(\S))")
 
 
 def parse(text):
@@ -620,107 +581,95 @@ def parse(text):
     q parses as s^2; raises ParseError with a character position on bad
     syntax and DivisionByZero on a literal zero denominator.
     """
-    toks = _Tokens(text)
-    value = _parse_expr(toks)
-    kind, _, pos = toks.peek()
-    if kind != "end":
-        raise ParseError("trailing input", pos)
+    toks = []
+    for m in _TOKEN.finditer(text):
+        digits, char, bad = m.groups()
+        pos = m.start(m.lastindex)
+        if char:
+            toks.append((char, char, pos))
+        elif digits:
+            try:
+                toks.append(("int", int(digits), pos))
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError("integer literal too long", pos) from None
+        else:
+            raise ParseError(f"unexpected character {bad!r}", pos)
+    toks = [("end", None, len(text))] + toks[::-1]
+    value = _parse_expr(toks, 0)
+    _expect(toks, "end", "trailing input")
     return value
 
 
-def _parse_expr(toks):
-    value = _parse_term(toks)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        rhs = _parse_term(toks)
+def _expect(toks, kind, message):
+    """The value of the next token, which must be of `kind`."""
+    got, value, pos = toks.pop()
+    if got != kind:
+        raise ParseError(message, pos)
+    return value
+
+
+def _parse_expr(toks, depth):
+    value = _parse_term(toks, depth)
+    while toks[-1][0] in ("+", "-"):
+        op = toks.pop()[0]
+        rhs = _parse_term(toks, depth)
         value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_term(toks):
-    value = _parse_factor(toks)
-    while toks.peek()[0] in ("*", "/"):
-        op, _, pos = toks.next()
-        rhs = _parse_factor(toks)
-        if op == "*":
-            value = value * rhs
-        else:
-            if rhs.is_zero():
-                raise DivisionByZero(f"zero denominator at position {pos}")
-            value = value / rhs
+def _parse_term(toks, depth):
+    value = _parse_factor(toks, depth)
+    while toks[-1][0] in ("*", "/"):
+        op, _, pos = toks.pop()
+        rhs = _parse_factor(toks, depth)
+        if op == "/" and rhs.is_zero():
+            raise DivisionByZero(f"zero denominator at position {pos}")
+        value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_factor(toks):
-    kind, _, pos = toks.peek()
-    if kind in ("+", "-"):
-        toks.next()
-        toks.descend(pos)
-        value = _parse_factor(toks)
-        toks.depth -= 1
-        return -value if kind == "-" else value
-    value, is_q = _parse_atom(toks)
-    if toks.peek()[0] == "^":
-        _, _, pos = toks.next()
-        value = _apply_exponent(toks, value, is_q, pos)
-    return value
-
-
-def _parse_atom(toks):
-    kind, val, pos = toks.next()
-    if kind == "int":
-        return Scalar.from_int(val), False
-    if kind == "sym":
-        return (Scalar.q_power(1), True) if val == "q" else (Scalar.s_power(1), False)
-    if kind == "(":
-        toks.descend(pos)
-        value = _parse_expr(toks)
-        toks.depth -= 1
-        kind, _, pos = toks.next()
-        if kind != ")":
-            raise ParseError("expected ')'", pos)
-        return value, False
-    raise ParseError("expected a number, q, s or '('", pos)
-
-
-def _apply_exponent(toks, base, base_is_q, caret_pos):
-    kind, val, pos = toks.peek()
-    if kind == "(":
-        toks.next()
-        neg = False
-        if toks.peek()[0] == "-":
-            toks.next()
-            neg = True
-        kind, val, pos = toks.next()
-        if kind != "int":
-            raise ParseError("expected an integer numerator", pos)
-        numer = -val if neg else val
-        kind, _, pos = toks.next()
-        if kind != "/":
-            raise ParseError("expected '/' in half-integer exponent", pos)
-        kind, val, pos = toks.next()
-        if kind != "int" or val != 2:
-            raise ParseError("half-integer exponents must have denominator 2", pos)
-        kind, _, pos = toks.next()
-        if kind != ")":
-            raise ParseError("expected ')'", pos)
-        if numer % 2 == 0:
-            raise ParseError("half-integer exponent must be odd", caret_pos)
-        if not base_is_q:
-            raise ParseError("half-integer exponents apply only to q", caret_pos)
-        return Scalar.s_power(numer)
-    neg = False
-    if kind == "-":
-        toks.next()
-        kind, val, pos = toks.peek()
-        neg = True
-    if kind != "int":
-        raise ParseError("expected an integer exponent", pos)
-    toks.next()
-    k = -val if neg else val
-    if base.is_zero() and k < 0:
-        raise DivisionByZero(f"zero base with negative exponent at position {caret_pos}")
-    return base**k
+def _parse_factor(toks, depth):
+    kind, val, pos = toks.pop()
+    if kind in ("+", "-", "("):
+        if depth >= _MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {_MAX_DEPTH} levels", pos)
+        if kind == "+":
+            return _parse_factor(toks, depth + 1)
+        if kind == "-":
+            return -_parse_factor(toks, depth + 1)
+        value = _parse_expr(toks, depth + 1)
+        _expect(toks, ")", "expected ')'")
+    elif kind == "int":
+        value = Scalar.from_int(val)
+    elif kind in ("q", "s"):
+        value = Scalar.s_power(2 if kind == "q" else 1)
+    else:
+        raise ParseError("expected a number, q, s or '('", pos)
+    if toks[-1][0] != "^":
+        return value
+    caret = toks.pop()[2]
+    half = toks[-1][0] == "("
+    if half:
+        toks.pop()
+    sign = -1 if toks[-1][0] == "-" else 1
+    if sign < 0:
+        toks.pop()
+    if not half:
+        k = sign * _expect(toks, "int", "expected an integer exponent")
+        if value.is_zero() and k < 0:
+            raise DivisionByZero(f"zero base with negative exponent at position {caret}")
+        return value**k
+    numer = sign * _expect(toks, "int", "expected an integer numerator")
+    _expect(toks, "/", "expected '/' in half-integer exponent")
+    _, den, pos = toks.pop()
+    if den != 2:  # only an int token has an int value
+        raise ParseError("half-integer exponents must have denominator 2", pos)
+    _expect(toks, ")", "expected ')'")
+    if numer % 2 == 0:
+        raise ParseError("half-integer exponent must be odd", caret)
+    if kind != "q":
+        raise ParseError("half-integer exponents apply only to q", caret)
+    return Scalar.s_power(numer)
 
 
 # ---------------------------------------------------------------------------

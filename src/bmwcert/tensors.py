@@ -40,8 +40,6 @@ pivot row's right-hand part.  Pivots are chosen deterministically (fewest
 nonzeros, then lowest row index), so results never depend on scheduling.
 """
 
-from __future__ import annotations
-
 from itertools import product
 from math import gcd
 

@@ -19,7 +19,7 @@ from bmwcert import (
     run_job,
 )
 from bmwcert.errors import DimensionMismatch, ParseError
-from bmwcert.report import export_rmatrix
+from bmwcert.report import export_rmatrix, import_twist
 
 from conftest import (
     SO4_TWIST_TEXT,
@@ -90,6 +90,46 @@ def test_malformed_file_exits_2_with_one_line(tmp_path, capsys, doc, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bmwcert: error: {message}") and err.count("\n") == 1
+
+
+DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit before 3.10.7"
+)
+DEEP_JSON = b"[" * 100_000
+
+
+@pytest.mark.parametrize(
+    "option, data, message",
+    [
+        ("--input", DEEP_JSON, "invalid JSON: nested too deeply"),
+        ("--twist", DEEP_JSON, "invalid JSON: nested too deeply"),
+        ("--input", b'{"dim": 1, "comment": "\xff", "entries": []}', "not UTF-8 text"),
+        pytest.param(
+            "--input",
+            b'{"dim": 1' + b"0" * 5000 + b', "entries": []}',
+            "invalid JSON: integer literal too long",
+            marks=DIGIT_LIMIT,
+        ),
+        pytest.param(
+            "--input",
+            json.dumps({"dim": 1, "entries": [dict(ENTRY, coeff="1" * 5000)]}).encode(),
+            "entry 0: integer literal too long (at position 0)",
+            marks=DIGIT_LIMIT,
+        ),
+    ],
+    ids=["deep-input", "deep-twist", "not-utf8", "long-dim", "long-coeff"],
+)
+def test_unreadable_file_raises_parse_error(tmp_path, capsys, option, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    reader = import_rmatrix if option == "--input" else import_twist
+    with pytest.raises(ParseError) as err:
+        reader(str(bad))
+    assert str(err.value).startswith(message)
+    source = ["--input"] if option == "--input" else ["--family", "so", "--dim", "3", "--twist"]
+    assert main(["verify", *source, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"bmwcert: error: {message}") and err.count("\n") == 1
 

@@ -13,7 +13,7 @@ import pytest
 import bmwcert.cli
 from bmwcert import SYMBOLIC, FieldMatrix, RationalField, TensorOperator, main, parse
 from bmwcert.cli import JobConfig, run_job
-from bmwcert.core import diagonal_gauge
+from bmwcert.core import RMatrixSystem, diagonal_gauge, full_verification
 from bmwcert.errors import ShapeMismatch
 from bmwcert.families import family_nu, standard_matrix
 from bmwcert.report import export_rmatrix, render_json, render_text
@@ -226,3 +226,13 @@ def test_singular_gauged_input_exits_2_both_ways(monkeypatch, capsys, tmp_path):
     code, out, err = _same_both_ways(monkeypatch, capsys, ["verify", "--input", str(path)])
     assert (code, out) == (2, "")
     assert err == "bmwcert: error: R is singular in Q(s): rank 8 < dim 9\n"
+
+
+def test_second_gauge_pass_keeps_k_laurent():
+    # Under A = diag(q + 1, q + 2, q + 3) the first pass makes R0 Laurent,
+    # but K = W / (lam nu) keeps a denominator that lam cancels in R0; only
+    # the second pass, on W / lam, puts K on the integer kernel.
+    r0 = diagonal_gauge(_gauged("so", 3, ["q + 1", "q + 2", "q + 3"]))
+    result = full_verification(RMatrixSystem(r0, family_nu("so", 3)))
+    assert result.status == "pass"
+    assert result.kappa.K._flat is not None

@@ -271,6 +271,32 @@ def test_print_parse_roundtrip_corpus():
         assert parse(str(x)) == x, text
 
 
+def test_seeded_grammar_sweep():
+    # Strings of at most 10 tokens, foreign characters included: each one
+    # parses or raises an input error, and each value prints as text that
+    # parses back to it.  Digits are followed by a space, so every literal
+    # and exponent has one digit.
+    tokens = [f"{d} " for d in range(10)] + list("qs+-*/^() ") + ["#", "\u00b2", "\u0663"]
+    rng = random.Random(2005)
+    parsed = 0
+    for _ in range(5000):
+        text = "".join(rng.choices(tokens, k=rng.randint(1, 10)))
+        try:
+            value = parse(text)
+        except (ParseError, DivisionByZero):
+            continue
+        assert parse(str(value)) == value, text
+        parsed += 1
+    assert parsed > 300
+
+
+def test_only_ascii_digits_form_integers():
+    for text, position in (("q^\u00b2", 2), ("\u0663*q", 0), ("1\u0663", 1)):
+        with pytest.raises(ParseError, match=r"^unexpected character") as err:
+            parse(text)
+        assert err.value.position == position, text
+
+
 def test_hash_consistency():
     a = parse("(q^2 - 1)/(q - 1)")
     b = q + one
