@@ -1,24 +1,22 @@
-"""Command-line front end.
+__doc__ = """bmwcert: exact certification of BMW-type R-matrices.
 
-    bmwcert verify --family so --dim 4 --report json
-    bmwcert verify --input R.json --detect-nu
-    bmwcert verify --family sp --dim 2 --twist d.json --at-s 3/2
-    bmwcert export --family so --dim 3 --out so3.json
+usage: bmwcert verify (--family so|sp --dim N | --input FILE) [--twist FILE]
+                      [--nu TEXT | --detect-nu] [--at-s RATIONAL]
+                      [--report text|json] [--out PATH]
+       bmwcert export --family so|sp --dim N [--twist FILE] --out PATH
+       bmwcert -h | --help
+
+A value is the next argument, whatever it starts with (--at-s -5/3), or
+follows '=' (--at-s=-5/3).  Options are spelled in full; of a repeated
+option the last counts.  --at-s evaluates every entry at a rational s and
+runs the same checks in exact rational arithmetic: a fast smoke test, not
+a certificate.
 
 Exit codes: 0 when every check passes, 1 when a check fails or the pipeline
-aborts on a structural error, 2 on input or configuration errors, 3 on an
-internal error.
-
-Numeric mode (--at-s) evaluates every matrix entry at the given rational
-value of s before any operator is composed, then runs the same residual
-checks in exact rational arithmetic; it is a fast smoke-test, not the source
-of truth.  An R with entries that are not all Laurent is decided first on a
-Laurent diagonal gauge of it (core.diagonal_gauge), on the integer kernel;
-that verdict is kept only when it passes, else R is decided as given.
+aborts on a structural error, 2 on input errors, usage errors included, and
+3 on an internal error.
 """
 
-import argparse
-import re
 import sys as _sys
 from collections import namedtuple
 from fractions import Fraction
@@ -76,12 +74,8 @@ class JobConfig(
     __slots__ = ()
 
     def echo(self):
-        if self.source[0] == "family":
-            src = f"family:{self.source[1]}:{self.source[2]}"
-        else:
-            src = f"file:{self.source[1]}"
         return {
-            "source": src,
+            "source": ":".join(map(str, self.source)),
             "twist": self.twist,
             "nu": self.nu,
             "mode": "symbolic" if self.at_s is None else f"numeric(s={self.at_s})",
@@ -99,10 +93,7 @@ def _lifted(name, v, field):
         w = None
     if v and not w:
         problem = "has a pole" if w is None else "vanishes"
-        raise UnluckyPoint(
-            f"{name} = {v} {problem} at s = {field.at_s}, "
-            "an unlucky point; choose another --at-s"
-        )
+        raise UnluckyPoint(f"{name} = {v} {problem} at s = {field.at_s}")
     return w
 
 
@@ -113,10 +104,7 @@ def _lifted_nu(v, field):
     w = _lifted("nu", v, field)
     for name, excluded in excluded_nus(SYMBOLIC):
         if v != excluded and w == field.lift(excluded):
-            raise UnluckyPoint(
-                f"nu = {v} equals {name} at s = {field.at_s}, "
-                "an unlucky point; choose another --at-s"
-            )
+            raise UnluckyPoint(f"nu = {v} equals {name} at s = {field.at_s}")
     return w
 
 
@@ -137,8 +125,10 @@ def _resolve_nu(config, r_op, field, file_nu, series):
 def run_job(config):
     """Execute one job; returns (report document, exit_code 0|1).
 
-    Input and configuration problems raise (BmwError subclasses, ValueError,
-    OSError); the CLI maps those onto exit code 2.
+    An R with entries that are not all Laurent is decided first on a Laurent
+    diagonal gauge of it (core.diagonal_gauge), on the integer kernel.  Input
+    and configuration problems raise (BmwError subclasses, ValueError,
+    OSError); `main` maps those, and usage errors, onto exit code 2.
     """
     field = SYMBOLIC if config.at_s is None else RationalField(config.at_s)
     notes = [] if config.at_s is None else [NUMERIC_NOTE.format(config.at_s)]
@@ -216,10 +206,8 @@ def run_job(config):
         if file_r is not None and config.at_s is not None:
             k, dim = rank(file_r.mat), file_r.mat.dim
             if k == dim:
-                raise UnluckyPoint(
-                    f"R is singular at s = {config.at_s} but invertible in Q(s), "
-                    "an unlucky point; choose another --at-s"
-                ) from None
+                at = f"at s = {config.at_s}"
+                raise UnluckyPoint(f"R is singular {at} but invertible in Q(s)") from None
             detail = f"rank {k} < dim {dim}"
         raise Singular(f"R is singular in Q(s): {detail}") from None
     result.outcomes = pre_outcomes + result.outcomes
@@ -261,87 +249,79 @@ def export_family(series, dim, twist_path, out_path):
     )
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bmwcert",
-        description="Exact certification of BMW-type R-matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the verification pipeline")
-    verify.add_argument("--family", choices=("so", "sp"))
-    verify.add_argument("--dim", type=int)
-    verify.add_argument("--input", metavar="FILE", help="R-matrix file to verify")
-    verify.add_argument("--twist", metavar="FILE", help="twist parameter file")
-    verify.add_argument("--nu", metavar="TEXT", help="contraction eigenvalue")
-    verify.add_argument("--detect-nu", action="store_true", help="detect nu from the operator")
-    verify.add_argument(
-        "--at-s", metavar="RATIONAL", help="numeric mode at s (e.g. 3/2 or -5/3)"
-    )
-    verify.add_argument("--report", choices=("text", "json"), default="text")
-    verify.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-    export = sub.add_parser("export", help="write a family R-matrix file")
-    export.add_argument("--family", choices=("so", "sp"), required=True)
-    export.add_argument("--dim", type=int, required=True)
-    export.add_argument("--twist", metavar="FILE")
-    export.add_argument("--out", metavar="PATH", required=True)
-    return parser
+# The options of each command: None for a flag, the tuple of allowed
+# values, or the function that reads the value.
+_OPTIONS = {"export": {"--family": ("so", "sp"), "--dim": int, "--twist": str, "--out": str}}
+_OPTIONS["verify"] = {
+    **_OPTIONS["export"], "--input": str, "--nu": str, "--detect-nu": None, "--at-s": Fraction,
+    "--report": ("text", "json"),
+}
+_HELP = ("-h", "--help")
 
 
-def _config_from_args(args):
-    if args.input is not None:
-        if args.family is not None or args.dim is not None:
-            raise ValueError("--input excludes --family/--dim")
-        source = ("file", args.input)
-    else:
-        if args.family is None or args.dim is None:
-            raise ValueError("need --family and --dim, or --input FILE")
-        source = ("family", args.family, args.dim)
-    if args.nu is not None and args.detect_nu:
-        raise ValueError("--nu and --detect-nu are mutually exclusive")
-    nu = "detect" if args.detect_nu else args.nu
-    at_s = None
-    if args.at_s is not None:
+def _read_argv(argv):
+    """(command, {option: value}) from argv, with True for a flag, or
+    (None, {}) for -h/--help.  A usage error raises ValueError."""
+    command = argv[0] if argv else ""
+    if command in _HELP:
+        return None, {}
+    if command not in _OPTIONS:
+        got = f", got {command!r}" if argv else ""
+        raise ValueError(f"expected a command, verify or export{got}")
+    table, opts, args = _OPTIONS[command], {}, iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name in _HELP:
+            return None, {}
+        if name not in table:
+            raise ValueError(f"{command}: unknown option {arg!r}")
+        kind = table[name]
+        if kind is None:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            opts[name] = True
+            continue
+        value = value if eq else next(args, None)
+        if value is None:
+            raise ValueError(f"{name} needs a value")
         try:
-            at_s = Fraction(args.at_s)
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(f"expected {' or '.join(kind)}")
+            opts[name] = value if isinstance(kind, tuple) else kind(value)
         except (ValueError, ZeroDivisionError) as exc:
             reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-            raise ValueError(f"bad --at-s value {args.at_s!r}: {reason}") from exc
-    return JobConfig(
-        source=source,
-        twist=args.twist,
-        nu=nu,
-        at_s=at_s,
-        report_format=args.report,
-        out=args.out,
-    )
+            raise ValueError(f"bad {name} value {value!r}: {reason}") from None
+    return command, opts
 
 
-def _join_negative_values(argv):
-    """argparse reads a value that starts with a single '-' as an option,
-    so `--at-s -5/3` and `--nu -q^-3` are rewritten to `--at-s=-5/3` and
-    `--nu=-q^-3` before parsing."""
-    out = []
-    for arg in argv:
-        if out and (
-            out[-1] == "--at-s" and re.fullmatch(r"-\d+/\d+", arg)
-            or out[-1] == "--nu" and re.match(r"-(?!-)", arg)
-        ):
-            out[-1] = f"{out[-1]}={arg}"
-        else:
-            out.append(arg)
-    return out
+def _config_from_opts(opts):
+    if "--input" in opts:
+        if "--family" in opts or "--dim" in opts:
+            raise ValueError("--input excludes --family/--dim")
+        source = ("file", opts["--input"])
+    else:
+        if "--family" not in opts or "--dim" not in opts:
+            raise ValueError("need --family and --dim, or --input FILE")
+        source = ("family", opts["--family"], opts["--dim"])
+    if "--nu" in opts and "--detect-nu" in opts:
+        raise ValueError("--nu and --detect-nu are mutually exclusive")
+    nu = "detect" if "--detect-nu" in opts else opts.get("--nu")
+    report = opts.get("--report", "text")
+    return JobConfig(source, opts.get("--twist"), nu, opts.get("--at-s"), report, opts.get("--out"))
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
     try:
-        if args.command == "export":
-            export_family(args.family, args.dim, args.twist, args.out)
+        command, opts = _read_argv(_sys.argv[1:] if argv is None else argv)
+        if command is None:
+            _sys.stdout.write(__doc__)  # assigned, not a docstring, so -OO keeps it
             return 0
-        config = _config_from_args(args)
+        if command == "export":
+            if not {"--family", "--dim", "--out"} <= opts.keys():
+                raise ValueError("export needs --family, --dim and --out")
+            export_family(opts["--family"], opts["--dim"], opts.get("--twist"), opts["--out"])
+            return 0
+        config = _config_from_opts(opts)
         report, code = run_job(config)
         text = render_json(report) if config.report_format == "json" else render_text(report)
         if config.out:

@@ -34,6 +34,9 @@ class PoleAtPoint(BmwError):
 class UnluckyPoint(BmwError):
     """A nonzero input of Q(s) vanishes or has a pole at the numeric point."""
 
+    def __init__(self, message):
+        super().__init__(f"{message}, an unlucky point; choose another --at-s")
+
 
 class BadPositions(BmwError):
     """Invalid tensor-factor labels for an embedding or a partial trace."""

@@ -46,6 +46,7 @@ quotients, so every denominator stays in canonical form.
 """
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -658,6 +659,7 @@ def _parse_factor(toks, depth):
         k = sign * _expect(toks, "int", "expected an integer exponent")
         if value.is_zero() and k < 0:
             raise DivisionByZero(f"zero base with negative exponent at position {caret}")
+        _check_power(value, abs(k), caret)
         return value**k
     numer = sign * _expect(toks, "int", "expected an integer numerator")
     _expect(toks, "/", "expected '/' in half-integer exponent")
@@ -670,6 +672,20 @@ def _parse_factor(toks, depth):
     if kind != "q":
         raise ParseError("half-integer exponents apply only to q", caret)
     return Scalar.s_power(numer)
+
+
+def _check_power(value, k, caret):
+    """ParseError at the caret when value^k may hold more bits than an int
+    literal of the interpreter's digit limit.  For p the num or den of value,
+    p^k has at most k * span + 1 terms of at most k * log2(t * m) bits, t the
+    terms of p, m its largest coefficient part; so q^k (t * m = 1) is free."""
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+    size = 0
+    for terms in (value.num.terms, value.den.terms) if value else ():
+        m = max(max(abs(c.numerator), c.denominator) for c in terms.values())
+        size += ((max(terms) - min(terms)) * k + 1) * k * (len(terms) * m - 1).bit_length()
+    if size > limit:
+        raise ParseError(f"power too large: over {limit} bits", caret)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -1146,3 +1147,98 @@ def test_values_past_the_int_digit_limit_print_but_input_keeps_it(capsys):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     assert main([*argv, "--at-s", "1" + "0" * 4999]) == 2
     assert capsys.readouterr().err.startswith("bmwcert: error: bad --at-s value '1000")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "expected a command, verify or export"),
+        (["verify", "--family", "so", "--dim", "3", "--bogus"], "verify: unknown option '--bogus'"),
+        (["verify", "--fam", "so", "--dim", "3"], "verify: unknown option '--fam'"),
+        (["verify", "--family", "xx", "--dim", "3"], "bad --family value 'xx': expected so or sp"),
+        (["verify", "--family", "so", "--dim", "x"], "bad --dim value 'x': "),
+        (["verify", "--family", "so", "--dim"], "--dim needs a value"),
+        (["verify", "--family", "so", "--dim", "3", "--detect-nu=1"], "--detect-nu takes no value"),
+        (["export", "--family", "so", "--dim", "3"], "export needs --family, --dim and --out"),
+    ],
+    ids=["no-command", "unknown", "abbreviated", "bad-choice", "bad-int", "no-value",
+         "flag-with-value", "export-without-out"],
+)
+def test_usage_errors_return_2_with_one_line(capsys, argv, message):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        pytest.fail(f"main raised SystemExit({exc.code})")
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith(f"bmwcert: error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["export", "-h"]])
+def test_help_prints_the_usage_lines(capsys, argv):
+    import bmwcert.cli
+
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    usage = bmwcert.cli.__doc__.split("\n\n")[1]
+    assert usage.startswith("usage: bmwcert verify") and "bmwcert export" in usage
+    assert usage in out and err == ""
+
+
+def test_help_survives_python_oo():
+    # -OO strips docstrings; the help text is assigned to __doc__ instead.
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "bmwcert", "--help"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0 and proc.stdout.startswith("bmwcert: ") and proc.stderr == ""
+    assert "usage: bmwcert verify" in proc.stdout
+
+
+def test_every_valued_option_reads_the_same_with_equals(tmp_path, capsys):
+    from bmwcert.cli import _OPTIONS
+
+    twist = write_twist(tmp_path / "d.json", SP2_TWIST_TEXT)
+    out = str(tmp_path / "out.json")
+    rfile = str(tmp_path / "r.json")
+    assert main(["export", "--family", "sp", "--dim", "2", "--out", rfile]) == 0
+    family = ["--family", "sp", "--dim", "2", "--twist", twist, "--nu", "-q^-3", "--at-s", "-5/3"]
+    argvs = [
+        ["verify", *family, "--report", "json"],
+        ["verify", *family, "--report", "text", "--out", out],
+        ["verify", "--input", rfile, "--nu", "-q^-3"],
+        ["export", "--family", "sp", "--dim", "2", "--twist", twist, "--out", out],
+        ["export", "--family", "so", "--dim", "3", "--twist", twist, "--out", out],  # exits 2
+    ]
+    seen = set()
+    for argv in argvs:
+        runs = []
+        for i in [None] + [i for i in range(1, len(argv)) if argv[i].startswith("--")]:
+            if i is not None and _OPTIONS[argv[0]][argv[i]] is None:
+                continue
+            form = argv if i is None else [*argv[:i], f"{argv[i]}={argv[i + 1]}", *argv[i + 2:]]
+            if i is not None:
+                seen.add((argv[0], argv[i]))
+            code = main(form)
+            written = open(out).read() if "--out" in argv else None
+            runs.append((code, *capsys.readouterr(), written))
+        assert all(run == runs[0] for run in runs), argv
+    valued = {(cmd, name) for cmd, table in _OPTIONS.items() for name, kind in table.items()
+              if kind is not None}
+    assert seen == valued
+
+
+@pytest.mark.parametrize("text", ["(q + 3)^4000", "7^99999999"])
+def test_oversized_power_exits_2_within_a_second(tmp_path, capsys, text):
+    rfile = tmp_path / "r.json"
+    rfile.write_text(json.dumps({"dim": 1, "entries": [{"out": [1, 1], "in": [1, 1], "coeff": text}]}))
+    twist = write_twist(tmp_path / "d.json", [[text, "1"], ["1", "1"]])
+    for argv, where in (
+        (["--family", "so", "--dim", "3", "--nu", text], ""),
+        (["--input", str(rfile)], "entry 0: "),
+        (["--family", "sp", "--dim", "2", "--twist", twist], "twist d[1][1]: "),
+    ):
+        start = time.perf_counter()
+        assert main(["verify", *argv]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"bmwcert: error: {where}power too large") and err.count("\n") == 1

@@ -2,6 +2,8 @@
 
 import operator
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -427,3 +429,52 @@ def test_inverse_and_powers_take_no_gcd(monkeypatch):
         assert canonical_invariants(got)
     monkeypatch.undo()
     assert x.inverse() * x == one and x**3 * x**-2 == x
+
+
+def _bits(value):
+    """Bits of the coefficients of value, ceil(log2 max(|num|, den)) each."""
+    return sum(
+        (max(abs(c.numerator), c.denominator) - 1).bit_length()
+        for part in (value.num, value.den)
+        for c in part.terms.values()
+    )
+
+
+def test_seeded_exponent_sweep():
+    # Powers with exponents of up to 9 digits: each one parses within the
+    # bit bound or raises ParseError at its caret, and the whole sweep takes
+    # well under a second.  Monomials with coefficient +-1 are always free.
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+    bases = ["q", "s", "-q", "q^-3", "q^(3/2)", "7", "1/2", "3*q^2", "q + 3", "q - q^-1",
+             "s + 1", "(q + 1)/(q - 2)", "q^2 + q + 1", "2/3*s^5 - 1", "q^100 + 1"]
+    rng = random.Random(2005)
+    start = time.perf_counter()
+    accepted = 0
+    for _ in range(1500):
+        base = rng.choice(bases)
+        k = rng.choice([1, -1]) * rng.randint(0, 10 ** rng.randint(1, 9) - 1)
+        text = f"({base})^{k}"
+        try:
+            value = parse(text)
+        except ParseError as err:
+            assert str(err).startswith("power too large") and err.position == len(base) + 2, text
+            assert base not in ("q", "s", "-q", "q^-3", "q^(3/2)"), text
+            continue
+        assert value == parse(base) ** k and _bits(value) <= limit, text
+        accepted += 1
+    assert 300 < accepted < 1200
+    assert time.perf_counter() - start < 1.0
+
+
+def test_exponent_bound_follows_the_int_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("no int digit limit in this interpreter")
+    limit = sys.get_int_max_str_digits()
+    assert parse("2^3000") == Scalar.from_int(2**3000)
+    sys.set_int_max_str_digits(640)  # 2,126 bits
+    try:
+        with pytest.raises(ParseError, match="power too large"):
+            parse("2^3000")
+        assert parse("2^2000") == Scalar.from_int(2**2000)
+    finally:
+        sys.set_int_max_str_digits(limit)
