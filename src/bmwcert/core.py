@@ -476,7 +476,7 @@ def skew_inverse(sys, kappa=None):
         if compose(m_r, realign(psi)) != swap:
             raise RuntimeError("the solved skew inverse fails M_R S_Psi = P")
     c, d = partial_trace(psi, 1), partial_trace(psi, 2)
-    d_rinv_trace = partial_trace(compose(embed(d, (2,), 2), sys.R_inv), 2).mat
+    d_rinv_trace = partial_trace(compose(embed(d, (2,), 2), sys.R_inv), 2)
     return SkewData(psi, c, d, check_skew(sys, c, d), d_rinv_trace)
 
 
@@ -528,10 +528,8 @@ def check_prop1(sys, skew):
     d1 = embed(skew.D, (1,), 2)
     d2 = embed(skew.D, (2,), 2)
     r21_inv = embed(sys.R_inv, (2, 1), 2)
-    c, d = skew.C.mat, skew.D.mat
-    cd = c * d
-    dc = d * c
-    t_c = partial_trace(compose(c2, r21_inv), 2).mat
+    cd = compose(skew.C, skew.D)
+    t_c = partial_trace(compose(c2, r21_inv), 2)
     return [
         _outcome(
             "psi-c-left", "C_1 Psi_12 = R_21^-1 C_2", [(compose(c1, psi), compose(r21_inv, c2))]
@@ -548,7 +546,7 @@ def check_prop1(sys, skew):
         _outcome(
             "cd-commute",
             "Tr_2(C_2 R_21^-1) = Tr_2(D_2 R_12^-1) = CD = DC",
-            [(t_c, cd), (skew.d_rinv_trace, cd), (dc, cd)],
+            [(t_c, cd), (skew.d_rinv_trace, cd), (compose(skew.D, skew.C), cd)],
         ),
     ]
 
@@ -565,14 +563,14 @@ def theorem_suite(sys, skew, kappa):
     informative failures rather than crashes.
     """
     f = sys.field
-    n = sys.N
     nu = sys.nu
     rank_k = kappa.rank
     rk = f.from_int(rank_k)
     nu_inv = f.one / nu
-    ident = FieldMatrix.identity(n, f)
-    c, d = skew.C.mat, skew.D.mat
-    d2 = embed(skew.D, (2,), 2)
+    ident = TensorOperator.identity(sys.N, 1, f)
+    nu2 = scale(nu * nu, ident)
+    c, d = skew.C, skew.D
+    d2 = embed(d, (2,), 2)
     d2k = compose(d2, kappa.K)
     return [
         Outcome(
@@ -584,40 +582,37 @@ def theorem_suite(sys, skew, kappa):
         _outcome(
             "kappa-trace2",
             "Tr_2(K_12) = nu^-1 rank(K) D",
-            [(partial_trace(kappa.K, 2).mat, d.scaled_by(nu_inv * rk))],
+            [(partial_trace(kappa.K, 2), scale(nu_inv * rk, d))],
         ),
         _outcome(
             "kappa-trace1",
             "Tr_1(K_12) = nu^-1 rank(K) C",
-            [(partial_trace(kappa.K, 1).mat, c.scaled_by(nu_inv * rk))],
+            [(partial_trace(kappa.K, 1), scale(nu_inv * rk, c))],
         ),
         _outcome(
             "d-rinv-trace",
             "Tr_2(D_2 R_12^-1) = nu^2 I",
-            [(skew.d_rinv_trace, ident.scaled_by(nu * nu))],
+            [(skew.d_rinv_trace, nu2)],
         ),
         _outcome(
             "cd-scalar",
             "CD = DC = nu^2 I",
-            [
-                (c * d, ident.scaled_by(nu * nu)),
-                (d * c, ident.scaled_by(nu * nu)),
-            ],
+            [(compose(c, d), nu2), (compose(d, c), nu2)],
         ),
         _outcome(
             "d-kappa-trace1",
             "Tr_1(D_2 K_12) = nu rank(K) I",
-            [(partial_trace(d2k, 1).mat, ident.scaled_by(nu * rk))],
+            [(partial_trace(d2k, 1), scale(nu * rk, ident))],
         ),
         _outcome(
             "d-kappa-trace",
             "Tr_2(D_2 K_12) = nu I",
-            [(partial_trace(d2k, 2).mat, ident.scaled_by(nu))],
+            [(partial_trace(d2k, 2), scale(nu, ident))],
         ),
         _outcome(
             "trace-c-d",
             "Tr C = Tr D = nu mu",
-            [(c.trace(), nu * kappa.mu), (d.trace(), nu * kappa.mu)],
+            [(c.mat.trace(), nu * kappa.mu), (d.mat.trace(), nu * kappa.mu)],
         ),
     ]
 

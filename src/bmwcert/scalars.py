@@ -243,13 +243,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def evaluate(self, at):
-        at = Fraction(at)
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            total += c * at**e
-        return total
-
     def int_form(self, low=0):
         """Split s^-low times a poly with min_exp low as content * int list.
 
@@ -292,6 +285,18 @@ class LaurentPoly:
         if scale.__class__ is int:
             return cls({e + shift: scale * c for e, c in enumerate(coeffs) if c})
         return cls({e + shift: _coeff(scale * c) for e, c in enumerate(coeffs) if c})
+
+
+def _int_terms(terms):
+    """(den, {e: den c_e}) for {e: c_e}, den the least common denominator."""
+    den = 1
+    for c in terms.values():
+        if c.__class__ is not int:
+            d = c.denominator
+            den = den // _int_gcd(den, d) * d
+    if den == 1:
+        return 1, terms
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 _LP_ONE = LaurentPoly.const(1)
@@ -486,14 +491,26 @@ class Scalar:
     # -- evaluation
 
     def evaluate(self, at_s):
-        """Exact value at s = at_s; at_s must be admissible and not a pole."""
+        """Exact value at s = at_s; at_s must be admissible and not a pole.
+
+        At s = a/b in lowest terms num and den both carry the factor
+        a^lo b^-hi, lo and hi their least and greatest exponent, so the value
+        is the quotient of two integer sums sum_e c_e a^(e-lo) b^(hi-e), num's
+        over its coefficients' common denominator.
+        """
         at_s = Fraction(at_s)
-        if at_s in (0, 1, -1):
+        a, b = at_s.numerator, at_s.denominator
+        if b == 1 and -1 <= a <= 1:
             raise ExcludedEvaluationPoint(f"s = {at_s} puts q in {{0, 1}}")
-        dval = self.den.evaluate(at_s)
+        nd, num = _int_terms(self.num.terms)
+        den = self.den.terms
+        exps = (*num, *den)
+        lo, hi = min(exps), max(exps)
+        dval = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in den.items())
         if not dval:
             raise PoleAtPoint(f"denominator vanishes at s = {at_s}")
-        return self.num.evaluate(at_s) / dval
+        nval = sum(c * a ** (e - lo) * b ** (hi - e) for e, c in num.items())
+        return Fraction(nval, dval * nd)
 
     # -- printing
 
@@ -720,15 +737,7 @@ class ScalarField:
         a Laurent polynomial."""
         if v.den.terms != _ONE_TERMS:
             return None
-        terms = v.num.terms
-        den = 1
-        for c in terms.values():
-            if c.__class__ is not int:
-                d = c.denominator
-                den = den // _int_gcd(den, d) * d
-        if den == 1:
-            return 1, terms
-        return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        return _int_terms(v.num.terms)
 
     def from_flat(self, terms, den):
         """The canonical element sum c_e s^e / den of nonzero int terms."""
@@ -741,15 +750,11 @@ class RationalField:
     """Plain rational arithmetic at a fixed admissible value of s."""
 
     def __init__(self, at_s):
-        at_s = Fraction(at_s)
-        if at_s in (0, 1, -1):
-            raise ExcludedEvaluationPoint(f"s = {at_s} puts q in {{0, 1}}")
-        self.at_s = at_s
+        self.at_s = Fraction(at_s)
         self.zero = Fraction(0)
         self.one = Fraction(1)
-        self.s = at_s
-        self.q = at_s * at_s
-        self.lam = self.q - 1 / self.q
+        # lift raises ExcludedEvaluationPoint at an excluded s0.
+        self.s, self.q, self.lam = (self.lift(x) for x in (SYMBOLIC.s, SYMBOLIC.q, SYMBOLIC.lam))
 
     def from_int(self, n):
         return Fraction(n)

@@ -22,8 +22,8 @@ built from the flat form on first read and kept; elimination, is_zero's
 witnesses and reports read it.
 
 A FieldMatrix is stored row-major as nested dicts {row: {col: value}} of
-field elements holding no zeros.  It carries the N x N work, elimination and
-the operators without a flat form.
+field elements holding no zeros.  It carries elimination, char_poly, X and Y,
+and the operators without a flat form.
 
 Values are immutable by convention: an operator must not be mutated after
 construction.  Every operation returns a fresh object except `embed`, which

@@ -1,4 +1,4 @@
-"""Golden reports: the full stdout of six verify runs, compared byte for byte.
+"""Golden reports: the full stdout of seven verify runs, compared byte for byte.
 
 test_report_determinism runs one config twice, so it cannot see a change
 that moves where a derived value comes from; these files can.  File paths
@@ -59,6 +59,10 @@ RUNS = {
 ABORTED = {
     "ident2_aborted.json": lambda tmp: ["verify", "--input", _ident2(tmp), "--report", "json"],
     "bump_so3_aborted.txt": lambda tmp: ["verify", "--input", _bump_so3(tmp), "--detect-nu"],
+    # The same input at s = 3/2 pins the numeric witnesses of every check.
+    "bump_so3_at_s.txt": lambda tmp: [
+        "verify", "--input", _bump_so3(tmp), "--detect-nu", "--at-s", "3/2",
+    ],
 }
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmwcert import SYMBOLIC, LaurentPoly, Scalar, is_unit_sign, parse
+from bmwcert import SYMBOLIC, LaurentPoly, RationalField, Scalar, is_unit_sign, parse
 from bmwcert.errors import (
     DivisionByZero,
     ExcludedEvaluationPoint,
@@ -101,9 +101,11 @@ def test_evaluate_simple():
 
 def test_evaluate_excluded_points():
     expr = q + one + q**-1
-    for at in (0, 1, -1):
-        with pytest.raises(ExcludedEvaluationPoint):
-            expr.evaluate(at)
+    for at in (0, 1, -1, Fraction(2, 2), Fraction(-3, 3)):
+        message = f"^s = {Fraction(at)} puts q in \\{{0, 1\\}}$"
+        for evaluate in (expr.evaluate, F.zero.evaluate, RationalField):
+            with pytest.raises(ExcludedEvaluationPoint, match=message):
+                evaluate(at)
 
 
 def test_excluded_point_precedes_pole():
@@ -204,6 +206,55 @@ def test_arithmetic_and_parse_keep_canonical_form():
             results.append(a / b)
         for r in results:
             assert canonical_invariants(r), (str(a), str(b), str(r))
+
+
+EVAL_POINTS = [Fraction(3, 2), Fraction(-5, 3), Fraction(2, 7), Fraction(-1, 2), Fraction(7), Fraction(101, 97)]
+
+
+def reference_value(x, at):
+    """x at s = at, summed term by term in Fraction arithmetic, or None when
+    the denominator vanishes there."""
+
+    def value(p):
+        total = Fraction(0)
+        for e, c in p.terms.items():
+            total += Fraction(c) * at**e
+        return total
+
+    den = value(x.den)
+    return None if den == 0 else value(x.num) / den
+
+
+def test_evaluate_and_lift_agree_with_a_term_by_term_reference():
+    # Fractional coefficients, odd s exponents on both sides of 0, and
+    # negative points exercise the integer evaluator's scaling and signs.
+    # Every point also gets inputs with a pole there: a denominator factor
+    # s - s0, or q - s0^2.
+    rng = random.Random(20261020)
+    for at in EVAL_POINTS:
+        field = RationalField(at)
+        s0 = Scalar.from_fraction(at)
+        for i in range(150):
+            x = random_scalar(rng, max_terms=4, span=5)
+            if i % 10 == 0:
+                x = F.zero
+            elif i % 10 == 1:
+                x = x / (F.s - s0)
+            elif i % 10 == 2:
+                x = x / (q - s0 * s0)
+            want = reference_value(x, at)
+            if want is None:
+                message = f"^denominator vanishes at s = {at}$"
+                with pytest.raises(PoleAtPoint, match=message):
+                    x.evaluate(at)
+                with pytest.raises(PoleAtPoint, match=message):
+                    field.lift(x)
+                continue
+            for got in (x.evaluate(at), field.lift(x)):
+                assert got == want, (str(x), at)
+                assert type(got) is Fraction
+        if at.denominator == 1:
+            assert (q + one).evaluate(int(at)) == reference_value(q + one, at)
 
 
 def test_integral_coefficients_print_and_hash_as_before():
