@@ -49,8 +49,6 @@ from .tensors import (
     embed,
     inverse,
     is_zero,
-    multi_to_linear,
-    linear_to_multi,
     partial_trace,
     permutation_op,
     rank,
@@ -233,21 +231,23 @@ def detect_nu(R, w_op=None):
 
     W = (qI - R)(q^-1 I + R) maps onto the nu-eigenspace of a BMW-type R, so
     the first nonzero column of W must be an eigenvector; w_op, when given,
-    is that W, formed by the caller.  Raises NotBMWSpectralType when W = 0
+    is that W, formed by the caller.  The column is W E, E its matrix unit,
+    so it and R times it are composed.  Raises NotBMWSpectralType when W = 0
     (quadratic minimal polynomial), when the column is not an eigenvector,
     or when the eigenvalue lies in the excluded set {0, q, -q^-1}.
     """
     f = R.field
     if w_op is None:
         w_op = _w_operator(R)
-    if not w_op.mat.rows:
+    supports = row_supports(w_op)
+    if not supports:
         raise NotBMWSpectralType("(q - R)(q^-1 + R) vanishes identically")
-    col0 = min(c for row in w_op.mat.rows.values() for c in row)
-    v = w_op.mat.column(col0)
-    rv = R.mat.apply_to_column(v)
-    r0 = min(v)
-    nu = rv[r0] / v[r0] if r0 in rv else f.zero
-    if rv != {k: nu * x for k, x in v.items() if nu}:
+    col = min(min(cols) for cols in supports.values())
+    v = compose(w_op, restrict_rows(TensorOperator.identity(R.N, 2, f), [col]))
+    rv = compose(R, v)
+    row, _, v0 = is_zero(v)[1]
+    nu = rv.entry(row, col) / v0
+    if rv != scale(nu, v):
         raise NotBMWSpectralType("candidate column is not an eigenvector")
     if any(nu == e for _, e in excluded_nus(f)):
         raise NotBMWSpectralType(f"eigenvalue {nu} lies in the excluded set")
@@ -349,10 +349,10 @@ def check_bmw_relations(sys, kappa, yang_baxter):
     ]
     pair = kappa.pairing
     if pair is not None:
-        n = sys.N
-        r0 = multi_to_linear(pair.pivot[0], n)
-        k1_rows = restrict_rows(k1, range(r0 * n, r0 * n + n))
-        k2_rows = restrict_rows(k2, range(r0, n**3, n * n))
+        p = pair.pivot[0]
+        labels = range(1, sys.N + 1)
+        k1_rows = restrict_rows(k1, [(*p, c) for c in labels])
+        k2_rows = restrict_rows(k2, [(a, *p) for a in labels])
         bordered = _k_bordered(sys, k1, k2, k1_rows, k2_rows)
         if all(o.passed for o in bordered):
             return head + bordered
@@ -638,21 +638,11 @@ def factor_pairings(kappa):
 def _pivot_pairing(k_op):
     """g and gbar read off a nonzero K at its first nonzero entry, as
     factor_pairings describes, whatever the rank of K."""
-    m = k_op.mat
-    n = k_op.N
-    (r0, c0), pivot_val = next(iter(m.items()))
-    g = {linear_to_multi(col, n, 2): v for col, v in sorted(m.rows[r0].items())}
-    gbar = {}
-    for row in sorted(m.rows):
-        rowdict = m.rows[row]
-        if c0 in rowdict:
-            gbar[linear_to_multi(row, n, 2)] = rowdict[c0] / pivot_val
-    return PairingPair(
-        N=n,
-        g=g,
-        gbar=gbar,
-        pivot=(linear_to_multi(r0, n, 2), linear_to_multi(c0, n, 2)),
-    )
+    entries = list(k_op.items())
+    (out0, in0), pivot_val = entries[0]
+    g = {inp: v for (out, inp), v in entries if out == out0}
+    gbar = {out: v / pivot_val for (out, inp), v in entries if inp == in0}
+    return PairingPair(N=k_op.N, g=g, gbar=gbar, pivot=(out0, in0))
 
 
 def _rank_one_pairing(k_op):
@@ -679,11 +669,11 @@ def check_pairing_factorization(kappa, pair):
     for idx, gv in pair.g.items():
         if idx in pair.gbar:
             total = total + gv * pair.gbar[idx]
-    return _outcome(
-        "pairing-factorization",
-        "K[out, in] = gbar[out] g[in], sum g gbar = mu",
-        [(total, kappa.mu), (kappa.K, _outer(pair, f))],
-    )
+    # kappa.pairing is set only when K == gbar g^T held for it.
+    pairs = [(total, kappa.mu)]
+    if pair is not kappa.pairing:
+        pairs.append((kappa.K, _outer(pair, f)))
+    return _outcome("pairing-factorization", "K[out, in] = gbar[out] g[in], sum g gbar = mu", pairs)
 
 
 def _build_xy(pair, f):
@@ -754,10 +744,7 @@ def rtt_lemma(kappa, xy):
     f = kappa.K.field
     n = kappa.K.N
     eq_text = "T_1 K_23 K_12 = K_23 K_12 (X T X^-1)_3 for all matrix units T"
-    m = []
-    for r, row in kappa.K.mat.rows.items():
-        a, k = divmod(r, n)
-        m.extend((a, c % n, v) for c, v in row.items() if c // n == k)
+    m = [(a - 1, c - 1, v) for ((a, k), (j, c)), v in kappa.K.items() if k == j]
     mx = FieldMatrix.from_entries(n, f, m) * xy.X
     if mx == FieldMatrix.identity(n, f).scaled_by(mx.get(0, 0)):
         return Outcome("rtt-conjugation", eq_text, True)
@@ -812,7 +799,7 @@ def full_verification(sys_or_r):
         None if passed or detected is None else ((), (), detected),
     )
     kappa, kappa_outcome = _kappa_raw(sys, w_op)
-    del w_op  # W, and the view detect_nu read, are not needed past K
+    del w_op  # W is not needed past K
     result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa)
     outcomes = result.outcomes
     if sys._r_inv is None:

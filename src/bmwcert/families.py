@@ -189,12 +189,11 @@ def twisted_matrix(r, f_op):
     scaled by D[out] / D[in].  A missing entry, a zero d_ij, makes F
     singular and raises Singular as elimination would.
     """
-    fm = f_op.mat
-    if fm.nnz() < fm.dim:
-        raise Singular(f"rank {fm.nnz()} < dim {fm.dim}")
-    d = {col: v for (_, col), v in fm.items()}
-    entries = [(o, i, d[o] * v / d[i]) for (o, i), v in r.mat.items()]
-    return TensorOperator(r.N, 2, FieldMatrix.from_entries(fm.dim, r.field, entries))
+    d = {inp: v for (_, inp), v in f_op.items()}
+    if len(d) < f_op.N**2:
+        raise Singular(f"rank {len(d)} < dim {f_op.N**2}")
+    entries = [(o, i, d[o] * v / d[i]) for (o, i), v in r.items()]
+    return TensorOperator.from_entries(r.N, 2, r.field, entries)
 
 
 def build_multiparametric(series, N, d):

@@ -2,7 +2,10 @@
 
 Row = output index, column = input index.  Multi-indices over n tensor
 factors with labels 1..N linearize as r = sum((parts_k - 1) * N^(n-k)), the
-first factor being the most significant digit.
+first factor being the most significant digit.  Only this module computes
+linear indices: callers read and build operators by label tuples, which
+items, from_entries and row_supports map through one cached table per (N, n)
+in layout order.
 
 An operator has a flat integer form exactly when every entry is a Laurent
 polynomial in s, which in the numeric field is every operator: one positive
@@ -40,6 +43,7 @@ pivot row's right-hand part.  Pivots are chosen deterministically (fewest
 nonzeros, then lowest row index), so results never depend on scheduling.
 """
 
+from functools import cache
 from itertools import product
 from math import gcd
 
@@ -57,12 +61,20 @@ def multi_to_linear(parts, N):
     return r
 
 
+@cache
+def _labels(N, n):
+    """The label tuples over n factors in layout order: entry r labels index r."""
+    return tuple(product(range(1, N + 1), repeat=n))
+
+
+@cache
+def _index(N, n):
+    """{label: linear index} over n factors, the inverse of _labels."""
+    return {parts: r for r, parts in enumerate(_labels(N, n))}
+
+
 def linear_to_multi(r, N, n):
-    parts = [0] * n
-    for k in range(n - 1, -1, -1):
-        parts[k] = r % N + 1
-        r //= N
-    return tuple(parts)
+    return _labels(N, n)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +198,6 @@ class FieldMatrix:
         if not isinstance(other, FieldMatrix):
             return NotImplemented
         return self.dim == other.dim and self.rows == other.rows
-
-    def column(self, c):
-        out = {}
-        for r, row in self.rows.items():
-            if c in row:
-                out[r] = row[c]
-        return out
-
-    def apply_to_column(self, col):
-        """Matrix times a sparse column vector {row: value}."""
-        out = {}
-        for r, row in self.rows.items():
-            acc = None
-            for k, a in row.items():
-                if k in col:
-                    t = a * col[k]
-                    acc = t if acc is None else acc + t
-            if acc:
-                out[r] = acc
-        return out
 
 
 def _minus_one(field):
@@ -462,10 +454,11 @@ class TensorOperator:
 
     @classmethod
     def from_entries(cls, N, arity, field, entries):
-        """entries: iterable of (out_parts, in_parts, value) with 1-based labels."""
+        """entries: iterable of (out_parts, in_parts, value), tuples of 1-based labels."""
+        index = _index(N, arity)
         m = FieldMatrix(N**arity, field)
         for out, inp, v in entries:
-            m._add_entry(multi_to_linear(out, N), multi_to_linear(inp, N), v)
+            m._add_entry(index[out], index[inp], v)
         return cls(N, arity, m)
 
     @classmethod
@@ -479,9 +472,9 @@ class TensorOperator:
 
     def items(self):
         """Iterate ((out_parts, in_parts), value) in row-major order."""
-        N, n = self.N, self.arity
+        labels = _labels(self.N, self.arity)
         for (r, c), v in self.mat.items():
-            yield (linear_to_multi(r, N, n), linear_to_multi(c, N, n)), v
+            yield (labels[r], labels[c]), v
 
     def __eq__(self, other):
         if not isinstance(other, TensorOperator):
@@ -605,19 +598,20 @@ def partial_trace(op, space):
 
 
 def restrict_rows(op, rows):
-    """op with every row outside `rows` set to zero.  compose works row by
-    row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
+    """op with every row whose label is not in `rows` set to zero.  compose works
+    row by row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
     flat = _key_rows(op)
-    kept = {r: flat.rows[r] for r in rows if r in flat.rows}
+    kept = {r: flat.rows[r] for r in (multi_to_linear(p, op.N) for p in rows) if r in flat.rows}
     return _of_key_rows(op, op.arity, _Flat(flat.den, kept, flat.bits))
 
 
 def row_supports(op):
-    """{row: frozenset of its nonzero columns} for every nonzero row, read
-    off the keys, so a flat operator builds no field element."""
+    """{row label: frozenset of its nonzero column labels} for every nonzero
+    row, read off the keys, so a flat operator builds no field element."""
     flat = _key_rows(op)
+    labels = _labels(op.N, op.arity)
     mask = (1 << flat.bits) - 1
-    return {r: frozenset(k & mask for k in row) for r, row in flat.rows.items()}
+    return {labels[r]: frozenset(labels[k & mask] for k in row) for r, row in flat.rows.items()}
 
 
 def realign(op):

@@ -702,13 +702,15 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
     # pipeline already formed.  R K and K R are formed once each, one product
     # decides both skew sides, and with K = gbar g^T rtt-conjugation composes
     # no operator.  CD and DC are composed as N x N operators, once in
-    # cd-commute and once in cd-scalar.  rank(K) = 1 is decided as
-    # K == gbar g^T, so a passing verdict eliminates nothing.  Each function
-    # is counted wherever the pipeline or the CLI binds it.
+    # cd-commute and once in cd-scalar.  detect_nu composes W with the matrix
+    # unit of its column, and R with that column.  rank(K) = 1 is decided as
+    # K == gbar g^T, so a passing verdict eliminates nothing, and
+    # pairing-factorization does not form gbar g^T again.  Each function is
+    # counted wherever the pipeline or the CLI binds it.
     import bmwcert.cli
     import bmwcert.core
 
-    calls = {"detect_nu": 0, "rank": 0, "compose": 0, "_pivot_pairing": 0}
+    calls = {"detect_nu": 0, "rank": 0, "compose": 0, "_pivot_pairing": 0, "_outer": 0}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -723,7 +725,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     assert main(["verify", *source(tmp_path)]) == 0
     capsys.readouterr()
-    assert calls == {"detect_nu": 1, "rank": 0, "compose": 44, "_pivot_pairing": 1}
+    assert calls == {"detect_nu": 1, "rank": 0, "compose": 46, "_pivot_pairing": 1, "_outer": 1}
 
 
 @pytest.mark.parametrize("mode", [[], ["--at-s", "3/2"]], ids=["symbolic", "at-s"])
@@ -733,7 +735,7 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
 def test_twisted_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, family, text, mode):
     # twisted-x-match reads X and the pairings off the verdict's record, so
     # K, the rank-one comparison K == gbar g^T and X are formed once, and the
-    # twist D R D^-1 composes nothing: the 44 composes of a plain verdict
+    # twist D R D^-1 composes nothing: the 46 composes of a plain verdict
     # plus the 6 of twist-compat.
     import bmwcert.cli
     import bmwcert.core
@@ -756,7 +758,7 @@ def test_twisted_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsy
     twist = write_twist(tmp_path / "d.json", text)
     assert main(["verify", "--family", series, "--dim", dim, "--twist", twist, *mode]) == 0
     assert "[pass] twisted-x-match" in capsys.readouterr().out
-    assert calls == {"_kappa_raw": 1, "_rank_one_pairing": 1, "_build_xy": 1, "compose": 50}
+    assert calls == {"_kappa_raw": 1, "_rank_one_pairing": 1, "_build_xy": 1, "compose": 52}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):

@@ -357,6 +357,30 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+def test_division_by_zero_and_repr():
+    with pytest.raises(DivisionByZero, match=r"^division by zero scalar$"):
+        q / F.zero
+    # No arithmetic result has a zero denominator; the guard stands for one.
+    with pytest.raises(DivisionByZero, match=r"^zero denominator$"):
+        Scalar._make(q.num, F.zero.num)
+    assert repr(q) == "Scalar(q)"
+    assert repr(F.zero) == "Scalar(0)"
+
+
+def test_mixed_type_operands_are_refused():
+    # Each operator returns NotImplemented for a foreign operand: Python then
+    # raises TypeError, and == falls back to identity.  An int compares by
+    # value.
+    for other in (object(), "q", 1.5, Fraction(1, 2)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(q, other)
+        assert q != other and not q == other
+    with pytest.raises(TypeError):
+        q ** 0.5
+    assert F.one == 1 and q != 1
+
+
 def test_power_negative():
     assert q**-3 == one / (q * q * q)
     assert (q + one) ** 0 == one

@@ -27,6 +27,7 @@ from bmwcert import (
     scale,
     solve_multi_rhs,
 )
+from bmwcert.tensors import realign
 from bmwcert.core import RMatrixSystem, _kappa_raw
 from bmwcert.errors import BadPositions, ShapeMismatch, Singular
 
@@ -37,14 +38,34 @@ q = F.q
 
 
 def test_multi_index_bijection():
-    N, n = 3, 3
-    seen = set()
-    for parts in product(range(1, N + 1), repeat=n):
-        r = multi_to_linear(parts, N)
-        assert 0 <= r < N**n
-        assert linear_to_multi(r, N, n) == parts
-        seen.add(r)
-    assert len(seen) == N**n
+    for N in range(1, 7):
+        for n in range(1, 4):
+            seen = set()
+            for parts in product(range(1, N + 1), repeat=n):
+                r = multi_to_linear(parts, N)
+                assert 0 <= r < N**n
+                assert linear_to_multi(r, N, n) == parts
+                seen.add(r)
+            assert seen == set(range(N**n))
+
+
+def test_items_yield_labels_in_row_major_order():
+    # Row-major over linear indices is lexicographic over label tuples,
+    # first factor most significant.
+    rng = random.Random(5)
+    for N, n in ((2, 1), (3, 2), (2, 3)):
+        cells = {}
+        for out in product(range(1, N + 1), repeat=n):
+            for inp in product(range(1, N + 1), repeat=n):
+                if rng.random() < 0.4:
+                    cells[(out, inp)] = F.from_int(rng.randint(1, 9))
+        op = TensorOperator.from_entries(N, n, F, [(o, i, v) for (o, i), v in cells.items()])
+        got = list(op.items())
+        assert [cell for cell, _ in got] == sorted(cells)
+        assert dict(got) == cells
+        assert [(multi_to_linear(o, N), multi_to_linear(i, N)) for (o, i), _ in got] == [
+            cell for cell, _ in op.mat.items()
+        ]
 
 
 def test_embed_permutation_on_outer_factors():
@@ -142,6 +163,39 @@ def test_compose_add_scale_is_zero():
     assert wit == ((1, 1), (1, 1), F.one)
     with pytest.raises(ShapeMismatch):
         compose(P, permutation_op(3, 2, 1, 2, F))
+
+
+def test_shape_and_position_guards():
+    # The guards that no verdict reaches: each names the shapes it refuses.
+    m2, m3 = FieldMatrix.identity(2, F), FieldMatrix.identity(3, F)
+    with pytest.raises(ShapeMismatch, match=r"^dim 2 vs 3$"):
+        m2 * m3
+    with pytest.raises(ShapeMismatch, match=r"^dim 2 vs 3$"):
+        m2 + m3
+    with pytest.raises(ShapeMismatch, match=r"^dim 2 vs 3$"):
+        solve_multi_rhs(m2, m3)
+    with pytest.raises(ShapeMismatch, match=r"^matrix dim 3 != 2\^1$"):
+        TensorOperator(2, 1, m3)
+    with pytest.raises(ShapeMismatch, match=r"^realign needs arity 2, got 1$"):
+        realign(TensorOperator.identity(2, 1, F))
+    for k, l in ((2, 1), (1, 1), (0, 2), (1, 3)):
+        with pytest.raises(BadPositions, match=rf"^need 1 <= k < l <= n, got k={k}, l={l}, n=2$"):
+            permutation_op(2, 2, k, l, F)
+
+
+def test_mixed_type_operands_are_refused():
+    # FieldMatrix and TensorOperator return NotImplemented for a foreign
+    # operand, so Python raises TypeError, and == falls back to identity.
+    m = FieldMatrix.identity(2, F)
+    op = TensorOperator.identity(2, 1, F)
+    for other in (object(), 1, op):
+        with pytest.raises(TypeError):
+            m * other
+        with pytest.raises(TypeError):
+            m + other
+        assert m != other and not m == other
+    for other in (object(), m, F.one):
+        assert op != other and not op == other
 
 
 def test_is_zero_witness_on_contraction():
