@@ -26,8 +26,6 @@ from .tensors import (
     embed,
     inverse,
     is_zero,
-    linear_to_multi,
-    multi_to_linear,
     partial_trace,
     permutation_op,
     rank,

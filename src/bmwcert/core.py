@@ -29,7 +29,6 @@ full residual, so outcomes do not depend on which path decided them.
 """
 
 from collections import namedtuple
-from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -74,12 +73,12 @@ class RMatrixSystem:
     eigenvalue nu; the unit of verification.
 
     nu must avoid {0, q, -q^-1}, which also keeps the loop value mu nonzero.
-    Building a system composes nothing: R^-1 is set by full_verification
-    when the closed form of kappa-inverse-form checks out, and is otherwise
-    eliminated on first read, which raises Singular for a singular R.
+    A system holds its input only: building one composes nothing, and a
+    verdict keeps what it derives (K, R^-1, Psi) in its own records, so a
+    system is never written to after construction.
     """
 
-    __slots__ = ("N", "R", "nu", "_r_inv")
+    __slots__ = ("N", "R", "nu")
 
     def __init__(self, R, nu):
         if R.arity != 2:
@@ -89,55 +88,25 @@ class RMatrixSystem:
         self.N = R.N
         self.R = R
         self.nu = nu
-        self._r_inv = None
 
     @property
     def field(self):
         return self.R.field
 
-    @property
-    def R_inv(self):
-        if self._r_inv is None:
-            self._r_inv = TensorOperator(self.N, 2, inverse(self.R.mat))
-        return self._r_inv
 
-
-class KappaData:
-    """The contraction operator K with its loop value mu (K^2 = mu K), and
-    the operator R it was formed from.
-
-    `pairing` is the pivot factorization of K (see factor_pairings) when
-    K == gbar g^T, which holds exactly when rank(K) = 1, and None otherwise;
-    `rank` is eliminated only when that comparison fails.  `rk` and `kr` are
-    the products R K and K R, which the closed-form R^-1, bmw-rk and
-    minimal-cubic share.  Each is formed once, on first use.
-    """
-
-    def __init__(self, K, mu, R=None):
-        self.K, self.mu, self.R = K, mu, R
-
-    @cached_property
-    def pairing(self):
-        return _rank_one_pairing(self.K)
-
-    @cached_property
-    def rank(self):
-        return 1 if self.pairing is not None else rank(self.K.mat)
-
-    @cached_property
-    def rk(self):
-        return compose(self.R, self.K)
-
-    @cached_property
-    def kr(self):
-        return compose(self.K, self.R)
-
+# The contraction operator K with its loop value mu (K^2 = mu K) and what is
+# read off K and R, formed together by _kappa_raw: `pairing` is the pivot
+# factorization of K (see factor_pairings) when K == gbar g^T, which holds
+# exactly when rank(K) = 1, and None otherwise; `rank` is eliminated only
+# when that comparison fails; `rk` and `kr` are the products R K and K R,
+# which bmw-rk, minimal-cubic and the closed-form R^-1 share; `r_inv` is R^-1.
+KappaData = namedtuple("KappaData", "K mu pairing rank rk kr r_inv")
 
 # Skew inverse Psi of R with its partial traces C and D, both arity-1
 # operators, so the checks that embed them share one embedding each, the
-# outcomes of check_skew, and Tr_2(D_2 R_12^-1), which cd-commute and
+# R^-1 it was formed with, and Tr_2(D_2 R_12^-1), which cd-commute and
 # d-rinv-trace compare against.
-SkewData = namedtuple("SkewData", "Psi C D outcomes d_rinv_trace")
+SkewData = namedtuple("SkewData", "Psi C D r_inv d_rinv_trace")
 
 # Bilinear pairings read off the rank-one contraction operator: g and gbar
 # map 1-based index pairs to field elements; pivot records the (out, in)
@@ -159,7 +128,9 @@ class VerificationResult:
     """The record of one verdict: the ordered outcomes, the RMatrixSystem
     they were verified against, and the K, skew inverse, pairings and X/Y
     the pipeline formed, each None when the pipeline stopped before it.
-    aborted carries the reason when a structural error cut it short."""
+    aborted carries the reason when a structural error cut it short.  It is
+    the one record filled in after it is built: the stages set its fields
+    as they run."""
 
     def __init__(self, outcomes, system, kappa):
         self.outcomes, self.system, self.kappa = outcomes, system, kappa
@@ -173,8 +144,8 @@ class VerificationResult:
 
     @property
     def derived(self):
-        """The values a report prints, read off the record.  rank_K is set
-        with the skew inverse, since theorem_suite runs right after it."""
+        """The values a report prints, read off the record.  rank_K is
+        printed with the skew inverse, since theorem_suite runs right after it."""
         skew, xy = self.skew, self.xy
         return {
             "N": self.system.N,
@@ -255,18 +226,24 @@ def detect_nu(R, w_op=None):
 
 
 def _kappa_raw(sys, w_op=None):
-    """K = lambda^-1 nu^-1 W with W = (q - R)(q^-1 + R), mu, and the
-    K^2 = mu K outcome, without raising; the orchestration reports the
-    failure and keeps going.  w_op, when given, is W, formed by the caller."""
+    """The KappaData of K = lambda^-1 nu^-1 W, W = (q - R)(q^-1 + R), and
+    the K^2 = mu K outcome, which the orchestration reports, failed or not.
+    w_op, when given, is W, formed by the caller.  R^-1 is the closed form
+    R - lam I + lam K when R K = nu K, and is eliminated otherwise, which
+    raises Singular for a singular R."""
     f = sys.field
-    q = f.q
-    coeff = f.one / (f.lam * sys.nu)
-    kappa = scale(coeff, _w_operator(sys.R) if w_op is None else w_op)
-    mu = coeff * (q - sys.nu) * (f.one / q + sys.nu)
-    outcome = _outcome(
-        "kappa-idempotent", "K^2 = mu K", [(compose(kappa, kappa), scale(mu, kappa))]
-    )
-    return KappaData(kappa, mu, sys.R), outcome
+    q, nu = f.q, sys.nu
+    coeff = f.one / (f.lam * nu)
+    k = scale(coeff, _w_operator(sys.R) if w_op is None else w_op)
+    mu = coeff * (q - nu) * (f.one / q + nu)
+    outcome = _outcome("kappa-idempotent", "K^2 = mu K", [(compose(k, k), scale(mu, k))])
+    pairing = _rank_one_pairing(k)
+    rk, kr = compose(sys.R, k), compose(k, sys.R)
+    r_inv = _closed_form_r_inv(sys, k) if rk == scale(nu, k) else None
+    if r_inv is None:
+        r_inv = TensorOperator(sys.N, 2, inverse(sys.R.mat))
+    rank_k = 1 if pairing is not None else rank(k.mat)
+    return KappaData(k, mu, pairing, rank_k, rk, kr, r_inv), outcome
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +261,14 @@ def check_yang_baxter(sys):
     )
 
 
-def _closed_form_r_inv(sys, kappa):
-    """The candidate R^-1 = R - lam I + lam K of kappa-inverse-form, or None
-    when it is not R^-1.
+def _closed_form_r_inv(sys, k):
+    """The candidate R^-1 = R - lam I + lam K of kappa-inverse-form.
 
     K = (lam nu)^-1 (q - R)(q^-1 + R) says R^2 - lam R = I - lam nu K, so
     R (R - lam I + lam K) = I + lam (R K - nu K): the candidate is R^-1
-    exactly when R K = nu K, which the product R K of bmw-rk decides.
+    exactly when R K = nu K, which _kappa_raw decides on the product R K.
     """
     f = sys.field
-    k = kappa.K
-    if kappa.rk != scale(sys.nu, k):
-        return None
     return add(sub(sys.R, scale(f.lam, TensorOperator.identity(sys.N, 2, f))), scale(f.lam, k))
 
 
@@ -311,7 +284,7 @@ def check_kappa_inverse_form(sys, kappa):
     ident = TensorOperator.identity(sys.N, 2, f)
     eq_text = "K = lam^-1 (R^-1 - R + lam I)"
     lam_k = scale(f.lam, kappa.K)
-    rhs = add(sub(sys.R_inv, sys.R), scale(f.lam, ident))
+    rhs = add(sub(kappa.r_inv, sys.R), scale(f.lam, ident))
     if lam_k == rhs:
         return Outcome("kappa-inverse-form", eq_text, True)
     out, inp, v = is_zero(sub(lam_k, rhs))[1]
@@ -353,15 +326,15 @@ def check_bmw_relations(sys, kappa, yang_baxter):
         labels = range(1, sys.N + 1)
         k1_rows = restrict_rows(k1, [(*p, c) for c in labels])
         k2_rows = restrict_rows(k2, [(a, *p) for a in labels])
-        bordered = _k_bordered(sys, k1, k2, k1_rows, k2_rows)
+        bordered = _k_bordered(sys, kappa.r_inv, k1, k2, k1_rows, k2_rows)
         if all(o.passed for o in bordered):
             return head + bordered
-        full = _k_bordered(sys, k1, k2, k1, k2)
+        full = _k_bordered(sys, kappa.r_inv, k1, k2, k1, k2)
         return head + [o if o.passed else w for o, w in zip(bordered, full)]
-    return head + _k_bordered(sys, k1, k2, k1, k2)
+    return head + _k_bordered(sys, kappa.r_inv, k1, k2, k1, k2)
 
 
-def _k_bordered(sys, k1, k2, k1_left, k2_left):
+def _k_bordered(sys, r_inv, k1, k2, k1_left, k2_left):
     """Outcomes of the five K-bordered relations, with k1_left and k2_left,
     K_1 and K_2 or some of their rows, as the leftmost factor of each side.
     The three-site products that several relations share are formed once."""
@@ -370,8 +343,8 @@ def _k_bordered(sys, k1, k2, k1_left, k2_left):
     nu_inv = f.one / nu
     r1 = embed(sys.R, (1, 2), 3)
     r2 = embed(sys.R, (2, 3), 3)
-    ri1 = embed(sys.R_inv, (1, 2), 3)
-    ri2 = embed(sys.R_inv, (2, 3), 3)
+    ri1 = embed(r_inv, (1, 2), 3)
+    ri2 = embed(r_inv, (2, 3), 3)
     k2r1 = compose(k2_left, r1)
     k2ri1 = compose(k2_left, ri1)
     k2k1 = compose(k2_left, k1)
@@ -440,7 +413,7 @@ def _psi_candidate(sys, kappa):
     nu = sys.nu
     c = scale(nu, partial_trace(kappa.K, 1))
     d = scale(nu, partial_trace(kappa.K, 2))
-    dr = compose(embed(d, (1,), 2), embed(sys.R_inv, (2, 1), 2))
+    dr = compose(embed(d, (1,), 2), embed(kappa.r_inv, (2, 1), 2))
     return scale(sys.field.one / (nu * nu), compose(dr, embed(c, (2,), 2)))
 
 
@@ -461,7 +434,8 @@ def skew_inverse(sys, kappa=None):
     solution elimination would find.  Only otherwise is the system solved,
     and the solution is checked by the same product.  The Psi returned thus
     always satisfies both defining equalities, and check_skew verifies the
-    two contractions of C and D against R.
+    two contractions of C and D against R.  R^-1 is kappa's, and is
+    eliminated here only when no kappa is given.
     """
     n = sys.N
     swap = permutation_op(n, 2, 1, 2, sys.field)
@@ -476,8 +450,9 @@ def skew_inverse(sys, kappa=None):
         if compose(m_r, realign(psi)) != swap:
             raise RuntimeError("the solved skew inverse fails M_R S_Psi = P")
     c, d = partial_trace(psi, 1), partial_trace(psi, 2)
-    d_rinv_trace = partial_trace(compose(embed(d, (2,), 2), sys.R_inv), 2)
-    return SkewData(psi, c, d, check_skew(sys, c, d), d_rinv_trace)
+    r_inv = TensorOperator(n, 2, inverse(sys.R.mat)) if kappa is None else kappa.r_inv
+    d_rinv_trace = partial_trace(compose(embed(d, (2,), 2), r_inv), 2)
+    return SkewData(psi, c, d, r_inv, d_rinv_trace)
 
 
 def check_skew(sys, c, d):
@@ -527,7 +502,7 @@ def check_prop1(sys, skew):
     c2 = embed(skew.C, (2,), 2)
     d1 = embed(skew.D, (1,), 2)
     d2 = embed(skew.D, (2,), 2)
-    r21_inv = embed(sys.R_inv, (2, 1), 2)
+    r21_inv = embed(skew.r_inv, (2, 1), 2)
     cd = compose(skew.C, skew.D)
     t_c = partial_trace(compose(c2, r21_inv), 2)
     return [
@@ -770,9 +745,9 @@ def full_verification(sys_or_r):
     then detected; either way nu is detected once, and the `nu-detect`
     outcome compares that value with the nu verified against.  Each derived
     object is formed once per verdict: W = (q - R)(q^-1 + R), which nu and
-    K are read off, K with its rank, R^-1, and Psi, C, D with
-    Tr_2(D_2 R^-1).  R^-1 is kept on the system: the closed form when
-    R K = nu K, else eliminated on first read.
+    K are read off, K with its rank and R^-1 (see _kappa_raw), and Psi, C,
+    D with Tr_2(D_2 R^-1).  The system is only read, so a second verdict on
+    it derives everything again and prints the same report.
     The result records K, the skew inverse, the pairings and X/Y as each
     is formed.  Structural errors (no skew inverse, rank != 1, XY != I)
     short-circuit into a partial result whose `aborted` field names the
@@ -802,8 +777,6 @@ def full_verification(sys_or_r):
     del w_op  # W is not needed past K
     result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa)
     outcomes = result.outcomes
-    if sys._r_inv is None:
-        sys._r_inv = _closed_form_r_inv(sys, kappa)
     outcomes.append(check_kappa_inverse_form(sys, kappa))
 
     outcomes.extend(check_bmw_relations(sys, kappa, yang_baxter))
@@ -814,7 +787,7 @@ def full_verification(sys_or_r):
     except NotSkewInvertible as exc:
         result.aborted = f"NotSkewInvertible: {exc}"
         return result
-    outcomes.extend(skew.outcomes)
+    outcomes.extend(check_skew(sys, skew.C, skew.D))
     outcomes.extend(check_prop1(sys, skew))
     outcomes.extend(theorem_suite(sys, skew, kappa))
 

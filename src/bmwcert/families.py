@@ -108,8 +108,9 @@ def build_standard(series, N):
     """Standard family system with nu = family_nu(series, N), uncertified:
     full_verification certifies it.
 
-    Each call builds a fresh system: a verdict leaves R^-1 on the system it
-    decides and embeddings on its operators, so a shared one would keep them.
+    Each call builds a fresh system: a verdict writes nothing into the
+    system, but leaves embeddings on its operators, so a shared one would
+    keep them.
     """
     return RMatrixSystem(standard_matrix(series, N), family_nu(series, N))
 

@@ -629,9 +629,9 @@ def _expect(toks, kind, message):
 def _parse_expr(toks, depth):
     value = _parse_term(toks, depth)
     while toks[-1][0] in ("+", "-"):
-        op = toks.pop()[0]
+        op, _, pos = toks.pop()
         rhs = _parse_term(toks, depth)
-        value = value + rhs if op == "+" else value - rhs
+        value = _check_size(value + rhs if op == "+" else value - rhs, pos)
     return value
 
 
@@ -642,7 +642,7 @@ def _parse_term(toks, depth):
         rhs = _parse_factor(toks, depth)
         if op == "/" and rhs.is_zero():
             raise DivisionByZero(f"zero denominator at position {pos}")
-        value = value * rhs if op == "*" else value / rhs
+        value = _check_size(value * rhs if op == "*" else value / rhs, pos)
     return value
 
 
@@ -691,12 +691,29 @@ def _parse_factor(toks, depth):
     return Scalar.s_power(numer)
 
 
+def _bit_limit():
+    """The bits of the longest int literal of the interpreter's digit limit."""
+    return (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+
+
+def _check_size(value, pos):
+    """value, or ParseError at the operator at pos that formed it when its
+    coefficients hold more bits than _bit_limit, summed over num and den,
+    ceil(log2 max(|numerator|, denominator)) each.  With every operand so
+    bounded, no operation of the grammar stalls on its coefficients."""
+    limit = _bit_limit()
+    terms = (*value.num.terms.values(), *value.den.terms.values())
+    if sum((max(abs(c.numerator), c.denominator) - 1).bit_length() for c in terms) > limit:
+        raise ParseError(f"value too large: over {limit} bits", pos)
+    return value
+
+
 def _check_power(value, k, caret):
     """ParseError at the caret when value^k may hold more bits than an int
     literal of the interpreter's digit limit.  For p the num or den of value,
     p^k has at most k * span + 1 terms of at most k * log2(t * m) bits, t the
     terms of p, m its largest coefficient part; so q^k (t * m = 1) is free."""
-    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+    limit = _bit_limit()
     size = 0
     for terms in (value.num.terms, value.den.terms) if value else ():
         m = max(max(abs(c.numerator), c.denominator) for c in terms.values())

@@ -54,13 +54,6 @@ from .errors import BadPositions, ShapeMismatch, Singular
 # Multi-index plumbing
 
 
-def multi_to_linear(parts, N):
-    r = 0
-    for p in parts:
-        r = r * N + (p - 1)
-    return r
-
-
 @cache
 def _labels(N, n):
     """The label tuples over n factors in layout order: entry r labels index r."""
@@ -71,10 +64,6 @@ def _labels(N, n):
 def _index(N, n):
     """{label: linear index} over n factors, the inverse of _labels."""
     return {parts: r for r, parts in enumerate(_labels(N, n))}
-
-
-def linear_to_multi(r, N, n):
-    return _labels(N, n)[r]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +354,7 @@ def _flat_embed(a, N, positions, n):
 
     def offsets(factors):
         # Offset of every label tuple of `factors`, first factor most
-        # significant, as multi_to_linear orders them.
+        # significant, as _labels orders them.
         out = [0]
         for p in factors:
             w = N ** (n - p)
@@ -468,7 +457,8 @@ class TensorOperator:
         return cls._of_flat(N, arity, field, _Flat(1, rows, dim.bit_length()))
 
     def entry(self, out, inp):
-        return self.mat.get(multi_to_linear(out, self.N), multi_to_linear(inp, self.N))
+        index = _index(self.N, self.arity)
+        return self.mat.get(index[out], index[inp])
 
     def items(self):
         """Iterate ((out_parts, in_parts), value) in row-major order."""
@@ -562,7 +552,8 @@ def is_zero(a):
     if zero:
         return True, None
     r, c, v = wit
-    return False, (linear_to_multi(r, a.N, a.arity), linear_to_multi(c, a.N, a.arity), v)
+    labels = _labels(a.N, a.arity)
+    return False, (labels[r], labels[c], v)
 
 
 def embed(op, positions, n):
@@ -601,7 +592,8 @@ def restrict_rows(op, rows):
     """op with every row whose label is not in `rows` set to zero.  compose works
     row by row, so compose(restrict_rows(a, rows), b) forms only those rows of a b."""
     flat = _key_rows(op)
-    kept = {r: flat.rows[r] for r in (multi_to_linear(p, op.N) for p in rows) if r in flat.rows}
+    index = _index(op.N, op.arity)
+    kept = {r: flat.rows[r] for r in (index[p] for p in rows) if r in flat.rows}
     return _of_key_rows(op, op.arity, _Flat(flat.den, kept, flat.bits))
 
 
@@ -638,11 +630,12 @@ def permutation_op(N, n, k, l, field):
     """The transposition of factors k and l of V^(x n)."""
     if not (1 <= k < l <= n):
         raise BadPositions(f"need 1 <= k < l <= n, got k={k}, l={l}, n={n}")
+    index = _index(N, n)
     rows = {}
-    for parts in product(range(1, N + 1), repeat=n):
+    for parts, c in index.items():
         swapped = list(parts)
         swapped[k - 1], swapped[l - 1] = swapped[l - 1], swapped[k - 1]
-        rows[multi_to_linear(swapped, N)] = {multi_to_linear(parts, N): 1}
+        rows[index[tuple(swapped)]] = {c: 1}
     return TensorOperator._of_flat(N, n, field, _Flat(1, rows, (N**n).bit_length()))
 
 

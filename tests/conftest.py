@@ -65,6 +65,12 @@ SO4_TWIST_TEXT = [
 
 SP2_TWIST_TEXT = [["1", "q"], ["1", "1"]]
 
+# Grammar text whose every power is within the bit bound, but whose sum or
+# product is not: each takes seconds to parse unless it is refused at the
+# operator that forms the oversized value.
+OVERSIZED_SUM = "+".join(f"1/((q+{i})^30+1)" for i in range(1, 21))
+OVERSIZED_PRODUCT = "*".join(["(q+1)^84"] * 40)
+
 
 def operator_from_table(table, n):
     return TensorOperator.from_entries(
@@ -86,6 +92,19 @@ def change_of_basis(r, a):
     aa = compose(embed(a1, (1,), 2), embed(a1, (2,), 2))
     aa_inv = compose(embed(a1_inv, (1,), 2), embed(a1_inv, (2,), 2))
     return compose(aa, compose(r, aa_inv))
+
+
+def powers_taken(monkeypatch):
+    """The exponents of every Scalar power taken from now on, in order."""
+    taken = []
+    power = Scalar.__pow__
+
+    def spy(value, k):
+        taken.append(k)
+        return power(value, k)
+
+    monkeypatch.setattr(Scalar, "__pow__", spy)
+    return taken
 
 
 def so3_file_without_nu(tmp_path):

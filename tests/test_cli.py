@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -23,9 +22,12 @@ from bmwcert.errors import DimensionMismatch, ParseError
 from bmwcert.report import export_rmatrix, import_twist
 
 from conftest import (
+    OVERSIZED_PRODUCT,
+    OVERSIZED_SUM,
     SO4_TWIST_TEXT,
     SP2_TWIST_TEXT,
     change_of_basis,
+    powers_taken,
     so3_file_without_nu,
     twist_from_text,
 )
@@ -844,9 +846,10 @@ def test_passing_family_verdicts_eliminate_nothing(monkeypatch, tmp_path, capsys
     [
         # bmw-rk fails and rank(K) = 2: every candidate is turned down.
         ("bump", {"rank": 1, "inverse": 1, "solve_multi_rhs": 1}),
-        # R K != nu K and K is not gbar g^T; the skew system is singular, so
-        # the pipeline aborts before rank(K) is asked for.
-        ("ident", {"rank": 0, "inverse": 1, "solve_multi_rhs": 1}),
+        # R K != nu K and K is not gbar g^T, so rank(K) is eliminated with
+        # K, although the skew system is singular and the pipeline aborts
+        # before it reads the rank.
+        ("ident", {"rank": 1, "inverse": 1, "solve_multi_rhs": 1}),
     ],
 )
 def test_negative_controls_reach_the_elimination_fallbacks(
@@ -1231,17 +1234,30 @@ def test_every_valued_option_reads_the_same_with_equals(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["(q + 3)^4000", "7^99999999"])
-def test_oversized_power_exits_2_within_a_second(tmp_path, capsys, text):
+def test_oversized_power_exits_2_before_it_is_taken(monkeypatch, tmp_path, capsys, text):
     rfile = tmp_path / "r.json"
     rfile.write_text(json.dumps({"dim": 1, "entries": [{"out": [1, 1], "in": [1, 1], "coeff": text}]}))
     twist = write_twist(tmp_path / "d.json", [[text, "1"], ["1", "1"]])
+    refused = int(text.rpartition("^")[2])
+    taken = powers_taken(monkeypatch)
     for argv, where in (
         (["--family", "so", "--dim", "3", "--nu", text], ""),
         (["--input", str(rfile)], "entry 0: "),
         (["--family", "sp", "--dim", "2", "--twist", twist], "twist d[1][1]: "),
     ):
-        start = time.perf_counter()
+        taken.clear()
         assert main(["verify", *argv]) == 2
-        assert time.perf_counter() - start < 1.0
+        assert refused not in taken
         err = capsys.readouterr().err
         assert err.startswith(f"bmwcert: error: {where}power too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, position", [(OVERSIZED_SUM, 44), (OVERSIZED_PRODUCT, 8)], ids=["sum", "product"]
+)
+def test_oversized_sum_or_product_exits_2(capsys, text, position):
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+    assert main(["verify", "--family", "so", "--dim", "3", "--nu", text]) == 2
+    assert capsys.readouterr() == (
+        "", f"bmwcert: error: value too large: over {limit} bits (at position {position})\n"
+    )

@@ -248,7 +248,7 @@ def test_factor_pairings_sp2_signs():
 
 def test_factor_pairings_rank_two_rejected():
     m = FieldMatrix.from_entries(4, F, [(0, 0, one), (1, 1, one)])
-    kappa = KappaData(TensorOperator(2, 2, m), one)
+    kappa = KappaData(TensorOperator(2, 2, m), one, None, 2, None, None, None)
     with pytest.raises(RankNotOne):
         factor_pairings(kappa)
 

@@ -90,7 +90,6 @@ def test_build_standard_so5_certifies():
 def test_build_standard_keeps_nothing_a_verdict_leaves():
     assert full_verification(build_standard("so", 4)).status == "pass"
     sys = build_standard("so", 4)
-    assert sys._r_inv is None
     assert sys.R._embedded == {}
 
 

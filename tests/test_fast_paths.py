@@ -32,6 +32,7 @@ from bmwcert.cli import JobConfig, run_job
 from bmwcert.core import XYPair
 from bmwcert.errors import BmwError, RankNotOne
 from bmwcert.families import family_nu, standard_matrix
+from bmwcert.report import build_report, render_json
 
 from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, change_of_basis, twist_from_text
 
@@ -198,6 +199,36 @@ def test_rtt_lemma_needs_a_rank_one_k():
     ident = FieldMatrix.identity(3, SYMBOLIC)
     with pytest.raises(RankNotOne, match=r"rank\(K\) = 2"):
         rtt_lemma(kappa, XYPair(ident, ident, 1))
+
+
+@pytest.mark.parametrize("path", ["fast", "reference"])
+def test_a_verdict_leaves_its_system_as_built(monkeypatch, path):
+    # What a verdict derives lives in its own records: nothing is assigned
+    # to the system after it is built, a second verdict on it prints the
+    # same report, and _kappa_raw forms every field of KappaData at once.
+    # The pairing is None exactly when rank(K) != 1, or on the reference
+    # path, which turns the comparison K == gbar g^T off.
+    if path == "reference":
+        _force_reference_path(monkeypatch)
+    cases = ("so3", "twisted-sp2", "unipotent-gauge-sp2", "bump-so3", "identity", "flip-so3",
+             "rank-two-rectangle-so3", "wrong-nu-so3")
+    systems = {case: RMatrixSystem(*CASES[case](SYMBOLIC)) for case in cases}
+    assigned = []
+
+    def spy(obj, name, value):
+        assigned.append(name)
+        object.__setattr__(obj, name, value)
+
+    monkeypatch.setattr(RMatrixSystem, "__setattr__", spy)
+    for case, system in systems.items():
+        first, second = (render_json(build_report(full_verification(system), {})) for _ in range(2))
+        assert first == second, case
+        kappa, _ = core._kappa_raw(system)
+        if path == "fast":
+            assert (kappa.pairing is None) == (kappa.rank != 1), case
+        formed = (kappa.K, kappa.mu, kappa.rank, kappa.rk, kappa.kr, kappa.r_inv)
+        assert all(v is not None for v in formed), case
+    assert assigned == []
 
 
 # Every check id of a twisted-family report maps to a pinned input that fails

@@ -25,8 +25,6 @@ from bmwcert import (
     compose,
     embed,
     is_zero,
-    linear_to_multi,
-    multi_to_linear,
     partial_trace,
     scale,
 )
@@ -80,6 +78,11 @@ def _operator(rng, N, n, kind, density=0.3):
     return TensorOperator(N, n, m)
 
 
+def _linear(parts, N):
+    """The linear index of a label tuple, first factor most significant."""
+    return sum((p - 1) * N ** (len(parts) - k) for k, p in enumerate(parts, 1))
+
+
 def _embed_entries(op, positions, n):
     """embed's matrix, entry by entry: factor k of op acts on positions[k]
     and every other factor carries the identity."""
@@ -93,7 +96,7 @@ def _embed_entries(op, positions, n):
         for labels in product(range(1, N + 1), repeat=len(others)):
             for p, lab in zip(others, labels):
                 out[p - 1] = inp[p - 1] = lab
-            out_m._add_entry(multi_to_linear(out, N), multi_to_linear(inp, N), v)
+            out_m._add_entry(_linear(out, N), _linear(inp, N), v)
     return out_m
 
 
@@ -105,7 +108,7 @@ def _trace_entries(op, k):
         if out_p[k] == in_p[k]:
             ro = out_p[:k] + out_p[k + 1 :]
             ri = in_p[:k] + in_p[k + 1 :]
-            out_m._add_entry(multi_to_linear(ro, N), multi_to_linear(ri, N), v)
+            out_m._add_entry(_linear(ro, N), _linear(ri, N), v)
     return out_m
 
 
@@ -113,7 +116,7 @@ def _realign_entries(op):
     """realign's matrix, entry by entry: S[(i,k),(j,l)] = op[(i,j),(k,l)]."""
     N = op.N
     entries = [
-        (multi_to_linear((i, k), N), multi_to_linear((j, l), N), v)
+        (_linear((i, k), N), _linear((j, l), N), v)
         for ((i, j), (k, l)), v in op.items()
     ]
     return FieldMatrix.from_entries(N * N, op.field, entries)
@@ -324,4 +327,5 @@ def test_is_zero_witness_agrees_with_field_matrices():
                 assert found == (True, None)
                 continue
             r, c, v = wit
-            assert found == (False, (linear_to_multi(r, 2, n), linear_to_multi(c, 2, n), v))
+            labels = list(product((1, 2), repeat=n))
+            assert found == (False, (labels[r], labels[c], v))

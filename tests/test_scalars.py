@@ -3,7 +3,6 @@
 import operator
 import random
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,8 @@ from bmwcert.errors import (
     ParseError,
     PoleAtPoint,
 )
+
+from conftest import OVERSIZED_PRODUCT, OVERSIZED_SUM, powers_taken
 
 F = SYMBOLIC
 q = F.q
@@ -515,30 +516,54 @@ def _bits(value):
     )
 
 
-def test_seeded_exponent_sweep():
+def test_seeded_exponent_sweep(monkeypatch):
     # Powers with exponents of up to 9 digits: each one parses within the
-    # bit bound or raises ParseError at its caret, and the whole sweep takes
-    # well under a second.  Monomials with coefficient +-1 are always free.
+    # bit bound or raises ParseError at its caret before it is taken, so a
+    # refused text takes exactly the powers of its base.  Monomials with
+    # coefficient +-1 are always free.
     limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
     bases = ["q", "s", "-q", "q^-3", "q^(3/2)", "7", "1/2", "3*q^2", "q + 3", "q - q^-1",
              "s + 1", "(q + 1)/(q - 2)", "q^2 + q + 1", "2/3*s^5 - 1", "q^100 + 1"]
     rng = random.Random(2005)
-    start = time.perf_counter()
+    taken = powers_taken(monkeypatch)
     accepted = 0
     for _ in range(1500):
         base = rng.choice(bases)
         k = rng.choice([1, -1]) * rng.randint(0, 10 ** rng.randint(1, 9) - 1)
         text = f"({base})^{k}"
+        taken.clear()
         try:
             value = parse(text)
         except ParseError as err:
             assert str(err).startswith("power too large") and err.position == len(base) + 2, text
             assert base not in ("q", "s", "-q", "q^-3", "q^(3/2)"), text
+            refused = taken[:]
+            taken.clear()
+            parse(base)
+            assert refused == taken, text
             continue
         assert value == parse(base) ** k and _bits(value) <= limit, text
         accepted += 1
     assert 300 < accepted < 1200
-    assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_sums_and_products_are_refused_at_the_operator():
+    # Every power in these texts is within its bound.  The sum passes the
+    # bit limit at its 4th term and the product at its 2nd factor, and each
+    # is refused at the operator that would form it.
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300) * 3322 // 1000
+    terms = [f"1/((q+{i})^30+1)" for i in range(1, 21)]
+    factors = OVERSIZED_PRODUCT.split("*")
+    assert "+".join(terms) == OVERSIZED_SUM
+    head = parse("+".join(terms[:3]))
+    assert _bits(head) <= limit < _bits(head + parse(terms[3]))
+    assert _bits(parse(factors[0])) <= limit < _bits(parse(factors[0]) * parse(factors[1]))
+    for text, position in ((OVERSIZED_SUM, len("+".join(terms[:3]))),
+                           (OVERSIZED_PRODUCT, len(factors[0]))):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"value too large: over {limit} bits (at position {position})"
+        assert text[err.value.position] in "+*"
 
 
 def test_exponent_bound_follows_the_int_digit_limit():

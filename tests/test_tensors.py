@@ -18,8 +18,6 @@ from bmwcert import (
     embed,
     inverse,
     is_zero,
-    linear_to_multi,
-    multi_to_linear,
     parse,
     partial_trace,
     permutation_op,
@@ -27,7 +25,7 @@ from bmwcert import (
     scale,
     solve_multi_rhs,
 )
-from bmwcert.tensors import realign
+from bmwcert.tensors import _index, _labels, realign
 from bmwcert.core import RMatrixSystem, _kappa_raw
 from bmwcert.errors import BadPositions, ShapeMismatch, Singular
 
@@ -38,15 +36,16 @@ q = F.q
 
 
 def test_multi_index_bijection():
+    # Entry r of the label table is the tuple with r = sum (p_k - 1) N^(n-k),
+    # the first factor most significant, and the index table inverts it.
     for N in range(1, 7):
         for n in range(1, 4):
-            seen = set()
+            labels, index = _labels(N, n), _index(N, n)
+            assert len(labels) == len(index) == N**n
             for parts in product(range(1, N + 1), repeat=n):
-                r = multi_to_linear(parts, N)
-                assert 0 <= r < N**n
-                assert linear_to_multi(r, N, n) == parts
-                seen.add(r)
-            assert seen == set(range(N**n))
+                r = sum((p - 1) * N ** (n - k) for k, p in enumerate(parts, 1))
+                assert labels[r] == parts
+                assert index[parts] == r
 
 
 def test_items_yield_labels_in_row_major_order():
@@ -63,7 +62,8 @@ def test_items_yield_labels_in_row_major_order():
         got = list(op.items())
         assert [cell for cell, _ in got] == sorted(cells)
         assert dict(got) == cells
-        assert [(multi_to_linear(o, N), multi_to_linear(i, N)) for (o, i), _ in got] == [
+        index = _index(N, n)
+        assert [(index[o], index[i]) for (o, i), _ in got] == [
             cell for cell, _ in op.mat.items()
         ]
 
