@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .scalars import (
     LaurentPoly,
+    Rational,
     RationalField,
     SYMBOLIC,
     Scalar,

@@ -13,7 +13,7 @@ one.  Builders only build: the verification pipeline certifies what they
 return, and the frozen tables of the test suite pin their index conventions.
 """
 
-from .core import RMatrixSystem, PairingPair, _outcome
+from .core import Outcome, RMatrixSystem, PairingPair, _outcome
 from .errors import BadDimension, InvalidTwistParameters, Singular
 from .scalars import SYMBOLIC, Scalar
 from .tensors import (
@@ -21,6 +21,7 @@ from .tensors import (
     TensorOperator,
     compose,
     embed,
+    row_supports,
 )
 
 # Flag carried into reports for symplectic families: the eigenvalue exponent
@@ -162,8 +163,36 @@ def build_F(d, field=SYMBOLIC):
     return TensorOperator.from_entries(n, 2, field, entries)
 
 
+_COMPAT_EQUATION = "R12 F23 F12 = F23 F12 R23 and F12 F23 R12 = R23 F12 F23"
+
+
 def check_twist_compat(r, f_op):
-    """Both compatibility equalities between R and F on three factors."""
+    """Both compatibility equalities between R and F on three factors.
+
+    F e_(i,j) = d_ij e_(j,i) sends e_(a,b,c) under M = F23 F12 to
+    d_ab d_ac e_(b,c,a) and under M' = F12 F23 to d_ac d_bc e_(c,a,b).  So
+    R12 M = M R23 iff d_ab d_ac = d_ax d_ay, and M' R12 = R23 M' iff
+    d_xa d_ya = d_ba d_ca, for every label a and every nonzero
+    R[(x,y),(b,c)]: with u(i,j) = (d_ai d_aj)_a and w(i,j) = (d_ia d_ja)_a,
+    u and w agree on every such row and column pair.  When F has build_F's
+    shape that decides; the three-site products are formed only when it
+    does not, or when a condition fails, for the witness.
+    """
+    N = f_op.N
+    d = {inp: v for (out, inp), v in f_op.items() if out == inp[::-1]}
+    if (r.N, r.arity, f_op.arity) == (N, 2, 2) and len(d) == N * N == f_op.mat.nnz():
+        supports = row_supports(r)
+        labels = range(1, N + 1)
+        u, w = {}, {}  # u(j,i) = u(i,j) and w(j,i) = w(i,j): each is formed once
+        for i, j in {*supports, *(col for cols in supports.values() for col in cols)}:
+            if (j, i) in u:
+                u[i, j], w[i, j] = u[j, i], w[j, i]
+            else:
+                u[i, j] = tuple(d[a, i] * d[a, j] for a in labels)
+                w[i, j] = tuple(d[i, a] * d[j, a] for a in labels)
+        pairs = ((row, col) for row, cols in supports.items() for col in cols)
+        if all(u[row] == u[col] and w[row] == w[col] for row, col in pairs):
+            return Outcome("twist-compat", _COMPAT_EQUATION, True)
     r12 = embed(r, (1, 2), 3)
     r23 = embed(r, (2, 3), 3)
     f12 = embed(f_op, (1, 2), 3)
@@ -172,7 +201,7 @@ def check_twist_compat(r, f_op):
     f12f23 = compose(f12, f23)
     return _outcome(
         "twist-compat",
-        "R12 F23 F12 = F23 F12 R23 and F12 F23 R12 = R23 F12 F23",
+        _COMPAT_EQUATION,
         [
             (compose(r12, f23f12), compose(f23f12, r23)),
             (compose(f12f23, r12), compose(r23, f12f23)),

@@ -763,29 +763,110 @@ class ScalarField:
         return Scalar(LaurentPoly({e: _ratio(c, den) for e, c in terms.items()}), _LP_ONE)
 
 
+class Rational(Fraction):
+    """The element type of RationalField: a Fraction whose + - * / and ==
+    with another Rational, unary minus, ** by an int and bool work on the
+    two slots directly, with no operator dispatch and at most one gcd per
+    result.  Any other operand goes to Fraction's own method, so str, hash,
+    == with ints and Fractions, and Fraction(x) are Fraction's.  A Rational
+    result is in lowest terms with a positive denominator."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if b.__class__ is Rational:
+            da, db = a._denominator, b._denominator
+            if da == db:
+                return _rational(a._numerator + b._numerator, da)
+            return _rational(a._numerator * db + b._numerator * da, da * db)
+        return Fraction.__add__(a, b)
+
+    def __sub__(a, b):
+        if b.__class__ is Rational:
+            da, db = a._denominator, b._denominator
+            if da == db:
+                return _rational(a._numerator - b._numerator, da)
+            return _rational(a._numerator * db - b._numerator * da, da * db)
+        return Fraction.__sub__(a, b)
+
+    def __mul__(a, b):
+        if b.__class__ is Rational:
+            return _rational(a._numerator * b._numerator, a._denominator * b._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __truediv__(a, b):
+        # A zero divisor goes to Fraction, which raises ZeroDivisionError.
+        if b.__class__ is Rational and b._numerator:
+            return _rational(a._numerator * b._denominator, a._denominator * b._numerator)
+        return Fraction.__truediv__(a, b)
+
+    def __neg__(a):
+        return _coprime(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if b.__class__ is int:
+            n, d = a._numerator, a._denominator
+            if b >= 0:
+                return _coprime(n**b, d**b)
+            if n > 0:
+                return _coprime(d**-b, n**-b)
+            if n < 0:
+                return _coprime((-d) ** -b, (-n) ** -b)
+        return Fraction.__pow__(a, b)
+
+    def __eq__(a, b):
+        if b.__class__ is Rational:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        return Fraction.__eq__(a, b)
+
+    # Defining __eq__ would otherwise set __hash__ to None.
+    __hash__ = Fraction.__hash__
+
+    def __bool__(a):
+        return a._numerator != 0
+
+
+def _coprime(n, d):
+    """The Rational n/d of coprime ints n and d > 0."""
+    x = object.__new__(Rational)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _rational(n, d):
+    """The Rational n/d in lowest terms, n and d ints, d nonzero."""
+    g = _int_gcd(n, d)
+    if d < 0:
+        g = -g
+    return _coprime(n // g, d // g)
+
+
 class RationalField:
-    """Plain rational arithmetic at a fixed admissible value of s."""
+    """Plain rational arithmetic at a fixed admissible value of s, on
+    Rational elements."""
 
     def __init__(self, at_s):
         self.at_s = Fraction(at_s)
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = _coprime(0, 1)
+        self.one = _coprime(1, 1)
         # lift raises ExcludedEvaluationPoint at an excluded s0.
         self.s, self.q, self.lam = (self.lift(x) for x in (SYMBOLIC.s, SYMBOLIC.q, SYMBOLIC.lam))
 
     def from_int(self, n):
-        return Fraction(n)
+        return _coprime(n, 1)
 
     def lift(self, x):
         """The value of a Q(s) element at s = at_s; PoleAtPoint at a pole."""
-        return x.evaluate(self.at_s)
+        v = x.evaluate(self.at_s)
+        return _coprime(v._numerator, v._denominator)
 
     def to_flat(self, v):
         """(den, {0: numerator}); every element here is a constant."""
-        return v.denominator, {0: v.numerator}
+        return v._denominator, {0: v._numerator}
 
     def from_flat(self, terms, den):
-        return Fraction(terms[0], den)
+        return _rational(terms[0], den)
 
 
 SYMBOLIC = ScalarField()

@@ -287,9 +287,11 @@ def _flat_product(a, b):
             for bkey, y in brow.items():
                 k = bkey + e
                 acc[k] = get(k, 0) + x * y
+        if not all(acc.values()):
+            acc = {k: v for k, v in acc.items() if v}
         if acc:
             out[r] = acc
-    return _pruned(a.den * b.den, out, a.bits)
+    return _Flat(a.den * b.den, out, a.bits)
 
 
 def _flat_sum(a, b, sign):
@@ -332,8 +334,15 @@ def _flat_equal(a, b):
 
 
 def _flat_scale(cden, cterms, a):
-    """sum_e c_e s^e / cden times a."""
+    """sum_e c_e s^e / cden times a.  By a monomial c s^e each key shifts by
+    e and each value is multiplied by c, which makes a zero only when c is
+    zero, and then the operator is empty."""
     bits = a.bits
+    if len(cterms) == 1:
+        [(e, x)] = cterms.items()
+        e <<= bits
+        rows = {r: {k + e: v * x for k, v in row.items()} for r, row in a.rows.items()} if x else {}
+        return _Flat(a.den * cden, rows, bits)
     rows = {}
     for r, row in a.rows.items():
         acc = {}
@@ -731,12 +740,23 @@ def char_poly(m):
     """Coefficients (C_0, ..., C_dim) with det(xI - m) = sum (-1)^k C_k x^(dim-k).
 
     With this sign convention C_k is the k-th elementary symmetric function
-    of the eigenvalues; C_0 = 1 and C_dim = det(m).  Faddeev-LeVerrier
-    recurrence; the integer divisions are exact in characteristic zero.
-    Intended for small matrices (dimension N, not N^2).
+    of the eigenvalues; C_0 = 1 and C_dim = det(m).  A triangular m has its
+    diagonal as eigenvalues, det(xI - m) = prod (x - m_ii), so C_k is e_k of
+    the diagonal; any other m takes the Faddeev-LeVerrier recurrence, whose
+    integer divisions are exact in characteristic zero.  Intended for small
+    matrices (dimension N, not N^2).
     """
     field = m.field
     n = m.dim
+    cells = [(r, c) for r, row in m.rows.items() for c in row]
+    if all(c <= r for r, c in cells) or all(c >= r for r, c in cells):
+        cs = [field.one] + [field.zero] * n
+        for i in range(n):
+            t = m.get(i, i)
+            if t:
+                for k in range(i + 1, 0, -1):
+                    cs[k] = cs[k] + t * cs[k - 1]
+        return cs
     cs = [field.one]
     mk = m
     ident = FieldMatrix.identity(n, field)

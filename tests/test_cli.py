@@ -736,9 +736,9 @@ def test_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, sourc
 )
 def test_twisted_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsys, family, text, mode):
     # twisted-x-match reads X and the pairings off the verdict's record, so
-    # K, the rank-one comparison K == gbar g^T and X are formed once, and the
-    # twist D R D^-1 composes nothing: the 46 composes of a plain verdict
-    # plus the 6 of twist-compat.
+    # K, the rank-one comparison K == gbar g^T and X are formed once, and
+    # neither the twist D R D^-1 nor a passing twist-compat, decided on
+    # products of d, composes anything: the 46 composes of a plain verdict.
     import bmwcert.cli
     import bmwcert.core
     import bmwcert.families
@@ -760,7 +760,7 @@ def test_twisted_verdict_derives_each_quantity_once(monkeypatch, tmp_path, capsy
     twist = write_twist(tmp_path / "d.json", text)
     assert main(["verify", "--family", series, "--dim", dim, "--twist", twist, *mode]) == 0
     assert "[pass] twisted-x-match" in capsys.readouterr().out
-    assert calls == {"_kappa_raw": 1, "_rank_one_pairing": 1, "_build_xy": 1, "compose": 52}
+    assert calls == {"_kappa_raw": 1, "_rank_one_pairing": 1, "_build_xy": 1, "compose": 46}
 
 
 def test_twisted_verify_validates_twist_once(monkeypatch, tmp_path, capsys):

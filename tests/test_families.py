@@ -17,6 +17,7 @@ from bmwcert import (
     check_twist_compat,
     compose,
     detect_nu,
+    embed,
     factor_pairings,
     family_spec,
     full_verification,
@@ -27,7 +28,7 @@ from bmwcert import (
     twisted_matrix,
     validate_twist,
 )
-from bmwcert.core import _kappa_raw
+from bmwcert.core import _kappa_raw, _outcome
 from bmwcert.errors import BadDimension, InvalidTwistParameters, Singular
 
 from conftest import SO4_TWIST_TEXT, SP2_TWIST_TEXT, twist_from_text
@@ -220,6 +221,82 @@ def test_twist_compat_invalid_d_fails():
             f_entries.append(((j, i), (i, j), rows[i - 1][j - 1]))
     f_op = TensorOperator.from_entries(3, 2, F, f_entries)
     assert not check_twist_compat(build_standard("so", 3).R, f_op).passed
+
+
+def _compat_by_products(r, f_op, equation):
+    """twist-compat decided on the six three-site products."""
+    r12, r23 = embed(r, (1, 2), 3), embed(r, (2, 3), 3)
+    f12, f23 = embed(f_op, (1, 2), 3), embed(f_op, (2, 3), 3)
+    m, m2 = compose(f23, f12), compose(f12, f23)
+    pairs = [(compose(r12, m), compose(m, r23)), (compose(m2, r12), compose(r23, m2))]
+    return _outcome("twist-compat", equation, pairs)
+
+
+def _with_one_more(r, cell, field):
+    cells = dict(r.items())
+    cells[cell] = cells.get(cell, field.zero) + field.one
+    return TensorOperator.from_entries(r.N, 2, field, [(o, i, v) for (o, i), v in cells.items()])
+
+
+@pytest.mark.parametrize("at", [None, Fraction(3, 2)], ids=["symbolic", "at-s"])
+def test_twist_compat_on_d_agrees_with_the_products(monkeypatch, at):
+    # On an F of build_F's shape twist-compat is decided on products of d,
+    # and composes only when a condition fails, so the witness is the one
+    # the products give.  The extra entries at ((1,1),(1,2)) of so_4 and
+    # ((2,1),(1,1)) of sp_2 break R12 M = M R23; the one at ((1,1),(1,3))
+    # breaks only M' R12 = R23 M'.  Their witnesses are pinned, symbolic
+    # and at 3/2.  so_3's twist is q^(x_i x_j), x = (1, 0, -1).
+    import bmwcert.families
+
+    field = F if at is None else RationalField(at)
+    composed = []
+    monkeypatch.setattr(bmwcert.families, "compose", lambda a, b: composed.append(1) or compose(a, b))
+    so3_text = [[f"q^{x * y}" for y in (1, 0, -1)] for x in (1, 0, -1)]
+    cases = [
+        ("so", 4, SO4_TWIST_TEXT, None, None),
+        ("sp", 2, SP2_TWIST_TEXT, None, None),
+        ("so", 3, so3_text, None, None),
+        ("so", 4, SO4_TWIST_TEXT, ((1, 1), (1, 2)), ((1, 1, 1), (1, 1, 2), "-q^2 + q", "-45/16")),
+        ("so", 4, SO4_TWIST_TEXT, ((1, 1), (1, 3)), ((1, 1, 1), (1, 3, 1), "q^2 - 1", "65/16")),
+        ("sp", 2, SP2_TWIST_TEXT, ((2, 1), (1, 1)), ((2, 1, 1), (1, 1, 1), "-q + 1", "-5/4")),
+    ]
+    for series, n, text, cell, witness in cases:
+        r = standard_matrix(series, n, field)
+        if cell is not None:
+            r = _with_one_more(r, cell, field)
+        d = tuple(tuple(field.lift(v) for v in row) for row in twist_from_text(text))
+        del composed[:]
+        got = check_twist_compat(r, build_F(d, field))
+        assert len(composed) == (0 if witness is None else 6)
+        assert got == _compat_by_products(r, build_F(d, field), got.equation)
+        if witness is None:
+            assert got.passed
+        else:
+            o, i, v = got.witness
+            assert (o, i, str(v)) == (witness[0], witness[1], witness[2 if at is None else 3])
+
+
+def test_twist_compat_falls_back_to_the_products_off_build_F_shape(monkeypatch):
+    # An F with fewer than N^2 entries, or with an entry off ((j,i),(i,j)),
+    # is decided on the products: the empty F and build_F of a twist with a
+    # zero cell pass there, and P with one more entry fails.
+    import bmwcert.families
+
+    composed = []
+    monkeypatch.setattr(bmwcert.families, "compose", lambda a, b: composed.append(1) or compose(a, b))
+    r = standard_matrix("sp", 2)
+    p = permutation_op(2, 2, 1, 2, F)
+    off_shape = TensorOperator.from_entries(
+        2, 2, F, [*((o, i, v) for (o, i), v in p.items()), ((1, 2), (1, 2), q)]
+    )
+    empty = TensorOperator.from_entries(2, 2, F, [])
+    zero_cell = build_F(((one, F.zero), (one, one)))
+    for f_op, passed in ((empty, True), (zero_cell, True), (off_shape, False)):
+        del composed[:]
+        got = check_twist_compat(r, f_op)
+        assert len(composed) == 6
+        assert got == _compat_by_products(r, f_op, got.equation)
+        assert got.passed is passed
 
 
 def test_twist_r_identity_twist_is_noop():

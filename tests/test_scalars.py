@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from bmwcert import SYMBOLIC, LaurentPoly, RationalField, Scalar, is_unit_sign, parse
+from bmwcert import SYMBOLIC, LaurentPoly, Rational, RationalField, Scalar, is_unit_sign, parse
 from bmwcert.errors import (
     DivisionByZero,
     ExcludedEvaluationPoint,
@@ -251,11 +251,73 @@ def test_evaluate_and_lift_agree_with_a_term_by_term_reference():
                 with pytest.raises(PoleAtPoint, match=message):
                     field.lift(x)
                 continue
-            for got in (x.evaluate(at), field.lift(x)):
+            for got, kind in ((x.evaluate(at), Fraction), (field.lift(x), Rational)):
                 assert got == want, (str(x), at)
-                assert type(got) is Fraction
+                assert type(got) is kind
         if at.denominator == 1:
             assert (q + one).evaluate(int(at)) == reference_value(q + one, at)
+
+
+def test_rational_agrees_with_fraction():
+    # Rational is the numeric field's element type.  With a Rational on both
+    # sides it does its own arithmetic; every result must equal Fraction's,
+    # print and hash alike, and be a Rational in lowest terms with a positive
+    # denominator.  Mixed int and Fraction operands take Fraction's methods.
+    # A zero divisor and a zero base to a negative power raise as Fraction
+    # does.  Values reach past 2^64.
+    rng = random.Random(20261021)
+    big = 2**64
+    ints = [0, 1, -1, 2, -3, 12, big, big + 1, -(3 * big + 5), 2**100 - 1]
+
+    def draw_int():
+        return rng.choice(ints) if rng.random() < 0.6 else rng.randint(-4 * big, 4 * big)
+
+    def draw():
+        den = 0
+        while not den:
+            den = draw_int()
+        return Fraction(draw_int(), den)
+
+    def same(got, want):
+        assert got == want and want == got
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert str(got) == str(want) and hash(got) == hash(want)
+        assert bool(got) is bool(want)
+
+    binary = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for _ in range(400):
+        a, b = draw(), draw()
+        x, y = Rational(a.numerator, a.denominator), Rational(b.numerator, b.denominator)
+        assert type(x) is Rational
+        same(x, a)
+        same(-x, -a)
+        assert type(-x) is Rational
+        assert (x == y) is (a == b) and (x != y) is (a != b)
+        n = draw_int()
+        for op in binary:
+            operands = ((x, y, (a, b)), (x, b, (a, b)), (a, y, (a, b)), (x, n, (a, n)), (n, x, (n, a)))
+            for lhs, rhs, ref in operands:
+                if op is operator.truediv and not ref[1]:
+                    with pytest.raises(ZeroDivisionError):
+                        op(*ref)
+                    with pytest.raises(ZeroDivisionError):
+                        op(lhs, rhs)
+                    continue
+                got = op(lhs, rhs)
+                same(got, op(*ref))
+                if lhs is x and rhs is y:
+                    assert type(got) is Rational
+        for k in range(-3, 4):
+            if not a and k < 0:
+                with pytest.raises(ZeroDivisionError):
+                    a**k
+                with pytest.raises(ZeroDivisionError):
+                    x**k
+                continue
+            same(x**k, a**k)
+            assert type(x**k) is Rational
+        assert (x == n) is (a == n) and (x == a.numerator) is (a == a.numerator)
+        assert Fraction(x) == a and type(Fraction(x)) is Fraction
 
 
 def test_integral_coefficients_print_and_hash_as_before():

@@ -289,6 +289,31 @@ def test_char_poly_numeric_crosscheck():
         assert sym == num
 
 
+def test_char_poly_of_a_triangular_matrix_is_read_off_its_diagonal():
+    # A triangular matrix takes the diagonal path; swapping its first two
+    # basis vectors puts m[0][1] below the diagonal and m[1][2] above it, so
+    # the conjugate takes Faddeev-LeVerrier, with the same polynomial.
+    rng = random.Random(20261021)
+    texts = ("0", "1", "-2", "q", "q^-1 - 3", "s^3/2", "(q - 3)/(q + 1)", "5/7")
+    for field in (F, RationalField(Fraction(3, 2))):
+        for _ in range(20):
+            dim = rng.randint(3, 5)
+            lower = rng.random() < 0.5
+            forced = {(1, 0), (2, 1)} if lower else {(0, 1), (1, 2)}
+            entries = [(r, r, field.lift(parse(rng.choice(texts)))) for r in range(dim)]
+            for r, c in product(range(dim), repeat=2):
+                if r != c and (c < r) == lower and ((r, c) in forced or rng.random() < 0.5):
+                    entries.append((r, c, field.lift(parse(rng.choice(texts[1:])))))
+            m = FieldMatrix.from_entries(dim, field, entries)
+            swap = {0: 1, 1: 0}
+            conj = FieldMatrix.from_entries(
+                dim, field, [(swap.get(r, r), swap.get(c, c), v) for (r, c), v in m.items()]
+            )
+            cells = [cell for cell, _ in conj.items()]
+            assert any(c < r for r, c in cells) and any(c > r for r, c in cells)
+            assert char_poly(m) == char_poly(conj)
+
+
 def test_solve_identity_and_self():
     b = FieldMatrix.from_entries(3, F, [(0, 1, q), (2, 0, F.one)])
     assert solve_multi_rhs(FieldMatrix.identity(3, F), b) == b
