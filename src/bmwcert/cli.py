@@ -27,7 +27,7 @@ from .core import Outcome, RMatrixSystem, diagonal_gauge, excluded_nus, full_ver
 # names in this module and fails when they are missing.  Its name for K is
 # bound to _kappa_raw until the tracer stops binding names in this module.
 from .core import _build_xy, factor_pairings, _kappa_raw as kappa_of  # noqa: F401
-from .errors import BmwError, InvalidTwistParameters, PoleAtPoint, Singular, UnluckyPoint
+from .errors import InputError, InvalidTwistParameters, PoleAtPoint, Singular, UnluckyPoint
 from .families import (
     SP_NU_NOTE,
     build_F,
@@ -127,8 +127,8 @@ def run_job(config):
 
     An R with entries that are not all Laurent is decided first on a Laurent
     diagonal gauge of it (core.diagonal_gauge), on the integer kernel.  Input
-    and configuration problems raise (BmwError subclasses, ValueError,
-    OSError); `main` maps those, and usage errors, onto exit code 2.
+    and configuration problems raise InputError or OSError, which `main`
+    maps onto exit code 2; any other error is a bug.
     """
     field = SYMBOLIC if config.at_s is None else RationalField(config.at_s)
     notes = [] if config.at_s is None else [NUMERIC_NOTE.format(config.at_s)]
@@ -199,30 +199,33 @@ def run_job(config):
             result = full_verification(r if nu is None else RMatrixSystem(r, nu))
             if result.status == "pass":
                 break
-    except Singular as exc:
-        detail = exc
+    except Singular:
+        # A verdict eliminates only R, for R^-1: with R of full rank the
+        # error is a bug, and propagates as one.
+        k, dim = rank(r_op.mat), r_op.mat.dim
+        if k == dim:
+            raise
         # A family R is invertible at every admissible s0; a file's R
         # may be singular at s0 only, which rank in Q(s) tells apart.
         if file_r is not None and config.at_s is not None:
-            k, dim = rank(file_r.mat), file_r.mat.dim
+            k = rank(file_r.mat)
             if k == dim:
                 at = f"at s = {config.at_s}"
                 raise UnluckyPoint(f"R is singular {at} but invertible in Q(s)") from None
-            detail = f"rank {k} < dim {dim}"
-        raise Singular(f"R is singular in Q(s): {detail}") from None
-    result.outcomes = pre_outcomes + result.outcomes
+        raise InputError(f"R is singular in Q(s): rank {k} < dim {dim}") from None
 
+    post = []
     if expected_x is not None and result.aborted is None:
         found = result.pairing
         x_match = result.xy.X == expected_x and pairings_match_up_to_gauge(found, expected_pair)
-        result.outcomes.append(
+        post.append(
             Outcome(
                 "twisted-x-match",
                 "pipeline X equals diag(d_i'i / d_ii') and pairings match up to gauge",
                 x_match,
             )
         )
-
+    result = result._replace(outcomes=pre_outcomes + result.outcomes + post)
     return build_report(result, config.echo(), notes), (0 if result.status == "pass" else 1)
 
 
@@ -261,50 +264,50 @@ _HELP = ("-h", "--help")
 
 def _read_argv(argv):
     """(command, {option: value}) from argv, with True for a flag, or
-    (None, {}) for -h/--help.  A usage error raises ValueError."""
+    (None, {}) for -h/--help.  A usage error raises InputError."""
     command = argv[0] if argv else ""
     if command in _HELP:
         return None, {}
     if command not in _OPTIONS:
         got = f", got {command!r}" if argv else ""
-        raise ValueError(f"expected a command, verify or export{got}")
+        raise InputError(f"expected a command, verify or export{got}")
     table, opts, args = _OPTIONS[command], {}, iter(argv[1:])
     for arg in args:
         name, eq, value = arg.partition("=")
         if name in _HELP:
             return None, {}
         if name not in table:
-            raise ValueError(f"{command}: unknown option {arg!r}")
+            raise InputError(f"{command}: unknown option {arg!r}")
         kind = table[name]
         if kind is None:
             if eq:
-                raise ValueError(f"{name} takes no value")
+                raise InputError(f"{name} takes no value")
             opts[name] = True
             continue
         value = value if eq else next(args, None)
         if value is None:
-            raise ValueError(f"{name} needs a value")
+            raise InputError(f"{name} needs a value")
         try:
             if isinstance(kind, tuple) and value not in kind:
                 raise ValueError(f"expected {' or '.join(kind)}")
             opts[name] = value if isinstance(kind, tuple) else kind(value)
         except (ValueError, ZeroDivisionError) as exc:
             reason = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
-            raise ValueError(f"bad {name} value {value!r}: {reason}") from None
+            raise InputError(f"bad {name} value {value!r}: {reason}") from None
     return command, opts
 
 
 def _config_from_opts(opts):
     if "--input" in opts:
         if "--family" in opts or "--dim" in opts:
-            raise ValueError("--input excludes --family/--dim")
+            raise InputError("--input excludes --family/--dim")
         source = ("file", opts["--input"])
     else:
         if "--family" not in opts or "--dim" not in opts:
-            raise ValueError("need --family and --dim, or --input FILE")
+            raise InputError("need --family and --dim, or --input FILE")
         source = ("family", opts["--family"], opts["--dim"])
     if "--nu" in opts and "--detect-nu" in opts:
-        raise ValueError("--nu and --detect-nu are mutually exclusive")
+        raise InputError("--nu and --detect-nu are mutually exclusive")
     nu = "detect" if "--detect-nu" in opts else opts.get("--nu")
     report = opts.get("--report", "text")
     return JobConfig(source, opts.get("--twist"), nu, opts.get("--at-s"), report, opts.get("--out"))
@@ -318,7 +321,7 @@ def main(argv=None):
             return 0
         if command == "export":
             if not {"--family", "--dim", "--out"} <= opts.keys():
-                raise ValueError("export needs --family, --dim and --out")
+                raise InputError("export needs --family, --dim and --out")
             export_family(opts["--family"], opts["--dim"], opts.get("--twist"), opts["--out"])
             return 0
         config = _config_from_opts(opts)
@@ -330,7 +333,7 @@ def main(argv=None):
         else:
             _sys.stdout.write(text)
         return code
-    except (BmwError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"bmwcert: error: {exc}", file=_sys.stderr)
         return 2
     except Exception as exc:

@@ -32,6 +32,7 @@ from collections import namedtuple
 from itertools import product
 
 from .errors import (
+    InputError,
     NotBMWSpectralType,
     NotSkewInvertible,
     RankNotOne,
@@ -84,7 +85,7 @@ class RMatrixSystem:
         if R.arity != 2:
             raise ShapeMismatch(f"an R-matrix has arity 2, got {R.arity}")
         if any(nu == e for _, e in excluded_nus(R.field)):
-            raise ValueError(f"nu = {nu} lies in the excluded set {{0, q, -q^-1}}")
+            raise InputError(f"nu = {nu} lies in the excluded set {{0, q, -q^-1}}")
         self.N = R.N
         self.R = R
         self.nu = nu
@@ -124,17 +125,18 @@ XYPair = namedtuple("XYPair", "X Y epsilon")
 Outcome = namedtuple("Outcome", "id equation passed witness", defaults=(None,))
 
 
-class VerificationResult:
-    """The record of one verdict: the ordered outcomes, the RMatrixSystem
-    they were verified against, and the K, skew inverse, pairings and X/Y
-    the pipeline formed, each None when the pipeline stopped before it.
-    aborted carries the reason when a structural error cut it short.  It is
-    the one record filled in after it is built: the stages set its fields
-    as they run."""
+class VerificationResult(
+    namedtuple("VerificationResult", "outcomes system kappa skew pairing xy aborted",
+               defaults=(None, None, None, None))
+):
+    """The record of one verdict, built once, at the exit the pipeline
+    leaves by: the ordered outcomes, the RMatrixSystem they were verified
+    against, and the K, skew inverse, pairings and X/Y the pipeline formed,
+    each None when it stopped before forming it.  aborted carries the
+    reason when a structural error cut it short.  A caller that adds
+    outcomes builds a new record with _replace."""
 
-    def __init__(self, outcomes, system, kappa):
-        self.outcomes, self.system, self.kappa = outcomes, system, kappa
-        self.aborted = self.skew = self.pairing = self.xy = None
+    __slots__ = ()
 
     @property
     def status(self):
@@ -433,7 +435,7 @@ def skew_inverse(sys, kappa=None):
     M_R S_Psi = P holds for it, which proves M_R nonsingular, so it is the
     solution elimination would find.  Only otherwise is the system solved,
     and the solution is checked by the same product.  The Psi returned thus
-    always satisfies both defining equalities, and check_skew verifies the
+    always satisfies both defining equalities, and check_prop1 verifies the
     two contractions of C and D against R.  R^-1 is kappa's, and is
     eliminated here only when no kappa is given.
     """
@@ -455,13 +457,15 @@ def skew_inverse(sys, kappa=None):
     return SkewData(psi, c, d, r_inv, d_rinv_trace)
 
 
-def check_skew(sys, c, d):
-    """Outcomes for the defining equalities of Psi and the contractions of
-    C = Tr_1 Psi and D = Tr_2 Psi against R.
+def check_prop1(sys, skew):
+    """Outcomes for the defining equalities of Psi, the contractions of
+    C = Tr_1 Psi and D = Tr_2 Psi against R, the commutation of Psi with C
+    and D through R_21^-1, and the equality of the four contractions
+    Tr_2(C_2 R_21^-1) = Tr_2(D_2 R_12^-1) = CD = DC.
 
-    skew_inverse returns only a Psi with M_R S_Psi = P, so skew-left and
-    skew-right hold.  The contractions follow from them, and are still
-    formed and compared:
+    These need only skew invertibility, not the BMW structure.  skew_inverse
+    returns only a Psi with M_R S_Psi = P, so skew-left and skew-right hold.
+    The contractions follow from them, and are still formed and compared:
     - skew-right in entries is sum_{b,y} Psi[(a,b),(e,y)] R[(y,c),(b,g)] =
       delta(a,g) delta(c,e); summed over a = e it is
       sum_{b,y} C[b,y] R[(y,c),(b,g)] = delta(c,g), which is
@@ -470,11 +474,15 @@ def check_skew(sys, c, d):
       delta(a,e), which is Tr_2(R_12 D_2) = I, and by cyclicity of Tr_2
       Tr_2(D_2 R_12) = I.
     """
-    f = sys.field
-    n = sys.N
-    c1 = embed(c, (1,), 2)
-    d2 = embed(d, (2,), 2)
-    ident1 = TensorOperator.identity(n, 1, f)
+    psi = skew.Psi
+    c1 = embed(skew.C, (1,), 2)
+    c2 = embed(skew.C, (2,), 2)
+    d1 = embed(skew.D, (1,), 2)
+    d2 = embed(skew.D, (2,), 2)
+    r21_inv = embed(skew.r_inv, (2, 1), 2)
+    ident1 = TensorOperator.identity(sys.N, 1, sys.field)
+    cd = compose(skew.C, skew.D)
+    t_c = partial_trace(compose(c2, r21_inv), 2)
     return [
         Outcome("skew-left", "Tr_2(R_12 Psi_23) = P_13", True),
         Outcome("skew-right", "Tr_2(Psi_12 R_23) = P_13", True),
@@ -488,24 +496,6 @@ def check_skew(sys, c, d):
             "Tr_2(D_2 R_12) = I",
             [(partial_trace(compose(d2, sys.R), 2), ident1)],
         ),
-    ]
-
-
-def check_prop1(sys, skew):
-    """Commutation of Psi with C and D through R_21^-1, and the equality of
-    the four contractions Tr_2(C_2 R_21^-1) = Tr_2(D_2 R_12^-1) = CD = DC.
-
-    These need only skew invertibility, not the BMW structure.
-    """
-    psi = skew.Psi
-    c1 = embed(skew.C, (1,), 2)
-    c2 = embed(skew.C, (2,), 2)
-    d1 = embed(skew.D, (1,), 2)
-    d2 = embed(skew.D, (2,), 2)
-    r21_inv = embed(skew.r_inv, (2, 1), 2)
-    cd = compose(skew.C, skew.D)
-    t_c = partial_trace(compose(c2, r21_inv), 2)
-    return [
         _outcome(
             "psi-c-left", "C_1 Psi_12 = R_21^-1 C_2", [(compose(c1, psi), compose(r21_inv, c2))]
         ),
@@ -748,9 +738,10 @@ def full_verification(sys_or_r):
     K are read off, K with its rank and R^-1 (see _kappa_raw), and Psi, C,
     D with Tr_2(D_2 R^-1).  The system is only read, so a second verdict on
     it derives everything again and prints the same report.
-    The result records K, the skew inverse, the pairings and X/Y as each
-    is formed.  Structural errors (no skew inverse, rank != 1, XY != I)
-    short-circuit into a partial result whose `aborted` field names the
+    The result is built once, at the exit the pipeline leaves by, and holds
+    K and whichever of the skew inverse, the pairings and X/Y were formed.
+    Structural errors (no skew inverse, rank != 1, XY != I) end the pipeline
+    at the stage that meets them, and the result's `aborted` field names the
     reason; ordinary failures, including a failed K^2 = mu K, are reported
     as failed outcomes and the pipeline continues.
     """
@@ -775,38 +766,31 @@ def full_verification(sys_or_r):
     )
     kappa, kappa_outcome = _kappa_raw(sys, w_op)
     del w_op  # W is not needed past K
-    result = VerificationResult([yang_baxter, nu_outcome, kappa_outcome], sys, kappa)
-    outcomes = result.outcomes
-    outcomes.append(check_kappa_inverse_form(sys, kappa))
-
+    outcomes = [yang_baxter, nu_outcome, kappa_outcome, check_kappa_inverse_form(sys, kappa)]
     outcomes.extend(check_bmw_relations(sys, kappa, yang_baxter))
     outcomes.append(check_minimal_cubic(sys, kappa))
 
     try:
-        result.skew = skew = skew_inverse(sys, kappa)
+        skew = skew_inverse(sys, kappa)
     except NotSkewInvertible as exc:
-        result.aborted = f"NotSkewInvertible: {exc}"
-        return result
-    outcomes.extend(check_skew(sys, skew.C, skew.D))
+        return VerificationResult(outcomes, sys, kappa, aborted=f"NotSkewInvertible: {exc}")
     outcomes.extend(check_prop1(sys, skew))
     outcomes.extend(theorem_suite(sys, skew, kappa))
 
     try:
-        result.pairing = pair = factor_pairings(kappa)
+        pair = factor_pairings(kappa)
     except RankNotOne as exc:
-        result.aborted = f"RankNotOne: {exc}"
-        return result
+        return VerificationResult(outcomes, sys, kappa, skew, aborted=f"RankNotOne: {exc}")
     outcomes.append(check_pairing_factorization(kappa, pair))
 
     xy, xy_outcomes = _xy_outcomes(pair, sys.field)
     outcomes.extend(xy_outcomes)
     if xy is None:
-        result.aborted = "ReciprocityViolation: XY differs from the identity"
-        return result
-    result.xy = xy
+        reason = "ReciprocityViolation: XY differs from the identity"
+        return VerificationResult(outcomes, sys, kappa, skew, pair, aborted=reason)
 
     outcomes.append(rtt_lemma(kappa, xy))
-    return result
+    return VerificationResult(outcomes, sys, kappa, skew, pair, xy)
 
 
 def _diagonal_of(x):

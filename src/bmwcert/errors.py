@@ -5,11 +5,20 @@ class BmwError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(BmwError):
+    """Bad input or usage: the command line, a file, or a value it holds.
+    The CLI exits 2 on these and on OSError, and 3 on any other error."""
+
+
 class DivisionByZero(BmwError):
     """Division by the zero element of the coefficient field."""
 
 
-class ParseError(BmwError):
+class ZeroDivisionInText(DivisionByZero, InputError):
+    """A division by zero written in coefficient text."""
+
+
+class ParseError(InputError):
     """Malformed coefficient text or input file.
 
     `position` is a 0-based character offset into the offending text when
@@ -23,15 +32,15 @@ class ParseError(BmwError):
         self.position = position
 
 
-class ExcludedEvaluationPoint(BmwError):
+class ExcludedEvaluationPoint(InputError):
     """Numeric evaluation requested at s in {0, 1, -1} (q in {0, 1})."""
 
 
-class PoleAtPoint(BmwError):
+class PoleAtPoint(InputError):
     """Numeric evaluation requested at a zero of the denominator."""
 
 
-class UnluckyPoint(BmwError):
+class UnluckyPoint(InputError):
     """A nonzero input of Q(s) vanishes or has a pole at the numeric point."""
 
     def __init__(self, message):
@@ -50,8 +59,8 @@ class Singular(BmwError):
     """A linear system or matrix inversion has no solution."""
 
 
-class NotBMWSpectralType(BmwError):
-    """The operator does not expose the cubic spectral structure
+class NotBMWSpectralType(InputError):
+    """The operator given does not expose the cubic spectral structure
     needed to read off the contraction eigenvalue."""
 
 
@@ -63,13 +72,13 @@ class RankNotOne(BmwError):
     """The contraction operator does not have rank one."""
 
 
-class BadDimension(BmwError):
+class BadDimension(InputError):
     """Unsupported dimension for a standard family."""
 
 
-class InvalidTwistParameters(BmwError):
+class InvalidTwistParameters(InputError):
     """The twist parameter array violates the compatibility conditions."""
 
 
-class DimensionMismatch(BmwError):
+class DimensionMismatch(InputError):
     """An imported file uses indices outside the declared dimension."""

@@ -55,6 +55,7 @@ from .errors import (
     ExcludedEvaluationPoint,
     ParseError,
     PoleAtPoint,
+    ZeroDivisionInText,
 )
 
 
@@ -597,7 +598,8 @@ def parse(text):
     """Parse grammar text into a canonical Scalar.
 
     q parses as s^2; raises ParseError with a character position on bad
-    syntax and DivisionByZero on a literal zero denominator.
+    syntax and ZeroDivisionInText, a DivisionByZero that is an input error,
+    on a literal zero denominator.
     """
     toks = []
     for m in _TOKEN.finditer(text):
@@ -641,7 +643,7 @@ def _parse_term(toks, depth):
         op, _, pos = toks.pop()
         rhs = _parse_factor(toks, depth)
         if op == "/" and rhs.is_zero():
-            raise DivisionByZero(f"zero denominator at position {pos}")
+            raise ZeroDivisionInText(f"zero denominator at position {pos}")
         value = _check_size(value * rhs if op == "*" else value / rhs, pos)
     return value
 
@@ -675,7 +677,7 @@ def _parse_factor(toks, depth):
     if not half:
         k = sign * _expect(toks, "int", "expected an integer exponent")
         if value.is_zero() and k < 0:
-            raise DivisionByZero(f"zero base with negative exponent at position {caret}")
+            raise ZeroDivisionInText(f"zero base with negative exponent at position {caret}")
         _check_power(value, abs(k), caret)
         return value**k
     numer = sign * _expect(toks, "int", "expected an integer numerator")

@@ -18,7 +18,14 @@ from bmwcert import (
     parse,
     run_job,
 )
-from bmwcert.errors import DimensionMismatch, ParseError
+from bmwcert.errors import (
+    BadPositions,
+    DimensionMismatch,
+    DivisionByZero,
+    ParseError,
+    ShapeMismatch,
+    Singular,
+)
 from bmwcert.report import export_rmatrix, import_twist
 
 from conftest import (
@@ -666,6 +673,74 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert "Traceback" in err
 
 
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("core.check_prop1", ShapeMismatch("injected")),
+        ("core.check_prop1", BadPositions("injected")),
+        ("core.check_prop1", ValueError("injected")),
+        ("core.check_prop1", DivisionByZero("injected")),
+        # R of so_3 has full rank, so this is no statement about the input.
+        ("core.check_prop1", Singular("rank 7 < dim 9")),
+        ("cli.diagonal_gauge", ValueError("injected")),
+    ],
+    ids=["ShapeMismatch", "BadPositions", "ValueError", "DivisionByZero", "Singular", "gauge"],
+)
+def test_an_error_that_is_not_about_the_input_exits_3(monkeypatch, capsys, target, error):
+    def boom(*args):
+        raise error
+
+    monkeypatch.setattr(f"bmwcert.{target}", boom)
+    assert main(["verify", "--family", "so", "--dim", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"bmwcert: internal error: {type(error).__name__}: {error}\n")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize(
+    "nu, message",
+    [
+        ("1/0", "zero denominator at position 1"),
+        ("(q-q)^-1", "zero base with negative exponent at position 5"),
+        ("q", "nu = q lies in the excluded set {0, q, -q^-1}"),
+    ],
+    ids=["zero-denominator", "zero-base", "excluded-nu"],
+)
+def test_a_zero_division_in_text_and_an_excluded_nu_are_input_errors(capsys, nu, message):
+    # The parser's two zero divisions are DivisionByZero, which elsewhere is
+    # a bug; RMatrixSystem refuses the nu when the verdict starts.
+    assert main(["verify", "--family", "so", "--dim", "3", "--nu", nu]) == 2
+    assert capsys.readouterr() == ("", f"bmwcert: error: {message}\n")
+
+
+def test_a_verdict_record_is_never_changed_after_it_is_built(monkeypatch, tmp_path, capsys):
+    # run_job adds the twist outcomes and twisted-x-match to a new record;
+    # the verdict's own record keeps the outcomes it was built with.
+    import bmwcert.cli
+
+    records = []
+    full_verification = bmwcert.cli.full_verification
+
+    def keeping(sys_or_r):
+        result = full_verification(sys_or_r)
+        records.append((result, list(result.outcomes)))
+        return result
+
+    monkeypatch.setattr(bmwcert.cli, "full_verification", keeping)
+    twist = write_twist(tmp_path / "d.json", SO4_TWIST_TEXT)
+    config = JobConfig(("family", "so", 4), twist)
+    report, code = run_job(config)
+    assert code == 0
+    (result, outcomes), = records
+    assert result.outcomes == outcomes
+    ids = [chk["id"] for chk in report["checks"]]
+    assert ids[:3] == ["twist-valid", "twist-compat", "twist-closed-form"]
+    assert ids[-1] == "twisted-x-match"
+    assert ids[3:-1] == [o.id for o in outcomes]
+    with pytest.raises(AttributeError):
+        result.aborted = "changed"
+
+
 def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["verify", "--family", "so", "--dim", "3", "--out", str(out)]) == 2
@@ -1225,7 +1300,10 @@ def test_every_valued_option_reads_the_same_with_equals(tmp_path, capsys):
             if i is not None:
                 seen.add((argv[0], argv[i]))
             code = main(form)
-            written = open(out).read() if "--out" in argv else None
+            written = None
+            if "--out" in argv:
+                with open(out) as fh:
+                    written = fh.read()
             runs.append((code, *capsys.readouterr(), written))
         assert all(run == runs[0] for run in runs), argv
     valued = {(cmd, name) for cmd, table in _OPTIONS.items() for name, kind in table.items()

@@ -39,6 +39,7 @@ from bmwcert.errors import (
 
 from conftest import (
     SO3_TABLE,
+    SO4_TWIST_TEXT,
     SP2_TABLE,
     SP2_TWIST_TEXT,
     change_of_basis,
@@ -484,7 +485,7 @@ def test_nu_uniqueness_second_solution_matches():
 
 
 def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
-    # check_skew, check_prop1 and theorem_suite embed C_1, C_2, D_1 and D_2;
+    # check_prop1 and theorem_suite embed C_1, C_2, D_1 and D_2;
     # the embeddings live on SkewData.C and .D, so each is built once.
     import bmwcert.core as core
 
@@ -507,6 +508,75 @@ def test_skew_c_and_d_are_embedded_once_per_verdict(monkeypatch):
     assert full_verification(build_standard("sp", 4)).status == "pass"
     (skew,) = skews
     assert sorted(p for op, p in built if op is skew.C or op is skew.D) == [(1,), (1,), (2,), (2,)]
+
+
+def _tracer_stages():
+    """The stage names that perfbench/tracer.py times, read from that file."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.STAGES
+
+
+def _bump_so3():
+    entries = dict(standard_matrix("so", 3).items())
+    entries[((1, 1), (1, 1))] = q**2
+    cells = [(o, i, v) for (o, i), v in entries.items()]
+    return RMatrixSystem(TensorOperator.from_entries(3, 2, F, cells), q**-2)
+
+
+@pytest.mark.parametrize(
+    "build, aborted",
+    [
+        (so3_system, None),
+        (lambda: build_standard("sp", 4), None),
+        (lambda: build_multiparametric("so", 4, twist_from_text(SO4_TWIST_TEXT)), None),
+        (_bump_so3, "RankNotOne"),
+        (lambda: RMatrixSystem(TensorOperator.identity(2, 2, F), q**5), "NotSkewInvertible"),
+    ],
+    ids=["so3", "sp4", "twisted-so4", "bump-so3", "ident2"],
+)
+def test_every_tensor_operation_of_a_verdict_runs_in_a_traced_stage(monkeypatch, build, aborted):
+    # The benchmark tracer times a verdict by the stage functions it wraps
+    # in core.  Only W = (q - R)(q^-1 + R) is composed between stages, since
+    # detect_nu and _kappa_raw share it.
+    import bmwcert.core as core
+
+    sys = build()
+    running = []
+    outside = []
+
+    def staged(fn):
+        def wrapper(*args):
+            running.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                running.pop()
+
+        return wrapper
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if not running:
+                outside.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    stages = _tracer_stages()
+    assert len(stages) == 13
+    for name in stages.values():
+        monkeypatch.setattr(core, name, staged(getattr(core, name)))
+    for name in ("compose", "embed", "partial_trace"):
+        monkeypatch.setattr(core, name, counted(name, getattr(core, name)))
+    result = full_verification(sys)
+    assert (result.aborted or "").partition(":")[0] == (aborted or "")
+    assert outside == ["compose"]
 
 
 def test_pairing_factorization_entrywise_witness():
